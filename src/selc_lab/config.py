@@ -2,7 +2,9 @@
 
 Relative paths inside a config (IDX/CSV datasets, noise mapping files,
 the output directory) resolve against the directory containing the config
-file, so a config plus its data folder can move as a unit. Loading an
+file, so a config plus its data folder can move as a unit. A noise
+mapping file is parsed on load, so a malformed one is a config error
+rather than a failure in every trial. Loading an
 already-resolved config is a fixed point: load -> save -> load gives an
 equal object.
 """
@@ -14,6 +16,7 @@ import yaml
 
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
+from .noise import build_asymmetric_q, load_mapping
 
 DATASET_KINDS = ("blobs", "idx", "csv")
 NOISE_KINDS = ("none", "symmetric", "asymmetric")
@@ -129,6 +132,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(noise.mapping_file is not None, "noise.mapping_file is required for asymmetric noise")
         _require(os.path.exists(noise.mapping_file),
                  f"noise.mapping_file: no such file: {noise.mapping_file}")
+        mapping = load_mapping(noise.mapping_file)
+        if ds.kind == "blobs":
+            try:
+                build_asymmetric_q(ds.num_classes, noise.eta, mapping)
+            except ParameterError as exc:
+                raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
 
     _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
     _require(all(int(h) >= 1 for h in model.hidden_dims),

@@ -8,13 +8,11 @@ targets checkpoint for the correcting methods. One ``summary.json`` sits at
 the run root. Reruns with the same config are byte-identical: no
 timestamps, fixed column orders, 6 significant digits, LF endings.
 
-Environment: ``SELC_OUT_DIR`` overrides the config's output directory;
-``SELC_THREADS`` bounds trial parallelism (default 1, sequential).
+Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +26,6 @@ from .diagnostics import (
     memorization_stats,
     write_confusion_csv,
 )
-from .errors import ParameterError
 from .mlp import init_mlp, make_optimizer, one_hot, predict_proba, soft_ce_loss
 from .noise import (
     TransitionMatrix,
@@ -182,7 +179,6 @@ class _EpochObserver:
         snap = LossSnapshot.from_losses(event.epoch, per_sample)
         self.snapshots.append(snap)
         gmm = fit_gmm2(snap.normalized)
-        _, m3 = fit_kmeans2_and_m3(snap.normalized)
         test_probs = predict_proba(self.model, self.test_x)
         test_acc = float(np.mean(test_probs.argmax(axis=1) == self.test_y))
         targets = event.state.targets if event.state is not None else self.noisy_onehot
@@ -197,7 +193,7 @@ class _EpochObserver:
             "test_acc": test_acc,
             "m1": metric_m1(gmm),
             "m2": metric_m2(gmm),
-            "m3": m3,
+            "m3": gmm.m3,
             "correction_acc": correction_accuracy(targets, self.true_labels),
             "clean_correct_frac": mem.clean_correct_frac,
             "clean_incorrect_frac": mem.clean_incorrect_frac,
@@ -365,40 +361,17 @@ def _aggregate(results, key):
     return {"per_trial": per_trial, "mean": mean, "stddev": stddev}
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SELC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ParameterError(f"SELC_THREADS must be an integer, got {raw!r}")
-    return max(1, threads)
-
-
 def _run_at_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    results = {}
+    ordered = []
     failures = {}
-
-    def safe(seed):
+    for seed in cfg.trials:
         trial_dir = os.path.join(out_dir, f"trial_{seed}")
         try:
-            return seed, _run_trial(cfg, alpha, seed, trial_dir), None
+            ordered.append(_run_trial(cfg, alpha, seed, trial_dir))
         except (ValueError, RuntimeError, OSError) as exc:
-            return seed, None, f"{type(exc).__name__}: {exc}"
+            failures[str(seed)] = f"{type(exc).__name__}: {exc}"
 
-    threads = _thread_count()
-    if threads > 1 and len(cfg.trials) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(safe, cfg.trials))
-    else:
-        outcomes = [safe(seed) for seed in cfg.trials]
-    for seed, result, error in outcomes:
-        if error is None:
-            results[seed] = result
-        else:
-            failures[str(seed)] = error
-
-    ordered = [results[s] for s in cfg.trials if s in results]
     summary = {
         "empty": len(ordered) == 0,
         "method": cfg.method.name,

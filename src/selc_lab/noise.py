@@ -126,18 +126,18 @@ def load_transition_matrix(path, nominal_eta: float | None = None) -> Transition
 
 
 def load_mapping(path):
-    """Read asymmetric flip pairs, one "src dst" pair per line; # comments."""
+    """Read asymmetric flip pairs, one "src dst" or "src,dst" pair per
+    line; # starts a comment."""
     pairs = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise FormatError(f"bad mapping line in {path}: {line!r}")
+            toks = line.split(",") if "," in line else line.split()
             try:
-                pairs.append((int(toks[0]), int(toks[1])))
+                src, dst = (int(tok) for tok in toks)
             except ValueError:
-                raise FormatError(f"bad mapping line in {path}: {line!r}") from None
+                raise FormatError(f"{path}:{lineno}: bad mapping line {line!r}") from None
+            pairs.append((src, dst))
     return pairs

@@ -13,6 +13,7 @@ The turning point is the argmax epoch of a metric series (m1 by default).
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ EM_TOL = 1e-6
 EM_MAX_ITER = 200
 KMEANS_MAX_ITER = 200
 METRIC_NAMES = ("m1", "m2", "m3")
+LOSSES_HEADER = "epoch,sample_id,loss"
+_LOSSES_DTYPE = [("epoch", np.int64), ("sample_id", np.int64), ("loss", np.float64)]
 
 
 def normalize_losses(losses) -> np.ndarray:
@@ -72,6 +75,7 @@ class GmmFit:
     log_likelihood: float
     iterations: int
     converged: bool
+    m3: float = 0.0  # centroid gap of the 2-means warm start
     ll_trace: list = field(default_factory=list, repr=False)
 
 
@@ -83,57 +87,65 @@ class KMeansFit:
     degenerate: bool = False
 
 
-def _log_normal_pdf(x, mean, var):
-    return -0.5 * np.log(2.0 * np.pi * var) - (x - mean) ** 2 / (2.0 * var)
-
-
 def fit_gmm2(normalized_losses, seed: int = 0) -> GmmFit:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initial responsibilities come from a 2-means pre-pass on the same data,
     which makes the fit deterministic; ``seed`` is accepted for interface
-    stability but never consulted. Component 1 is the lower-mean one.
+    stability but never consulted. Component 1 is the lower-mean one. The
+    pre-pass's centroid gap is returned as ``m3``.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 4:
         raise ParameterError(f"need at least 4 one-dimensional points, got shape {x.shape}")
-    km, _ = fit_kmeans2_and_m3(x, seed)
-    resp = np.zeros((x.size, 2))
-    if km.degenerate:
-        resp[:] = 0.5
-    else:
-        resp[np.arange(x.size), km.assignments] = 1.0
+    km, m3 = fit_kmeans2_and_m3(x, seed)
+    # responsibilities of the two components, r0 + r1 = 1
+    r1 = km.assignments.astype(np.float64)
+    if km.degenerate or not 0.0 < r1.sum() < x.size:
         # a one-sided pre-pass (empty cluster) degrades EM to a coin-flip start
-        counts = resp.sum(axis=0)
-        if counts.min() == 0.0:
-            resp[:] = 0.5
+        r1[:] = 0.5
+    r0 = 1.0 - r1
+    resp = (r0, r1)
+    # sq_dev[m] holds (x - mean_m)^2, then that component's log joint density
+    sq_dev = (np.empty_like(x), np.empty_like(x))
+    gap = np.empty_like(x)
+    log_norm = np.empty_like(x)
 
-    weights = np.empty(2)
-    means = np.empty(2)
-    variances = np.empty(2)
+    weights = [0.0, 0.0]
+    means = [math.nan, math.nan]
+    variances = [math.nan, math.nan]
     ll_prev = -np.inf
     ll = -np.inf
     ll_trace = []
     converged = False
     iterations = 0
     for iterations in range(1, EM_MAX_ITER + 1):
-        # M step
-        mass = resp.sum(axis=0)
-        weights = mass / x.size
         for m in range(2):
-            if mass[m] <= 0.0:
-                continue
-            means[m] = float(resp[:, m] @ x / mass[m])
-            variances[m] = float(resp[:, m] @ (x - means[m]) ** 2 / mass[m])
-        variances = np.maximum(variances, VARIANCE_FLOOR)
-        # E step, in log space
-        log_joint = np.stack([
-            np.log(np.maximum(weights[m], 1e-300)) + _log_normal_pdf(x, means[m], variances[m])
-            for m in range(2)
-        ], axis=1)
-        top = log_joint.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
-        resp = np.exp(log_joint - log_norm[:, None])
+            # M step
+            mass = float(resp[m].sum())
+            weights[m] = mass / x.size
+            if mass > 0.0:
+                means[m] = float(resp[m] @ x) / mass
+            np.subtract(x, means[m], out=sq_dev[m])
+            np.multiply(sq_dev[m], sq_dev[m], out=sq_dev[m])
+            if mass > 0.0:
+                variances[m] = max(float(resp[m] @ sq_dev[m]) / mass, VARIANCE_FLOOR)
+            # E step, in log space
+            log_scale = (math.log(max(weights[m], 1e-300))
+                         - 0.5 * math.log(2.0 * math.pi * variances[m]))
+            np.multiply(sq_dev[m], -0.5 / variances[m], out=sq_dev[m])
+            np.add(sq_dev[m], log_scale, out=sq_dev[m])
+        # log_norm = logaddexp(joint0, joint1) as max + log1p(exp(min - max)),
+        # the formula np.logaddexp evaluates, on numpy's vectorized exp/log1p
+        np.maximum(sq_dev[0], sq_dev[1], out=log_norm)
+        np.minimum(sq_dev[0], sq_dev[1], out=gap)
+        np.subtract(gap, log_norm, out=gap)
+        np.exp(gap, out=gap)
+        np.log1p(gap, out=gap)
+        np.add(log_norm, gap, out=log_norm)
+        np.subtract(sq_dev[1], log_norm, out=r1)
+        np.exp(r1, out=r1)
+        np.subtract(1.0, r1, out=r0)
         ll = float(log_norm.sum())
         ll_trace.append(ll)
         if ll - ll_prev < EM_TOL and iterations > 1:
@@ -141,17 +153,15 @@ def fit_gmm2(normalized_losses, seed: int = 0) -> GmmFit:
             break
         ll_prev = ll
 
-    if means[0] > means[1]:
-        weights = weights[::-1]
-        means = means[::-1]
-        variances = variances[::-1]
+    order = (1, 0) if means[0] > means[1] else (0, 1)
     return GmmFit(
-        weights=(float(weights[0]), float(weights[1])),
-        means=(float(means[0]), float(means[1])),
-        variances=(float(variances[0]), float(variances[1])),
+        weights=tuple(weights[m] for m in order),
+        means=tuple(means[m] for m in order),
+        variances=tuple(variances[m] for m in order),
         log_likelihood=ll,
         iterations=iterations,
         converged=converged,
+        m3=m3,
         ll_trace=ll_trace,
     )
 
@@ -185,17 +195,17 @@ def fit_kmeans2_and_m3(normalized_losses, seed: int = 0):
             degenerate=True,
         )
         return fit, 0.0
-    c = np.array([np.percentile(x, 10), np.percentile(x, 90)])
-    assign = np.zeros(x.size, dtype=np.int64)
+    c = np.percentile(x, [10, 90])
+    upper = np.zeros(x.size, dtype=bool)
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = ((x - c[1]) ** 2 < (x - c[0]) ** 2).astype(np.int64)
-        for m in range(2):
-            members = x[new_assign == m]
+        new_upper = (x - c[1]) ** 2 < (x - c[0]) ** 2
+        for m, members in enumerate((x[~new_upper], x[new_upper])):
             if members.size:
                 c[m] = members.mean()
-        if np.array_equal(new_assign, assign):
+        if np.array_equal(new_upper, upper):
             break
-        assign = new_assign
+        upper = new_upper
+    assign = upper.astype(np.int64)
     if c[0] > c[1]:
         c = c[::-1]
         assign = 1 - assign
@@ -234,18 +244,18 @@ class MetricSeries:
 
 
 def compute_metric_series(snapshots, seed: int = 0) -> MetricSeries:
-    """Fit both models to every snapshot and collect the three metrics."""
+    """Fit the GMM (and with it the 2-means) to every snapshot and collect
+    the three metrics."""
     snapshots = sorted(snapshots, key=lambda s: s.epoch)
     if not snapshots:
         raise ParameterError("need at least one loss snapshot")
     epochs, m1s, m2s, m3s = [], [], [], []
     for snap in snapshots:
         gmm = fit_gmm2(snap.normalized, seed)
-        _, m3 = fit_kmeans2_and_m3(snap.normalized, seed)
         epochs.append(snap.epoch)
         m1s.append(metric_m1(gmm))
         m2s.append(metric_m2(gmm))
-        m3s.append(m3)
+        m3s.append(gmm.m3)
     return MetricSeries(epochs=np.array(epochs), m1=np.array(m1s),
                         m2=np.array(m2s), m3=np.array(m3s))
 
@@ -313,7 +323,7 @@ class OnlineTurningPointDetector:
 
 def save_loss_snapshots(snapshots, path) -> None:
     """CSV rows (epoch, sample_id, loss); floats via repr for exact reload."""
-    lines = ["epoch,sample_id,loss"]
+    lines = [LOSSES_HEADER]
     for snap in sorted(snapshots, key=lambda s: s.epoch):
         for i, loss in enumerate(snap.losses):
             lines.append(f"{snap.epoch},{i},{float(loss)!r}")
@@ -321,32 +331,48 @@ def save_loss_snapshots(snapshots, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _bad_losses_line(path, exc) -> FormatError:
+    """Rescan a losses CSV numpy rejected, to name the first bad line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno == 1 or not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                return FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+            try:
+                int(parts[0])
+                int(parts[1])
+                float(parts[2])
+            except ValueError as line_exc:
+                return FormatError(f"{path}:{lineno}: {line_exc}")
+    return FormatError(f"{path}: {exc}")
+
+
 def load_loss_snapshots(path):
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "epoch,sample_id,loss":
-        raise FormatError(f"{path}: expected header 'epoch,sample_id,loss'")
-    by_epoch = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        if fh.readline().rstrip("\n") != LOSSES_HEADER:
+            raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
         try:
-            epoch = int(parts[0])
-            sample_id = int(parts[1])
-            loss = float(parts[2])
+            with warnings.catch_warnings():
+                # a header-only file is an empty run, not a malformed one
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                epochs, ids, losses = np.loadtxt(fh, dtype=_LOSSES_DTYPE, delimiter=",",
+                                                 comments=None, ndmin=1, unpack=True)
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        by_epoch.setdefault(epoch, []).append((sample_id, loss))
+            raise _bad_losses_line(path, exc) from exc
+    if epochs.size == 0:
+        return []
+    order = np.lexsort((ids, epochs))
+    epochs, ids, losses = epochs[order], ids[order], losses[order]
+    bounds = np.flatnonzero(np.diff(epochs)) + 1
     snapshots = []
-    for epoch in sorted(by_epoch):
-        rows = sorted(by_epoch[epoch])
-        ids = [r[0] for r in rows]
-        if ids != list(range(len(ids))):
-            raise FormatError(f"{path}: epoch {epoch} sample ids are not 0..{len(ids) - 1}")
-        snapshots.append(LossSnapshot.from_losses(epoch, np.array([r[1] for r in rows])))
+    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, epochs.size]):
+        epoch = int(epochs[start])
+        if not np.array_equal(ids[start:stop], np.arange(stop - start)):
+            raise FormatError(f"{path}: epoch {epoch} sample ids are not 0..{stop - start - 1}")
+        snapshots.append(LossSnapshot.from_losses(epoch, losses[start:stop]))
     return snapshots
 
 

@@ -52,7 +52,6 @@ from selc_lab.turning import (
 def _clean_env():
     mp = pytest.MonkeyPatch()
     mp.delenv("SELC_OUT_DIR", raising=False)
-    mp.delenv("SELC_THREADS", raising=False)
     yield
     mp.undo()
 

@@ -76,6 +76,29 @@ def test_run_verb_alpha_sweep_output(tmp_path, capsys):
     assert "spread" in out
 
 
+def write_mapping_config(tmp_path, mapping_text):
+    (tmp_path / "pairs.csv").write_text(mapping_text)
+    return write_tiny_config(tmp_path,
+                             dataset={"num_classes": 4},
+                             noise={"kind": "asymmetric", "eta": 0.4,
+                                    "mapping_file": "pairs.csv"})
+
+
+def test_run_verb_comma_mapping(tmp_path, capsys):
+    cfg = write_mapping_config(tmp_path, "0,1\n2,3\n")
+    assert main(["run", str(cfg)]) == 0
+    assert "failed" not in capsys.readouterr().err
+
+
+def test_run_verb_bad_mapping_is_config_error(tmp_path, capsys):
+    cfg = write_mapping_config(tmp_path, "0,1\n2;3\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "pairs.csv:2" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def make_losses_csv(tmp_path):
     from statistics import NormalDist
     zs = np.array([NormalDist().inv_cdf((i + 0.5) / 30) for i in range(30)])

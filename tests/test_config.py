@@ -15,7 +15,7 @@ from selc_lab.config import (
     validate_config,
 )
 from selc_lab.data import save_csv_dataset
-from selc_lab.errors import ParameterError
+from selc_lab.errors import FormatError, ParameterError
 
 
 def minimal_dict(**overrides):
@@ -139,6 +139,18 @@ def test_asymmetric_noise_requires_mapping(tmp_path):
     data["noise"]["mapping_file"] = "map.txt"
     cfg = config_from_dict(data, base_dir=str(tmp_path))
     assert cfg.noise.mapping_file == str(mapping)
+
+
+def test_asymmetric_mapping_checked_on_load(tmp_path):
+    data = minimal_dict(noise={"kind": "asymmetric", "eta": 0.4, "mapping_file": "map.csv"})
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("0,1\n1\n")
+    with pytest.raises(FormatError, match=r"map\.csv:2:"):
+        config_from_dict(data, base_dir=str(tmp_path))
+    # blob class count is known at load, so out-of-range classes fail there too
+    mapping.write_text("0,1\n1,99\n")
+    with pytest.raises(ParameterError, match=r"map\.csv: mapping 1->99"):
+        config_from_dict(data, base_dir=str(tmp_path))
 
 
 def test_load_config_bad_yaml(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 import selc_lab.experiment as experiment
 from selc_lab.config import config_from_dict, validate_config
-from selc_lab.errors import ParameterError
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
     _mean_stddev,
@@ -153,25 +152,6 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(cfg)
     for f in files:
         assert open(os.path.join(cfg.out_dir, f), "rb").read() == first[f], f
-
-
-def test_thread_pool_matches_sequential(tmp_path, monkeypatch):
-    cfg = tiny_config(tmp_path, out_dir="seq")
-    seq = run_experiment(cfg)
-    monkeypatch.setenv("SELC_THREADS", "2")
-    cfg2 = tiny_config(tmp_path, out_dir="par")
-    par = run_experiment(cfg2)
-    assert seq == par
-    a = open(os.path.join(cfg.out_dir, "summary.json"), "rb").read()
-    b = open(os.path.join(cfg2.out_dir, "summary.json"), "rb").read()
-    assert a == b
-
-
-def test_bad_thread_env_rejected(tmp_path, monkeypatch):
-    cfg = tiny_config(tmp_path, trials=[1])
-    monkeypatch.setenv("SELC_THREADS", "many")
-    with pytest.raises(ParameterError):
-        run_experiment(cfg)
 
 
 def test_alpha_sweep_layout(tmp_path):

@@ -147,7 +147,13 @@ def test_load_mapping(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("# confusable pairs\n9 1\n2 0\n\n4 7\n")
     assert load_mapping(path) == [(9, 1), (2, 0), (4, 7)]
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 2 3\n")
-    with pytest.raises(FormatError):
-        load_mapping(bad)
+    path.write_text("0,1\n2, 3  # spaced\n")
+    assert load_mapping(path) == [(0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("line", ["1 2 3", "0,1,2", "0,", "a,b", "0 1,2", "7"])
+def test_load_mapping_bad_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "map.csv"
+    path.write_text(f"# pairs\n0,1\n{line}\n")
+    with pytest.raises(FormatError, match=r"map\.csv:3:"):
+        load_mapping(path)

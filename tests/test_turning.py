@@ -9,6 +9,8 @@ from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
 from selc_lab.turning import (
     EM_MAX_ITER,
+    EM_TOL,
+    VARIANCE_FLOOR,
     GmmFit,
     LossSnapshot,
     MetricSeries,
@@ -116,6 +118,71 @@ def test_gmm_input_validation():
         fit_gmm2([0.1, 0.2, 0.3])
     with pytest.raises(ParameterError):
         fit_gmm2(np.zeros((4, 1)))
+
+
+def reference_gmm2(x):
+    """EM on an (n, 2) responsibility matrix: the plain two-column form of
+    the algorithm fit_gmm2 implements, kept as its oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    km, _ = fit_kmeans2_and_m3(x)
+    resp = np.zeros((x.size, 2))
+    if km.degenerate:
+        resp[:] = 0.5
+    else:
+        resp[np.arange(x.size), km.assignments] = 1.0
+        if resp.sum(axis=0).min() == 0.0:
+            resp[:] = 0.5
+    weights, means, variances = np.empty(2), np.empty(2), np.empty(2)
+    ll_prev = -np.inf
+    for iterations in range(1, EM_MAX_ITER + 1):
+        mass = resp.sum(axis=0)
+        weights = mass / x.size
+        for m in range(2):
+            if mass[m] <= 0.0:
+                continue
+            means[m] = resp[:, m] @ x / mass[m]
+            variances[m] = resp[:, m] @ (x - means[m]) ** 2 / mass[m]
+        variances = np.maximum(variances, VARIANCE_FLOOR)
+        log_joint = np.stack([
+            np.log(np.maximum(weights[m], 1e-300))
+            - 0.5 * np.log(2.0 * np.pi * variances[m])
+            - (x - means[m]) ** 2 / (2.0 * variances[m])
+            for m in range(2)
+        ], axis=1)
+        top = log_joint.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
+        resp = np.exp(log_joint - log_norm[:, None])
+        ll = float(log_norm.sum())
+        if ll - ll_prev < EM_TOL and iterations > 1:
+            break
+        ll_prev = ll
+    order = [1, 0] if means[0] > means[1] else [0, 1]
+    return weights[order], means[order], variances[order], ll, iterations
+
+
+def oracle_inputs():
+    rng = stream(2024, "oracle")
+    return {
+        "separated": np.concatenate([rng.normal(0.2, 0.04, 700), rng.normal(0.8, 0.06, 300)]),
+        "overlapping": normalize_losses(np.concatenate([rng.normal(0.17, 0.04, 4200),
+                                                        rng.normal(0.37, 0.08, 1800)])),
+        "unimodal": rng.normal(0.5, 0.1, 500),
+        "constant": np.full(50, 0.3),
+        "four_points": np.array([0.0, 0.1, 0.8, 1.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oracle_inputs()))
+def test_gmm_matches_two_column_reference(name):
+    x = oracle_inputs()[name]
+    weights, means, variances, ll, iterations = reference_gmm2(x)
+    fit = fit_gmm2(x)
+    assert fit.iterations == iterations
+    assert np.allclose(fit.weights, weights, rtol=0.0, atol=1e-9)
+    assert np.allclose(fit.means, means, rtol=0.0, atol=1e-9)
+    assert np.allclose(fit.variances, variances, rtol=0.0, atol=1e-9)
+    assert fit.log_likelihood == pytest.approx(ll, rel=1e-12, abs=1e-9)
+    assert fit.m3 == fit_kmeans2_and_m3(x)[1]
 
 
 def test_m2_closed_form_examples():
@@ -321,6 +388,31 @@ def test_loss_snapshot_load_rejects_bad_files(tmp_path):
         load_loss_snapshots(p)
     p.write_text("epoch,sample_id,loss\n0,0,banana\n")
     with pytest.raises(FormatError):
+        load_loss_snapshots(p)
+
+
+def test_loss_snapshot_load_skips_blank_lines_and_groups_by_epoch(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("epoch,sample_id,loss\n3,1,2.0\n\n1,0,0.5\n3,0,1.0\n1,1,0.25\n\n")
+    back = load_loss_snapshots(p)
+    assert [s.epoch for s in back] == [1, 3]
+    assert np.array_equal(back[0].losses, [0.5, 0.25])
+    assert np.array_equal(back[1].losses, [1.0, 2.0])
+
+
+def test_loss_snapshot_load_header_only_is_empty(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("epoch,sample_id,loss\n")
+    assert load_loss_snapshots(p) == []
+    p.write_text("epoch,sample_id,loss")
+    assert load_loss_snapshots(p) == []
+
+
+@pytest.mark.parametrize("bad_line", ["0,2,banana", "0,1.5,1.0", "0,2", "#0,2,1.0"])
+def test_loss_snapshot_load_names_file_and_line(tmp_path, bad_line):
+    p = tmp_path / "a.csv"
+    p.write_text(f"epoch,sample_id,loss\n0,0,1.0\n\n0,1,2.0\n{bad_line}\n0,3,1.5\n")
+    with pytest.raises(FormatError, match=r"a\.csv:5: "):
         load_loss_snapshots(p)
 
 
