@@ -232,8 +232,14 @@ def load_csv_dataset(path):
             toks = line.split(",")
             if len(toks) != width + 1:
                 raise FormatError(f"{path}: line {lineno} has {len(toks)} fields, expected {width + 1}")
-            labels.append(int(toks[0]))
-            feats.append([float(t) for t in toks[1:]])
+            try:
+                label = int(toks[0])
+                feats.append([float(t) for t in toks[1:]])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if label < 0:
+                raise FormatError(f"{path}:{lineno}: negative label {label}")
+            labels.append(label)
     if not feats:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64)

@@ -8,15 +8,21 @@ targets checkpoint for the correcting methods. One ``summary.json`` sits at
 the run root. Reruns with the same config are byte-identical: no
 timestamps, fixed column orders, 6 significant digits, LF endings.
 
+Trials are independent, so a run with more than one sends them to forked
+worker processes, one per usable core; the outputs are the same as those of
+running them one after another.
+
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
 
 import json
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import BLAS_PINNED
 from .config import AUTO, ExperimentConfig, MethodSpecConfig, alpha_values
 from .data import BlobSpec, NoisyDataset, generate_blobs, load_csv_dataset, load_idx
 from .diagnostics import (
@@ -361,16 +367,52 @@ def _aggregate(results, key):
     return {"per_trial": per_trial, "mean": mean, "stddev": stddev}
 
 
-def _run_at_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+def _trial_job(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str):
+    """Run one trial; a failure comes back as its message, so it stays
+    with that trial whether the job ran in a worker or in-process."""
+    try:
+        return _run_trial(cfg, alpha, seed, trial_dir)
+    except (ValueError, RuntimeError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
+    """Run the ``(alpha, seed, trial_dir)`` jobs; outcomes in job order.
+
+    Jobs go to forked worker processes, one per usable core, when there is
+    more than one job and nothing runs beside this thread that a fork could
+    catch holding a lock: BLAS runs one thread (see ``selc_lab``) and no
+    other Python thread is alive. Otherwise they run one after another in
+    this process. Forked workers share the parent's imports and see its
+    module state, so a job is just the trial's arguments.
+    """
+    workers = 1
+    if (len(jobs) > 1 and BLAS_PINNED and threading.active_count() == 1
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [_trial_job(cfg, *job) for job in jobs]
+    # imported only here: at module level they would lengthen the start-up
+    # of every selc-lab command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    alphas, seeds, trial_dirs = zip(*jobs)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # map yields in job order and cancels what is left if a job raises
+        return list(pool.map(_trial_job, [cfg] * len(jobs), alphas, seeds, trial_dirs))
+
+
+def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes) -> dict:
+    """Write and return one alpha's ``summary.json`` from its trial outcomes,
+    given in ``cfg.trials`` order."""
     ordered = []
     failures = {}
-    for seed in cfg.trials:
-        trial_dir = os.path.join(out_dir, f"trial_{seed}")
-        try:
-            ordered.append(_run_trial(cfg, alpha, seed, trial_dir))
-        except (ValueError, RuntimeError, OSError) as exc:
-            failures[str(seed)] = f"{type(exc).__name__}: {exc}"
+    for seed, outcome in zip(cfg.trials, outcomes):
+        if isinstance(outcome, str):
+            failures[str(seed)] = outcome
+        else:
+            ordered.append(outcome)
 
     summary = {
         "empty": len(ordered) == 0,
@@ -393,23 +435,33 @@ def _run_at_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all trials (and the alpha sweep, if configured); returns the
     root summary dict that is also written to ``summary.json``.
+
+    Every (alpha, seed) trial of the run is one job for ``_run_jobs``.
     """
     out_dir = os.environ.get("SELC_OUT_DIR") or cfg.out_dir
     alphas = alpha_values(cfg.method)
     uses_alpha = cfg.method.name in ("selc", "option1", "selc_plus")
-    if uses_alpha and len(alphas) > 1:
-        os.makedirs(out_dir, exist_ok=True)
-        runs = {}
-        for alpha in alphas:
-            sub_dir = os.path.join(out_dir, f"alpha_{alpha:g}")
-            runs[f"{alpha:g}"] = _run_at_alpha(cfg, alpha, sub_dir)
-        means = [r["last_epoch_test_acc"]["mean"] for r in runs.values()
-                 if r["last_epoch_test_acc"] is not None]
-        summary = {
-            "alpha_sweep": [f"{a:g}" for a in alphas],
-            "runs": runs,
-            "test_acc_spread": (max(means) - min(means)) if means else None,
-        }
-        _write_json(summary, os.path.join(out_dir, "summary.json"))
-        return summary
-    return _run_at_alpha(cfg, alphas[0], out_dir)
+    sweep = uses_alpha and len(alphas) > 1
+    if not sweep:
+        alphas = alphas[:1]
+    alpha_dirs = [os.path.join(out_dir, f"alpha_{a:g}") if sweep else out_dir for a in alphas]
+    for alpha_dir in alpha_dirs:
+        os.makedirs(alpha_dir, exist_ok=True)
+    jobs = [(alpha, seed, os.path.join(alpha_dir, f"trial_{seed}"))
+            for alpha, alpha_dir in zip(alphas, alpha_dirs) for seed in cfg.trials]
+    outcomes = _run_jobs(cfg, jobs)
+    per_alpha = len(cfg.trials)
+    summaries = [_summarize_alpha(cfg, alpha, alpha_dir, outcomes[k * per_alpha:(k + 1) * per_alpha])
+                 for k, (alpha, alpha_dir) in enumerate(zip(alphas, alpha_dirs))]
+    if not sweep:
+        return summaries[0]
+    runs = {f"{alpha:g}": summary for alpha, summary in zip(alphas, summaries)}
+    means = [r["last_epoch_test_acc"]["mean"] for r in runs.values()
+             if r["last_epoch_test_acc"] is not None]
+    summary = {
+        "alpha_sweep": [f"{a:g}" for a in alphas],
+        "runs": runs,
+        "test_acc_spread": (max(means) - min(means)) if means else None,
+    }
+    _write_json(summary, os.path.join(out_dir, "summary.json"))
+    return summary

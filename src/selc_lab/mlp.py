@@ -1,7 +1,11 @@
 """Small dense feed-forward classifier with manual backpropagation.
 
 Everything is float64 numpy. Models here are a few thousand parameters at
-most, so the code favors clarity and exactness over throughput.
+most, so the code favors clarity and exactness over throughput. The one
+exception is ``predict_proba``, which runs over the full training set every
+epoch (the prediction snapshot): it writes each layer into a workspace
+buffer kept per (layer, rows, width) and reused across calls, instead of
+allocating and freeing megabyte temporaries each time.
 """
 
 from dataclasses import dataclass
@@ -115,8 +119,44 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# (layer, rows, width) -> reused forward buffer of predict_proba
+_WORKSPACE = {}
+
+
+def _workspace(layer: int, rows: int, width: int) -> np.ndarray:
+    buf = _WORKSPACE.get((layer, rows, width))
+    if buf is None:
+        buf = _WORKSPACE[(layer, rows, width)] = np.empty((rows, width))
+    return buf
+
+
 def predict_proba(model: MlpModel, batch) -> np.ndarray:
-    return softmax(forward(model, batch))
+    """Class probabilities for a batch, bit-identical to
+    ``softmax(forward(model, batch))``.
+
+    The per-layer activations go to buffers reused across calls of the same
+    shape, so the full-set snapshot every epoch allocates only its result.
+    """
+    x = _as_batch(batch)
+    if x.shape[1] != model.input_dim:
+        raise DimensionError(f"batch has {x.shape[1]} columns, model expects {model.input_dim}")
+    h = x
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = _workspace(l, x.shape[0], w.shape[1])
+        np.matmul(h, w, out=z)
+        z += b
+        if l < last:
+            if model.activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        h = z
+    # softmax, as in ``softmax``: the shift and exp in place, the division
+    # into a new array the caller may keep
+    h -= h.max(axis=-1, keepdims=True)
+    np.exp(h, out=h)
+    return h / h.sum(axis=-1, keepdims=True)
 
 
 def soft_ce_loss(targets, probs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MissingPredictionError, ParameterError
+from .errors import DimensionError, FormatError, MissingPredictionError, ParameterError
 from .mlp import one_hot, soft_ce_loss
 
 MODE_ENSEMBLE_ONLY = "option1_ensemble_only"
@@ -185,14 +185,25 @@ def load_state(path) -> EnsembleState:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise ParameterError(f"bad checkpoint header in {path}")
-        alpha, epoch_k, mode = float(header[0]), int(header[1]), header[2]
+            raise FormatError(f"{path}:1: expected 'alpha epoch_k mode', got {len(header)} fields")
+        try:
+            alpha, epoch_k, mode = float(header[0]), int(header[1]), header[2]
+        except ValueError as exc:
+            raise FormatError(f"{path}:1: {exc}") from exc
         rows = {}
-        for line in fh:
+        width = None
+        for lineno, line in enumerate(fh, start=2):
             toks = line.split()
             if not toks:
                 continue
-            rows[int(toks[0])] = [float(t) for t in toks[1:]]
+            if width is None:
+                width = len(toks)
+            elif len(toks) != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(toks)}")
+            try:
+                rows[int(toks[0])] = [float(t) for t in toks[1:]]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
     if sorted(rows) != list(range(len(rows))):
         raise ParameterError(f"checkpoint {path} does not cover ids 0..N-1 exactly")
     targets = np.asarray([rows[i] for i in range(len(rows))], dtype=np.float64)

@@ -87,18 +87,17 @@ class KMeansFit:
     degenerate: bool = False
 
 
-def fit_gmm2(normalized_losses, seed: int = 0) -> GmmFit:
+def fit_gmm2(normalized_losses) -> GmmFit:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initial responsibilities come from a 2-means pre-pass on the same data,
-    which makes the fit deterministic; ``seed`` is accepted for interface
-    stability but never consulted. Component 1 is the lower-mean one. The
-    pre-pass's centroid gap is returned as ``m3``.
+    which makes the fit deterministic. Component 1 is the lower-mean one.
+    The pre-pass's centroid gap is returned as ``m3``.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 4:
         raise ParameterError(f"need at least 4 one-dimensional points, got shape {x.shape}")
-    km, m3 = fit_kmeans2_and_m3(x, seed)
+    km, m3 = fit_kmeans2_and_m3(x)
     # responsibilities of the two components, r0 + r1 = 1
     r1 = km.assignments.astype(np.float64)
     if km.degenerate or not 0.0 < r1.sum() < x.size:
@@ -177,12 +176,11 @@ def metric_m2(fit: GmmFit) -> float:
     return 0.5 * math.log(v2 / v1) + (v1 + gap * gap) / (2.0 * v2) - 0.5
 
 
-def fit_kmeans2_and_m3(normalized_losses, seed: int = 0):
+def fit_kmeans2_and_m3(normalized_losses):
     """Lloyd's 2-means on 1-D data; returns (KMeansFit, m3).
 
     Centroids start at the 10th and 90th percentiles, so the fit is
-    deterministic and ``seed`` is unused. All-identical input yields a
-    degenerate fit with m3 = 0.
+    deterministic. All-identical input yields a degenerate fit with m3 = 0.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -243,7 +241,7 @@ class MetricSeries:
         return estimate_turning_point(self, metric_choice, smooth=smooth)
 
 
-def compute_metric_series(snapshots, seed: int = 0) -> MetricSeries:
+def compute_metric_series(snapshots) -> MetricSeries:
     """Fit the GMM (and with it the 2-means) to every snapshot and collect
     the three metrics."""
     snapshots = sorted(snapshots, key=lambda s: s.epoch)
@@ -251,7 +249,7 @@ def compute_metric_series(snapshots, seed: int = 0) -> MetricSeries:
         raise ParameterError("need at least one loss snapshot")
     epochs, m1s, m2s, m3s = [], [], [], []
     for snap in snapshots:
-        gmm = fit_gmm2(snap.normalized, seed)
+        gmm = fit_gmm2(snap.normalized)
         epochs.append(snap.epoch)
         m1s.append(metric_m1(gmm))
         m2s.append(metric_m2(gmm))
@@ -322,13 +320,16 @@ class OnlineTurningPointDetector:
 
 
 def save_loss_snapshots(snapshots, path) -> None:
-    """CSV rows (epoch, sample_id, loss); floats via repr for exact reload."""
-    lines = [LOSSES_HEADER]
-    for snap in sorted(snapshots, key=lambda s: s.epoch):
-        for i, loss in enumerate(snap.losses):
-            lines.append(f"{snap.epoch},{i},{float(loss)!r}")
+    """CSV rows (epoch, sample_id, loss); floats via repr for exact reload.
+
+    Written one epoch at a time, so only one epoch's text is in memory.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(LOSSES_HEADER + "\n")
+        for snap in sorted(snapshots, key=lambda s: s.epoch):
+            epoch = snap.epoch
+            fh.write("".join(f"{epoch},{i},{loss!r}\n"
+                             for i, loss in enumerate(snap.losses.tolist())))
 
 
 def _bad_losses_line(path, exc) -> FormatError:

@@ -1,7 +1,9 @@
+# selc_lab first: importing it before numpy is what lets its one-thread
+# BLAS default take effect, and with it the worker processes for trials
+import selc_lab as sl  # isort: skip
+
 import numpy as np
 import pytest
-
-import selc_lab as sl
 
 
 @pytest.fixture

@@ -187,6 +187,19 @@ def test_csv_load_rejects_bad_files(tmp_path):
         load_csv_dataset(p)
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("1.5,2.0", "invalid literal for int()"),
+    ("1,abc", "could not convert string to float"),
+    ("-1,2.0", "negative label -1"),
+])
+def test_csv_load_names_file_and_line(tmp_path, row, reason):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"label,f0\n0,1.0\n\n{row}\n")
+    with pytest.raises(FormatError, match=reason) as info:
+        load_csv_dataset(p)
+    assert str(info.value).startswith(f"{p}:4: ")
+
+
 def test_csv_save_validation(tmp_path):
     with pytest.raises(DimensionError):
         save_csv_dataset(tmp_path / "x.csv", np.zeros((3, 2)), np.zeros(4, dtype=int))

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
+import yaml
 
+import selc_lab
 import selc_lab.experiment as experiment
 from selc_lab.config import config_from_dict, validate_config
 from selc_lab.experiment import (
@@ -16,7 +21,7 @@ from selc_lab.targets import load_state
 from selc_lab.turning import load_loss_snapshots
 
 
-def tiny_config(tmp_path, **overrides):
+def tiny_config_data(**overrides):
     data = {
         "dataset": {"kind": "blobs", "n": 60, "dim": 3, "num_classes": 3,
                     "cluster_std": 0.3, "seed": 0},
@@ -32,7 +37,11 @@ def tiny_config(tmp_path, **overrides):
             data[key] = {**data[key], **value}
         else:
             data[key] = value
-    return config_from_dict(data, base_dir=str(tmp_path))
+    return data
+
+
+def tiny_config(tmp_path, **overrides):
+    return config_from_dict(tiny_config_data(**overrides), base_dir=str(tmp_path))
 
 
 def test_trial_artifacts_and_summary(tmp_path):
@@ -136,11 +145,12 @@ def test_failing_trial_is_isolated(tmp_path, monkeypatch):
 def test_divergent_trial_recorded_not_raised(tmp_path):
     cfg = tiny_config(tmp_path, method={"name": "ce"},
                       model={"activation": "relu"},
-                      optimizer={"lr": 1e9, "weight_decay": 0.0, "epochs": 30}, trials=[1])
+                      optimizer={"lr": 1e9, "weight_decay": 0.0, "epochs": 30}, trials=[1, 2])
     summary = run_experiment(cfg)
     assert summary["empty"] is True
-    assert "1" in summary["failed"]
-    assert "TrainingDivergenceError" in summary["failed"]["1"]
+    assert set(summary["failed"]) == {"1", "2"}
+    for message in summary["failed"].values():
+        assert "TrainingDivergenceError" in message
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -192,3 +202,140 @@ def test_desk_benchmark_config_is_valid():
     assert cfg.optimizer.batch_size == 128 and cfg.optimizer.momentum == 0.9
     assert cfg.trials == [1, 2, 3]
     assert cfg.method.activation_epoch == "auto"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RUN_CLI = "import sys; from selc_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def child_env(**extra):
+    """This environment with selc_lab importable, for a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(selc_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("SELC_OUT_DIR", None)
+    env.update(extra)
+    return env
+
+
+def read_tree(root):
+    tree = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
+
+def record_pids(monkeypatch):
+    """Make every trial write the id of the process that ran it."""
+    real = experiment._run_trial
+
+    def recording(cfg_, alpha, seed, trial_dir):
+        result = real(cfg_, alpha, seed, trial_dir)
+        with open(os.path.join(trial_dir, "pid"), "w") as fh:
+            fh.write(str(os.getpid()))
+        return result
+
+    monkeypatch.setattr(experiment, "_run_trial", recording)
+
+
+def test_cli_run_matches_in_process_trials(tmp_path, monkeypatch):
+    sweep = {"method": {"alpha": [0.5, 0.9]}, "trials": [1, 2]}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(tiny_config_data(**sweep, out_dir="cli")))
+    subprocess.run([sys.executable, "-c", RUN_CLI, "run", str(path)],
+                   env=child_env(), check=True, timeout=120, capture_output=True)
+
+    # the same jobs, each a call of _run_trial in this process
+    monkeypatch.setattr(experiment, "BLAS_PINNED", False)
+    cfg = tiny_config(tmp_path, **sweep, out_dir="in_process")
+    run_experiment(cfg)
+    in_process = read_tree(cfg.out_dir)
+    assert len(in_process) == 3 + 4 * 5  # three summaries, five files per trial
+    assert read_tree(tmp_path / "cli") == in_process
+
+
+def test_trials_run_in_worker_processes(tmp_path, monkeypatch):
+    if not (experiment.BLAS_PINNED and threading.active_count() == 1 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        pytest.skip("trials run in-process here")
+    record_pids(monkeypatch)
+    cfg = tiny_config(tmp_path, trials=[1, 2, 3])
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 2, 3]
+    pids = {open(os.path.join(cfg.out_dir, f"trial_{seed}", "pid")).read() for seed in (1, 2, 3)}
+    assert str(os.getpid()) not in pids
+
+
+def test_trials_run_in_process_beside_another_thread(tmp_path, monkeypatch):
+    record_pids(monkeypatch)
+    cfg = tiny_config(tmp_path)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        run_experiment(cfg)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    for seed in (1, 2):
+        assert open(os.path.join(cfg.out_dir, f"trial_{seed}", "pid")).read() == str(os.getpid())
+
+
+def test_one_trial_runs_in_process(tmp_path, monkeypatch):
+    record_pids(monkeypatch)
+    cfg = tiny_config(tmp_path, trials=[1])
+    run_experiment(cfg)
+    assert open(os.path.join(cfg.out_dir, "trial_1", "pid")).read() == str(os.getpid())
+
+
+def import_report(env, numpy_first=False):
+    code = ("import numpy\n" if numpy_first else "") + (
+        "import os, selc_lab\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], selc_lab.BLAS_PINNED)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_import_sets_one_blas_thread_unless_set():
+    env = child_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    assert import_report(env) == ["1", "True"]
+    assert import_report(dict(env, OPENBLAS_NUM_THREADS="2")) == ["2", "False"]
+    assert import_report(dict(env, **{var: "1" for var in BLAS_THREAD_VARS}),
+                         numpy_first=True) == ["1", "True"]
+    # numpy already started its BLAS: the default came too late
+    assert import_report(env, numpy_first=True) == ["1", "False"]
+
+
+def test_numpy_imported_first_runs_trials_in_process(tmp_path):
+    env = child_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    code = """
+import json, os, sys
+import numpy
+import selc_lab.experiment as experiment
+from selc_lab.config import config_from_dict
+
+cfg = config_from_dict(json.loads(sys.argv[1]), base_dir=sys.argv[2])
+real = experiment._run_trial
+pids = []
+
+def recording(cfg_, alpha, seed, trial_dir):
+    pids.append(os.getpid())
+    return real(cfg_, alpha, seed, trial_dir)
+
+experiment._run_trial = recording
+summary = experiment.run_experiment(cfg)
+print(summary["completed"], pids == [os.getpid()] * 2)
+"""
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(tiny_config_data()),
+                          str(tmp_path)], env=env, check=True, timeout=120, capture_output=True,
+                         text=True).stdout
+    assert out.split("\n")[0] == "[1, 2] True"

@@ -244,3 +244,24 @@ def test_one_hot():
     assert np.array_equal(out, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ParameterError):
         one_hot(np.array([3]), 3)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_predict_proba_is_bit_identical_to_softmax_of_forward(activation):
+    model = init_mlp([16, 64, 64, 4], stream(8, "ws", activation), activation=activation)
+    results = []
+    # each shape twice, the second call on the reused workspace
+    for rows in (4000, 37, 4000, 37):
+        x = stream(rows, "ws-x").standard_normal((rows, 16))
+        probs = predict_proba(model, x)
+        assert np.array_equal(probs, softmax(forward(model, x)))
+        results.append(probs)
+    # a returned array is the caller's, not a workspace the next call overwrites
+    assert np.array_equal(results[0], results[2])
+    assert results[0] is not results[2]
+
+
+def test_predict_proba_rejects_wrong_width():
+    model = init_mlp([3, 4, 2], stream(9, "ws"))
+    with pytest.raises(DimensionError):
+        predict_proba(model, np.zeros((5, 4)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selc_lab.errors import MissingPredictionError, ParameterError
+from selc_lab.errors import FormatError, MissingPredictionError, ParameterError
 from selc_lab.mlp import one_hot, soft_ce_loss, softmax
 from selc_lab.rng import stream
 from selc_lab.targets import (
@@ -202,3 +202,19 @@ def test_state_checkpoint_roundtrip(tmp_path):
     assert back.epoch_k == state.epoch_k
     assert back.mode == state.mode
     assert np.array_equal(back.targets, state.targets)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("0.9 x selc\n0 1.0 0.0\n", 1, "invalid literal for int()"),
+    ("abc 2 selc\n0 1.0 0.0\n", 1, "could not convert string to float"),
+    ("0.9 2\n0 1.0 0.0\n", 1, "got 2 fields"),
+    ("0.9 2 selc\n0 1.0 0.0\n1 1.0\n", 3, "expected 3 fields, got 2"),
+    ("0.9 2 selc\n0 1.0 0.0\n\n1.0 0.0 1.0\n", 4, "invalid literal for int()"),
+    ("0.9 2 selc\n0 1.0 0.0\n1 0.5 x\n", 3, "could not convert string to float"),
+])
+def test_state_load_names_file_and_line(tmp_path, text, line, reason):
+    path = tmp_path / "state.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=reason) as info:
+        load_state(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")

@@ -88,14 +88,6 @@ def test_gmm_recovers_separated_components():
     assert fit.variances[1] == pytest.approx(0.003, rel=0.3)
 
 
-def test_gmm_seed_argument_is_inert():
-    rng = stream(2, "inert")
-    x = rng.uniform(size=64)
-    a = fit_gmm2(x, seed=0)
-    b = fit_gmm2(x, seed=99)
-    assert a.means == b.means and a.weights == b.weights and a.variances == b.variances
-
-
 def test_gmm_ll_trace_is_nondecreasing():
     rng = stream(3, "trace")
     x = np.concatenate([rng.normal(0.2, 0.05, 300), rng.normal(0.7, 0.08, 300)])
