@@ -2,9 +2,9 @@
 
 Relative paths inside a config (IDX/CSV datasets, noise mapping files,
 the output directory) resolve against the directory containing the config
-file, so a config plus its data folder can move as a unit. A noise
-mapping file is parsed on load, so a malformed one is a config error
-rather than a failure in every trial. Loading an
+file, so a config plus its data folder can move as a unit. CSV and IDX
+datasets and noise mapping files are parsed on load, so a malformed one is
+a config error rather than a failure in every trial. Loading an
 already-resolved config is a fixed point: load -> save -> load gives an
 equal object.
 """
@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .data import load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import build_asymmetric_q, load_mapping
@@ -114,16 +115,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(ds.n >= ds.num_classes, f"dataset.n must be >= num_classes, got {ds.n}")
         _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")
         _require(ds.cluster_std > 0, f"dataset.cluster_std must be positive, got {ds.cluster_std}")
-    elif ds.kind == "idx":
-        for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            path = getattr(ds, name)
-            _require(path is not None, f"dataset.{name} is required for kind 'idx'")
-            _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
+        num_classes = ds.num_classes
     else:
-        for name in ("train_csv", "test_csv"):
+        names = (("train_images", "train_labels", "test_images", "test_labels")
+                 if ds.kind == "idx" else ("train_csv", "test_csv"))
+        for name in names:
             path = getattr(ds, name)
-            _require(path is not None, f"dataset.{name} is required for kind 'csv'")
+            _require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
             _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
+        num_classes = load_dataset_files(ds)[4]
 
     _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
@@ -133,11 +133,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(os.path.exists(noise.mapping_file),
                  f"noise.mapping_file: no such file: {noise.mapping_file}")
         mapping = load_mapping(noise.mapping_file)
-        if ds.kind == "blobs":
-            try:
-                build_asymmetric_q(ds.num_classes, noise.eta, mapping)
-            except ParameterError as exc:
-                raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
+        try:
+            build_asymmetric_q(num_classes, noise.eta, mapping)
+        except ParameterError as exc:
+            raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
 
     _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
     _require(all(int(h) >= 1 for h in model.hidden_dims),

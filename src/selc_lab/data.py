@@ -243,3 +243,28 @@ def load_csv_dataset(path):
     if not feats:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+
+
+def load_dataset_files(ds):
+    """Read the train and test splits named by an ``idx`` or ``csv``
+    dataset spec (a config's dataset section).
+
+    Returns (train_x, train_y, test_x, test_y, num_classes), where the
+    class count is one past the largest label. A split with no samples is
+    a ``FormatError``; splits of different widths are a ``ParameterError``.
+    """
+    if ds.kind == "idx":
+        train_path, test_path = ds.train_images, ds.test_images
+        train_x, train_y = load_idx(ds.train_images, ds.train_labels)
+        test_x, test_y = load_idx(ds.test_images, ds.test_labels)
+    else:
+        train_path, test_path = ds.train_csv, ds.test_csv
+        train_x, train_y = load_csv_dataset(ds.train_csv)
+        test_x, test_y = load_csv_dataset(ds.test_csv)
+    for path, labels in ((train_path, train_y), (test_path, test_y)):
+        if labels.size == 0:
+            raise FormatError(f"{path}: no samples")
+    if train_x.shape[1] != test_x.shape[1]:
+        raise ParameterError(f"{train_path} has {train_x.shape[1]} features per sample but "
+                             f"{test_path} has {test_x.shape[1]}")
+    return train_x, train_y, test_x, test_y, int(max(train_y.max(), test_y.max())) + 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import BLAS_PINNED
 from .config import AUTO, ExperimentConfig, MethodSpecConfig, alpha_values
-from .data import BlobSpec, NoisyDataset, generate_blobs, load_csv_dataset, load_idx
+from .data import BlobSpec, NoisyDataset, generate_blobs, load_dataset_files
 from .diagnostics import (
     append_metrics_ledger,
     confusion_of_corrections,
@@ -135,14 +135,7 @@ def _build_clean_data(cfg: ExperimentConfig):
         train_x, train_y = generate_blobs(spec, split="train")
         test_x, test_y = generate_blobs(spec, split="test")
         return train_x, train_y, test_x, test_y, ds.num_classes
-    if ds.kind == "idx":
-        train_x, train_y = load_idx(ds.train_images, ds.train_labels)
-        test_x, test_y = load_idx(ds.test_images, ds.test_labels)
-    else:
-        train_x, train_y = load_csv_dataset(ds.train_csv)
-        test_x, test_y = load_csv_dataset(ds.test_csv)
-    num_classes = int(max(train_y.max(), test_y.max())) + 1
-    return train_x, train_y, test_x, test_y, num_classes
+    return load_dataset_files(ds)
 
 
 def _build_transition(cfg: ExperimentConfig, num_classes: int) -> TransitionMatrix:
@@ -210,6 +203,19 @@ class _EpochObserver:
         return False
 
 
+def _build_model(cfg: ExperimentConfig, view, seed: int, stream_name: str):
+    """A fresh model for ``view``'s features and classes, initialized from
+    ``stream(seed, stream_name)``, and its optimizer from ``cfg.optimizer``;
+    returns (model, opt)."""
+    dims = [view.features.shape[1]] + [int(h) for h in cfg.model.hidden_dims] + [view.num_classes]
+    model = init_mlp(dims, stream(seed, stream_name), activation=cfg.model.activation)
+    opt = make_optimizer(model, base_lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
+                         weight_decay=cfg.optimizer.weight_decay,
+                         milestones=cfg.optimizer.milestones,
+                         decay_factor=cfg.optimizer.decay_factor)
+    return model, opt
+
+
 def _write_epochs_csv(rows, path) -> None:
     lines = [",".join(EPOCH_COLUMNS)]
     for row in rows:
@@ -240,12 +246,7 @@ def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int) -> int:
         values.append(value)
         return detector.observe(event.epoch, value)
 
-    dims = [view.features.shape[1]] + [int(h) for h in cfg.model.hidden_dims] + [view.num_classes]
-    model = init_mlp(dims, stream(seed, "init"), activation=cfg.model.activation)
-    opt = make_optimizer(model, base_lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
-                         weight_decay=cfg.optimizer.weight_decay,
-                         milestones=cfg.optimizer.milestones,
-                         decay_factor=cfg.optimizer.decay_factor)
+    model, opt = _build_model(cfg, view, seed, "init")
     warm_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs)
     run_training(view, model, opt, warm_cfg, METHOD_CE,
                  cfg.optimizer.batch_size, seed, epoch_hook=hook)
@@ -285,12 +286,7 @@ def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -
         bootstrap_beta=method.beta,
         mixup_beta_param=method.mixup_beta_param,
     )
-    dims = [view.features.shape[1]] + [int(h) for h in cfg.model.hidden_dims] + [num_classes]
-    model = init_mlp(dims, stream(seed, "init"), activation=cfg.model.activation)
-    opt = make_optimizer(model, base_lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
-                         weight_decay=cfg.optimizer.weight_decay,
-                         milestones=cfg.optimizer.milestones,
-                         decay_factor=cfg.optimizer.decay_factor)
+    model, opt = _build_model(cfg, view, seed, "init")
     observer = _EpochObserver(model, view, dataset.true_labels, test_x, test_y)
     train_method = "selc" if method.name == "selc_plus" else method.name
     model, state, _ = run_training(view, model, opt, run_cfg, train_method,
@@ -314,12 +310,7 @@ def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -
     if method.name == "selc_plus":
         plus_epochs = method.plus_epochs or cfg.optimizer.epochs
         plus_cfg = replace(run_cfg, total_epochs=plus_epochs)
-        plus_model = init_mlp(dims, stream(seed, "plus_init"), activation=cfg.model.activation)
-        plus_opt = make_optimizer(plus_model, base_lr=cfg.optimizer.lr,
-                                  momentum=cfg.optimizer.momentum,
-                                  weight_decay=cfg.optimizer.weight_decay,
-                                  milestones=cfg.optimizer.milestones,
-                                  decay_factor=cfg.optimizer.decay_factor)
+        plus_model, plus_opt = _build_model(cfg, view, seed, "plus_init")
         plus_rows = []
 
         def plus_hook(event):

@@ -1,11 +1,20 @@
 """Small dense feed-forward classifier with manual backpropagation.
 
 Everything is float64 numpy. Models here are a few thousand parameters at
-most, so the code favors clarity and exactness over throughput. The one
-exception is ``predict_proba``, which runs over the full training set every
-epoch (the prediction snapshot): it writes each layer into a workspace
-buffer kept per (layer, rows, width) and reused across calls, instead of
-allocating and freeing megabyte temporaries each time.
+most, so the code favors clarity and exactness over throughput, with two
+exceptions where the per-call overhead outweighs the arithmetic:
+
+- ``predict_proba`` runs over the full training set every epoch (the
+  prediction snapshot): it writes each layer into a workspace buffer kept
+  per (layer, rows, width) and reused across calls, instead of allocating
+  and freeing megabyte temporaries each time.
+- Training runs thousands of tiny steps. ``make_optimizer`` copies the
+  model's weights and biases into one flat float64 vector that the
+  optimizer owns, and binds the model to it: ``model.weights[l]`` and
+  ``model.biases[l]`` become reshaped views of that vector. ``sgd_step``
+  then updates every parameter with a handful of whole-vector operations,
+  and refuses to run if a model array was rebound after binding. The
+  backward pass applies biases, activations and the softmax in place.
 """
 
 from dataclasses import dataclass
@@ -24,7 +33,9 @@ class MlpModel:
     """Fully connected net: linear layers with tanh or relu between them.
 
     weights[l] has shape (layer_dims[l], layer_dims[l+1]); biases[l] has
-    shape (layer_dims[l+1],). The last layer is linear (logits).
+    shape (layer_dims[l+1],). The last layer is linear (logits). Once
+    ``make_optimizer`` has run, the arrays are views of the optimizer's
+    parameter vector.
     """
 
     layer_dims: list
@@ -83,32 +94,34 @@ def _as_batch(x) -> np.ndarray:
     return x
 
 
-def _activate(model: MlpModel, z: np.ndarray) -> np.ndarray:
+def _activate_inplace(model: MlpModel, z: np.ndarray) -> None:
     if model.activation == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    else:
+        np.maximum(z, 0.0, out=z)
 
 
 def _forward_cached(model: MlpModel, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
+    """Forward pass keeping each layer's output for backprop: ``acts[0]``
+    is the batch, ``acts[-1]`` the logits. Every array after the first is
+    fresh, so the caller may overwrite it."""
     if x.shape[1] != model.input_dim:
         raise DimensionError(f"batch has {x.shape[1]} columns, model expects {model.input_dim}")
     acts = [x]
-    pre = []
     h = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = z if l == last else _activate(model, z)
+        h = h @ w
+        h += b
+        if l < last:
+            _activate_inplace(model, h)
         acts.append(h)
-    return acts, pre
+    return acts
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
     """Logits for a batch, shape (batch, num_classes)."""
-    acts, _ = _forward_cached(model, _as_batch(batch))
-    return acts[-1]
+    return _forward_cached(model, _as_batch(batch))[-1]
 
 
 def softmax(logits) -> np.ndarray:
@@ -147,10 +160,7 @@ def predict_proba(model: MlpModel, batch) -> np.ndarray:
         np.matmul(h, w, out=z)
         z += b
         if l < last:
-            if model.activation == "tanh":
-                np.tanh(z, out=z)
-            else:
-                np.maximum(z, 0.0, out=z)
+            _activate_inplace(model, z)
         h = z
     # softmax, as in ``softmax``: the shift and exp in place, the division
     # into a new array the caller may keep
@@ -183,24 +193,40 @@ def backward(model: MlpModel, batch, targets):
     """
     x = _as_batch(batch)
     t = np.asarray(targets, dtype=np.float64)
-    acts, pre = _forward_cached(model, x)
-    p = softmax(acts[-1])
+    acts = _forward_cached(model, x)
+    # softmax, clamped log and logit gradient in place over the logits,
+    # each the same elementwise operation as ``softmax`` and ``soft_ce_loss``
+    p = acts[-1]
     if t.shape != p.shape:
         raise DimensionError(f"targets shape {t.shape} != logits shape {p.shape}")
-    losses = -(t * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1)
-    n = x.shape[0]
-    delta = (t.sum(axis=1, keepdims=True) * p - t) / n
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    log_p = np.maximum(p, LOG_EPS)
+    np.log(log_p, out=log_p)
+    log_p *= t
+    losses = log_p.sum(axis=-1)
+    np.negative(losses, out=losses)
+    delta = p
+    delta *= t.sum(axis=1, keepdims=True)
+    delta -= t
+    delta /= x.shape[0]
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
         grads_w[l] = acts[l].T @ delta
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
+            # acts[l] is this layer's input, not needed past this point
             upstream = delta @ model.weights[l].T
             if model.activation == "tanh":
-                delta = upstream * (1.0 - acts[l] ** 2)
+                deriv = np.square(acts[l], out=acts[l])
+                np.subtract(1.0, deriv, out=deriv)
+                upstream *= deriv
             else:
-                delta = upstream * (pre[l - 1] > 0)
+                # relu(z) > 0 exactly where z > 0
+                upstream *= acts[l] > 0
+            delta = upstream
     return Gradients(weights=grads_w, biases=grads_b), losses
 
 
@@ -218,6 +244,11 @@ class OptimizerState:
     """SGD with momentum, weight decay, and a step learning-rate schedule.
 
     lr(epoch) = base_lr / decay_factor ** (number of milestones <= epoch).
+
+    ``params`` holds every model parameter in one vector, the weights of
+    each layer in order and then the biases; the model's arrays are views
+    of it (``bound``, in the same order). ``velocity`` is the momentum
+    buffer over the same vector and ``scratch`` a work vector of its size.
     """
 
     momentum: float
@@ -225,8 +256,10 @@ class OptimizerState:
     base_lr: float
     milestones: list
     decay_factor: float
-    vel_weights: list
-    vel_biases: list
+    params: np.ndarray
+    velocity: np.ndarray
+    scratch: np.ndarray
+    bound: tuple
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -239,14 +272,29 @@ class OptimizerState:
 
 def make_optimizer(model: MlpModel, base_lr: float = 0.02, momentum: float = 0.9,
                    weight_decay: float = 0.001, milestones=(), decay_factor: float = 10.0) -> OptimizerState:
+    """Build the optimizer and bind the model to its parameter vector.
+
+    The model's current weights and biases are copied into ``params`` and
+    ``model.weights[l]`` / ``model.biases[l]`` are replaced by views of it,
+    so from here on the optimizer owns the parameters. Rebinding a model
+    array afterwards detaches it; ``sgd_step`` then raises.
+    """
+    params = np.concatenate(model.weights + model.biases, axis=None, dtype=np.float64)
+    offset = 0
+    for arrs in (model.weights, model.biases):
+        for l, a in enumerate(arrs):
+            arrs[l] = params[offset:offset + a.size].reshape(a.shape)
+            offset += a.size
     return OptimizerState(
         momentum=momentum,
         weight_decay=weight_decay,
         base_lr=base_lr,
         milestones=sorted(int(m) for m in milestones),
         decay_factor=decay_factor,
-        vel_weights=[np.zeros_like(w) for w in model.weights],
-        vel_biases=[np.zeros_like(b) for b in model.biases],
+        params=params,
+        velocity=np.zeros_like(params),
+        scratch=np.empty_like(params),
+        bound=tuple(model.weights + model.biases),
     )
 
 
@@ -257,17 +305,27 @@ def lr_at(state: OptimizerState, epoch: int) -> float:
 
 def sgd_step(model: MlpModel, grads: Gradients, state: OptimizerState, epoch: int) -> None:
     """One in-place update: buffer <- mom * buffer + (grad + wd * param),
-    param <- param - lr(epoch) * buffer."""
+    param <- param - lr(epoch) * buffer, over the whole parameter vector.
+
+    Raises ``TrainingDivergenceError`` on a nonfinite gradient, before
+    anything is updated, and ``ParameterError`` if the model's arrays are no
+    longer the views ``make_optimizer`` bound.
+    """
+    arrays = model.weights + model.biases
+    if len(arrays) != len(state.bound) or any(a is not b for a, b in zip(arrays, state.bound)):
+        raise ParameterError("model parameters were rebound after make_optimizer; "
+                             "the optimizer would update a stale copy")
+    g = np.concatenate(grads.weights + grads.biases, axis=None)
+    if g.shape != state.params.shape:
+        raise DimensionError(f"gradients hold {g.size} values, the model {state.params.size}")
+    if not np.isfinite(g).all():
+        raise TrainingDivergenceError(f"nonfinite gradient at epoch {epoch}")
     lr = lr_at(state, epoch)
-    for arrs in (grads.weights, grads.biases):
-        for g in arrs:
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergenceError(f"nonfinite gradient at epoch {epoch}")
-    for w, g, v in zip(model.weights, grads.weights, state.vel_weights):
-        v *= state.momentum
-        v += g + state.weight_decay * w
-        w -= lr * v
-    for b, g, v in zip(model.biases, grads.biases, state.vel_biases):
-        v *= state.momentum
-        v += g + state.weight_decay * b
-        b -= lr * v
+    w, v, tmp = state.params, state.velocity, state.scratch
+    # the per-array expression order of the plain update, so the bits match
+    v *= state.momentum
+    np.multiply(state.weight_decay, w, out=tmp)
+    np.add(g, tmp, out=tmp)
+    v += tmp
+    np.multiply(lr, v, out=tmp)
+    w -= tmp

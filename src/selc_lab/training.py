@@ -8,6 +8,7 @@ snapshot into the per-sample targets, and only then runs the epoch's
 batches against the updated targets.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,15 +42,12 @@ _CORRECTING = (METHOD_SELC, METHOD_OPTION1)
 class SelcRunConfig:
     """Schedule and method hyperparameters for one training run.
 
-    ``turning_point`` is optional; when set, the activation epoch must fall
-    before it and it must fall within the run. An ``activation_epoch`` at or
-    past ``total_epochs`` simply never activates, which reduces the run to
-    plain cross entropy.
+    An ``activation_epoch`` at or past ``total_epochs`` simply never
+    activates, which reduces the run to plain cross entropy.
     """
 
     total_epochs: int
     activation_epoch: int = 0
-    turning_point: int | None = None
     alpha: float = 0.9
     bootstrap_beta: float = 0.8
     mixup_beta_param: float = 1.0
@@ -65,12 +63,6 @@ class SelcRunConfig:
             raise ParameterError(f"bootstrap_beta must be in [0, 1], got {self.bootstrap_beta}")
         if self.mixup_beta_param <= 0.0:
             raise ParameterError(f"mixup_beta_param must be positive, got {self.mixup_beta_param}")
-        if self.turning_point is not None:
-            if not self.activation_epoch < self.turning_point <= self.total_epochs:
-                raise ParameterError(
-                    f"need activation_epoch < turning_point <= total_epochs, got "
-                    f"{self.activation_epoch}, {self.turning_point}, {self.total_epochs}"
-                )
 
 
 def default_activation_epoch(turning_point: int) -> int:
@@ -110,6 +102,20 @@ EpochHook = Callable[[EpochEvent], object]
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         yield order[start:start + batch_size]
+
+
+def _train_step(model: MlpModel, opt: OptimizerState, x, t, epoch: int) -> float:
+    """One SGD step on a batch; returns the batch's summed loss.
+
+    The loss is checked before the update: the mean is sum / n with n >= 1,
+    so it is finite exactly when the sum is.
+    """
+    grads, losses = backward(model, x, t)
+    loss_sum = float(losses.sum())
+    if not math.isfinite(loss_sum):
+        raise TrainingDivergenceError(f"nonfinite training loss at epoch {epoch}")
+    sgd_step(model, grads, opt, epoch)
+    return loss_sum
 
 
 def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
@@ -153,12 +159,7 @@ def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: Sel
                 targets = bootstrap_target(labels_onehot[batch_ids], probs, cfg.bootstrap_beta)
             else:
                 targets = labels_onehot[batch_ids]
-            grads, losses = backward(model, x, targets)
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergenceError(f"nonfinite training loss at epoch {epoch}")
-            sgd_step(model, grads, opt, epoch)
-            loss_sum += float(losses.sum())
+            loss_sum += _train_step(model, opt, x, targets, epoch)
         snapshot = PredictionSnapshot(predict_proba(model, view.features))
         train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == view.noisy_labels))
         record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)
@@ -218,12 +219,7 @@ def run_selc_plus(features, corrected_targets, model: MlpModel, opt: OptimizerSt
             lam = float(mix_rng.beta(cfg.mixup_beta_param, cfg.mixup_beta_param))
             partner = mix_rng.permutation(len(batch_ids))
             mx, mt = mixup_batch(x, t, x[partner], t[partner], lam)
-            grads, losses = backward(model, mx, mt)
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergenceError(f"nonfinite training loss at epoch {epoch}")
-            sgd_step(model, grads, opt, epoch)
-            loss_sum += float(losses.sum())
+            loss_sum += _train_step(model, opt, mx, mt, epoch)
         snapshot = PredictionSnapshot(predict_proba(model, features))
         train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == targets.argmax(axis=1)))
         record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from selc_lab.cli import main
-from selc_lab.data import load_csv_dataset
+from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.rng import stream
 from selc_lab.turning import LossSnapshot, load_metric_series, save_loss_snapshots
 
@@ -96,6 +96,24 @@ def test_run_verb_bad_mapping_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "pairs.csv:2" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_run_verb_bad_csv_data_is_config_error(tmp_path, capsys):
+    rng = stream(0, "csv")
+    for split in ("train", "test"):
+        save_csv_dataset(tmp_path / f"{split}.csv", rng.standard_normal((12, 3)),
+                         np.arange(12) % 3)
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    lines[2] = "1,abc,0.5,0.5"
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_tiny_config(tmp_path, trials=[1, 2],
+                            dataset={"kind": "csv", "train_csv": "train.csv",
+                                     "test_csv": "test.csv"})
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "train.csv:3" in err
     assert not os.path.exists(tmp_path / "run")
 
 

@@ -14,7 +14,7 @@ from selc_lab.config import (
     save_config,
     validate_config,
 )
-from selc_lab.data import save_csv_dataset
+from selc_lab.data import save_csv_dataset, write_idx
 from selc_lab.errors import FormatError, ParameterError
 
 
@@ -88,6 +88,43 @@ def test_missing_dataset_files_rejected(tmp_path):
     with pytest.raises(ParameterError) as err:
         load_config(path)
     assert "nope.csv" in str(err.value)
+
+
+def test_dataset_files_parsed_on_load(tmp_path):
+    # csv: a bad feature names its file and line, mismatched widths are caught
+    save_csv_dataset(tmp_path / "train.csv", np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+    save_csv_dataset(tmp_path / "test.csv", np.zeros((4, 3)), np.array([0, 1, 0, 1]))
+    data = minimal_dict(dataset={"kind": "csv", "train_csv": "train.csv", "test_csv": "test.csv"})
+    with pytest.raises(ParameterError, match=r"train\.csv has 2 features per sample"):
+        config_from_dict(data, base_dir=str(tmp_path))
+    save_csv_dataset(tmp_path / "test.csv", np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+    assert config_from_dict(data, base_dir=str(tmp_path)).dataset.kind == "csv"
+    # the labels give the class count, so a mapping class outside it fails here
+    (tmp_path / "map.csv").write_text("0,1\n1,2\n")
+    mapped = dict(data, noise={"kind": "asymmetric", "eta": 0.4, "mapping_file": "map.csv"})
+    with pytest.raises(ParameterError, match=r"map\.csv: mapping 1->2"):
+        config_from_dict(mapped, base_dir=str(tmp_path))
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    lines[2] = "1,abc,0.0"
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"train\.csv:3:"):
+        config_from_dict(data, base_dir=str(tmp_path))
+    # idx: a corrupt labels file is a config error, a good pair loads
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    for split in ("train", "test"):
+        write_idx(tmp_path / f"{split}-img", tmp_path / f"{split}-lbl", images,
+                  np.array([0, 1, 2], dtype=np.uint8))
+    data = minimal_dict(dataset={"kind": "idx", "train_images": "train-img",
+                                 "train_labels": "train-lbl", "test_images": "test-img",
+                                 "test_labels": "test-lbl"})
+    assert config_from_dict(data, base_dir=str(tmp_path)).dataset.kind == "idx"
+    (tmp_path / "test-lbl").write_bytes(b"\x00\x00")
+    with pytest.raises(FormatError, match="test-lbl"):
+        config_from_dict(data, base_dir=str(tmp_path))
+    write_idx(tmp_path / "test-img", tmp_path / "test-lbl", np.zeros((0, 2, 2), dtype=np.uint8),
+              np.zeros(0, dtype=np.uint8))
+    with pytest.raises(FormatError, match="test-img: no samples"):
+        config_from_dict(data, base_dir=str(tmp_path))
 
 
 def test_alpha_list_forms():

@@ -265,3 +265,121 @@ def test_predict_proba_rejects_wrong_width():
     model = init_mlp([3, 4, 2], stream(9, "ws"))
     with pytest.raises(DimensionError):
         predict_proba(model, np.zeros((5, 4)))
+
+
+def _reference_backward(model, x, t):
+    """The backward pass as first written: pre-activations kept, a fresh
+    array for every intermediate."""
+    acts, pre = [x], []
+    h = x
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        pre.append(z)
+        if l == last:
+            h = z
+        else:
+            h = np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(h)
+    p = softmax(acts[-1])
+    losses = -(t * np.log(np.maximum(p, 1e-12))).sum(axis=-1)
+    delta = (t.sum(axis=1, keepdims=True) * p - t) / x.shape[0]
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            upstream = delta @ model.weights[l].T
+            if model.activation == "tanh":
+                delta = upstream * (1.0 - acts[l] ** 2)
+            else:
+                delta = upstream * (pre[l - 1] > 0)
+    return grads_w, grads_b, losses
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("rows,mass", [(32, 1.0), (7, 0.4), (1, 1.0)])
+def test_backward_bit_identical_to_reference(activation, rows, mass):
+    rng = stream(rows, "bw-ref", activation)
+    model = init_mlp([16, 64, 64, 4], rng, activation=activation)
+    make_optimizer(model)  # gradients through the bound views, as in training
+    x = rng.standard_normal((rows, 16))
+    t = mass * rng.dirichlet(np.ones(4), size=rows)
+    x_before, t_before = x.copy(), t.copy()
+    grads, losses = backward(model, x, t)
+    ref_w, ref_b, ref_losses = _reference_backward(model, x, t)
+    assert all(np.array_equal(a, b) for a, b in zip(grads.weights, ref_w))
+    assert all(np.array_equal(a, b) for a, b in zip(grads.biases, ref_b))
+    assert np.array_equal(losses, ref_losses)
+    # the in-place passes leave the caller's batch and targets alone
+    assert np.array_equal(x, x_before) and np.array_equal(t, t_before)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_sgd_steps_bit_identical_to_per_layer_reference(activation):
+    rng = stream(50, "sgd-ref", activation)
+    model = init_mlp([16, 64, 64, 4], rng, activation=activation)
+    ref = model.copy()
+    ref_vel = [np.zeros_like(a) for a in ref.weights + ref.biases]
+    opt = make_optimizer(model, base_lr=0.05, momentum=0.9, weight_decay=1e-3,
+                         milestones=(20, 40), decay_factor=10.0)
+    for step in range(50):
+        epoch = step  # crosses both milestones
+        x = rng.standard_normal((32, 16))
+        t = rng.dirichlet(np.ones(4), size=32)
+        grads, _ = backward(model, x, t)
+        sgd_step(model, grads, opt, epoch)
+        ref_w, ref_b, _ = _reference_backward(ref, x, t)
+        lr = lr_at(opt, epoch)
+        for p, g, v in zip(ref.weights + ref.biases, ref_w + ref_b, ref_vel):
+            v *= 0.9
+            v += g + 1e-3 * p
+            p -= lr * v
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+    assert np.array_equal(opt.velocity, np.concatenate(ref_vel, axis=None))
+
+
+def test_make_optimizer_binds_model_to_one_vector():
+    model = init_mlp([3, 5, 2], stream(1, "bind"))
+    values = [a.copy() for a in model.weights + model.biases]
+    opt = make_optimizer(model)
+    assert opt.params.size == model.num_parameters
+    # weights in layer order, then biases, with the values they had
+    assert np.array_equal(opt.params, np.concatenate(values, axis=None))
+    for a, v in zip(model.weights + model.biases, values):
+        assert np.shares_memory(a, opt.params) and np.array_equal(a, v)
+    opt.params[:] = 0.0
+    assert all(np.all(a == 0.0) for a in model.weights + model.biases)
+
+
+def test_nonfinite_bias_gradient_updates_nothing():
+    rng = stream(3, "nan-step")
+    model = init_mlp([4, 6, 3], rng, activation="relu")
+    opt = make_optimizer(model, momentum=0.9, weight_decay=1e-3)
+    x = rng.standard_normal((8, 4))
+    t = rng.dirichlet(np.ones(3), size=8)
+    for _ in range(3):
+        grads, _ = backward(model, x, t)
+        sgd_step(model, grads, opt, epoch=0)
+    params, velocity = opt.params.copy(), opt.velocity.copy()
+    assert np.any(velocity != 0.0)
+    grads, _ = backward(model, x, t)
+    grads.biases[-1][-1] = np.nan
+    with pytest.raises(TrainingDivergenceError):
+        sgd_step(model, grads, opt, epoch=0)
+    assert np.array_equal(opt.params, params)
+    assert np.array_equal(opt.velocity, velocity)
+
+
+def test_sgd_step_refuses_a_rebound_model():
+    rng = stream(4, "rebind")
+    model = init_mlp([4, 6, 3], rng)
+    opt = make_optimizer(model)
+    grads, _ = backward(model, rng.standard_normal((5, 4)), np.full((5, 3), 1 / 3))
+    model.weights[0] = model.weights[0].copy()
+    with pytest.raises(ParameterError):
+        sgd_step(model, grads, opt, epoch=0)
+    # binding again adopts the current values
+    opt = make_optimizer(model)
+    sgd_step(model, grads, opt, epoch=0)

@@ -47,12 +47,6 @@ def test_config_validation():
         SelcRunConfig(total_epochs=10, bootstrap_beta=1.5)
     with pytest.raises(ParameterError):
         SelcRunConfig(total_epochs=10, mixup_beta_param=0.0)
-    # activation must precede the turning point, which must fall in the run
-    with pytest.raises(ParameterError):
-        SelcRunConfig(total_epochs=10, activation_epoch=5, turning_point=5)
-    with pytest.raises(ParameterError):
-        SelcRunConfig(total_epochs=10, activation_epoch=0, turning_point=11)
-    SelcRunConfig(total_epochs=10, activation_epoch=4, turning_point=10)
 
 
 def test_default_activation_epoch():
