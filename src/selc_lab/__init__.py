@@ -32,7 +32,7 @@ def _pin_blas_threads() -> bool:
 # before the first numpy import below, which starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
 
-from .config import ExperimentConfig, load_config, save_config
+from .config import ExperimentConfig, load_config
 from .data import (
     BlobSpec,
     NoisyDataset,
@@ -80,8 +80,6 @@ from .noise import (
     empirical_noise_rate,
     inject_noise,
     load_mapping,
-    load_transition_matrix,
-    save_transition_matrix,
 )
 from .rng import stream
 from .targets import (
@@ -90,7 +88,6 @@ from .targets import (
     bootstrap_target,
     closed_form_target,
     ensemble_prediction,
-    harden_targets,
     load_state,
     save_state,
     selc_loss,
@@ -122,6 +119,7 @@ from .turning import (
     normalize_losses,
     save_loss_snapshots,
     save_metric_series,
+    separation_metrics,
 )
 
 __version__ = "0.1.0"

@@ -4,17 +4,15 @@ Relative paths inside a config (IDX/CSV datasets, noise mapping files,
 the output directory) resolve against the directory containing the config
 file, so a config plus its data folder can move as a unit. CSV and IDX
 datasets and noise mapping files are parsed on load, so a malformed one is
-a config error rather than a failure in every trial. Loading an
-already-resolved config is a fixed point: load -> save -> load gives an
-equal object.
+a config error rather than a failure in every trial.
 """
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import yaml
 
-from .data import load_dataset_files
+from .data import BlobSpec, _blob_centers, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import build_asymmetric_q, load_mapping
@@ -23,6 +21,8 @@ DATASET_KINDS = ("blobs", "idx", "csv")
 NOISE_KINDS = ("none", "symmetric", "asymmetric")
 METHOD_NAMES = ("ce", "bootstrap", "selc", "option1", "selc_plus")
 AUTO = "auto"
+# the turning-point GMM fits a mixture to each epoch's per-sample losses
+MIN_TRAIN_SAMPLES = 4
 
 
 @dataclass
@@ -79,7 +79,6 @@ class MethodSpecConfig:
     activation_epoch: object = AUTO
     detector_patience: int = 10
     metric_choice: str = "m1"
-    smooth: bool = False
     mixup_beta_param: float = 1.0
     plus_epochs: int | None = None
 
@@ -112,9 +111,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")
-        _require(ds.n >= ds.num_classes, f"dataset.n must be >= num_classes, got {ds.n}")
+        _require(ds.n >= max(ds.num_classes, MIN_TRAIN_SAMPLES),
+                 f"dataset.n must be >= num_classes and >= {MIN_TRAIN_SAMPLES}, got {ds.n}")
+        test_n = ds.test_n if ds.test_n is not None else ds.n // 4
+        _require(test_n >= ds.num_classes,
+                 f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
         _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")
         _require(ds.cluster_std > 0, f"dataset.cluster_std must be positive, got {ds.cluster_std}")
+        try:
+            _blob_centers(BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
+                                   cluster_std=ds.cluster_std, seed=ds.seed))
+        except ParameterError as exc:
+            raise ParameterError(f"dataset.cluster_std: {exc}") from exc
         num_classes = ds.num_classes
     else:
         names = (("train_images", "train_labels", "test_images", "test_labels")
@@ -123,7 +131,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             path = getattr(ds, name)
             _require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
             _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
-        num_classes = load_dataset_files(ds)[4]
+        _, train_y, _, _, num_classes = load_dataset_files(ds)
+        _require(train_y.size >= MIN_TRAIN_SAMPLES,
+                 f"dataset.{names[0]}: need at least {MIN_TRAIN_SAMPLES} training samples, "
+                 f"got {train_y.size}")
 
     _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
@@ -235,18 +246,6 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     return cfg
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": asdict(cfg.dataset),
-        "noise": asdict(cfg.noise),
-        "model": asdict(cfg.model),
-        "optimizer": asdict(cfg.optimizer),
-        "method": asdict(cfg.method),
-        "trials": list(cfg.trials),
-        "out_dir": cfg.out_dir,
-    }
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
@@ -260,8 +259,3 @@ def load_config(path) -> ExperimentConfig:
     except TypeError as exc:
         # dataclass kwargs mismatch surfaces as TypeError
         raise ParameterError(f"{path}: {exc}") from exc
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False, default_flow_style=False)

@@ -114,15 +114,14 @@ def confusion_of_corrections(targets, true_labels) -> np.ndarray:
     return counts
 
 
-def append_metrics_ledger(path, epoch: int, metric_name: str, value: float) -> None:
-    """Append one (epoch, metric_name, value) row, writing the header once."""
-    import os
-
-    header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
+def append_metrics_ledger(path, rows) -> None:
+    """Append (epoch, metric_name, value) rows in one write, starting an
+    empty or missing file with the header."""
+    text = "".join(f"{epoch},{name},{value:.6g}\n" for epoch, name, value in rows)
     with open(path, "a", newline="") as fh:
-        if header_needed:
-            fh.write("epoch,metric_name,value\n")
-        fh.write(f"{epoch},{metric_name},{value:.6g}\n")
+        if fh.tell() == 0:
+            text = "epoch,metric_name,value\n" + text
+        fh.write(text)
 
 
 def write_confusion_csv(counts: np.ndarray, path) -> None:

@@ -50,14 +50,12 @@ from .training import (
     run_training,
 )
 from .turning import (
+    METRIC_NAMES,
     LossSnapshot,
     OnlineTurningPointDetector,
-    fit_gmm2,
-    fit_kmeans2_and_m3,
-    metric_m1,
-    metric_m2,
     normalize_losses,
     save_loss_snapshots,
+    separation_metrics,
 )
 
 EPOCH_COLUMNS = (
@@ -66,6 +64,8 @@ EPOCH_COLUMNS = (
     "clean_correct_frac", "clean_incorrect_frac",
     "mislabeled_correct_frac", "mislabeled_memorized_frac", "mislabeled_other_frac",
 )
+# plus_epochs.csv: the retrain has no separation metrics or corrections
+PLUS_EPOCH_COLUMNS = EPOCH_COLUMNS[:5]
 LEDGER_METRICS = (
     "correction_acc", "clean_correct_frac", "clean_incorrect_frac",
     "mislabeled_correct_frac", "mislabeled_memorized_frac", "mislabeled_other_frac",
@@ -177,7 +177,7 @@ class _EpochObserver:
         per_sample, _ = soft_ce_loss(self.noisy_onehot, event.snapshot.probs)
         snap = LossSnapshot.from_losses(event.epoch, per_sample)
         self.snapshots.append(snap)
-        gmm = fit_gmm2(snap.normalized)
+        m1, m2, m3 = separation_metrics(snap.normalized)
         test_probs = predict_proba(self.model, self.test_x)
         test_acc = float(np.mean(test_probs.argmax(axis=1) == self.test_y))
         targets = event.state.targets if event.state is not None else self.noisy_onehot
@@ -190,9 +190,9 @@ class _EpochObserver:
             "train_loss": event.train_loss,
             "train_acc": event.train_acc,
             "test_acc": test_acc,
-            "m1": metric_m1(gmm),
-            "m2": metric_m2(gmm),
-            "m3": gmm.m3,
+            "m1": m1,
+            "m2": m2,
+            "m3": m3,
             "correction_acc": correction_accuracy(targets, self.true_labels),
             "clean_correct_frac": mem.clean_correct_frac,
             "clean_incorrect_frac": mem.clean_incorrect_frac,
@@ -216,10 +216,10 @@ def _build_model(cfg: ExperimentConfig, view, seed: int, stream_name: str):
     return model, opt
 
 
-def _write_epochs_csv(rows, path) -> None:
-    lines = [",".join(EPOCH_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in EPOCH_COLUMNS))
+def _write_csv(path, columns, rows) -> None:
+    """A header of ``columns``, then one line of each row dict's values."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(row[col]) for col in columns) for row in rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -233,16 +233,12 @@ def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int) -> int:
     method = cfg.method
     detector = OnlineTurningPointDetector(patience=method.detector_patience)
     noisy_onehot = one_hot(view.noisy_labels, view.num_classes)
+    metric = METRIC_NAMES.index(method.metric_choice)
     values = []
 
     def hook(event):
         per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
-        normalized = normalize_losses(per_sample)
-        if method.metric_choice == "m3":
-            _, value = fit_kmeans2_and_m3(normalized)
-        else:
-            gmm = fit_gmm2(normalized)
-            value = metric_m1(gmm) if method.metric_choice == "m1" else metric_m2(gmm)
+        value = separation_metrics(normalize_losses(per_sample))[metric]
         values.append(value)
         return detector.observe(event.epoch, value)
 
@@ -292,14 +288,13 @@ def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -
     model, state, _ = run_training(view, model, opt, run_cfg, train_method,
                                    cfg.optimizer.batch_size, seed, epoch_hook=observer)
 
-    _write_epochs_csv(observer.rows, os.path.join(trial_dir, "epochs.csv"))
+    _write_csv(os.path.join(trial_dir, "epochs.csv"), EPOCH_COLUMNS, observer.rows)
     save_loss_snapshots(observer.snapshots, os.path.join(trial_dir, "losses.csv"))
     ledger_path = os.path.join(trial_dir, "metrics.csv")
     if os.path.exists(ledger_path):
         os.remove(ledger_path)
-    for row in observer.rows:
-        for name in LEDGER_METRICS:
-            append_metrics_ledger(ledger_path, row["epoch"], name, row[name])
+    append_metrics_ledger(ledger_path, [(row["epoch"], name, row[name])
+                                        for row in observer.rows for name in LEDGER_METRICS])
     last = observer.rows[-1]
     confusion = confusion_of_corrections(observer.final_targets, dataset.true_labels)
     write_confusion_csv(confusion, os.path.join(trial_dir, f"confusion_epoch_{last['epoch']}.csv"))
@@ -324,12 +319,7 @@ def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -
         run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
                       cfg.optimizer.batch_size, seed, epoch_hook=plus_hook)
         plus_acc = plus_rows[-1]["test_acc"]
-        cols = ("epoch", "lr", "train_loss", "train_acc", "test_acc")
-        lines = [",".join(cols)]
-        for row in plus_rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-        with open(os.path.join(trial_dir, "plus_epochs.csv"), "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS, plus_rows)
 
     return _TrialResult(
         seed=seed,

@@ -97,34 +97,6 @@ def empirical_noise_rate(noisy_labels, true_labels) -> float:
     return float(np.mean(noisy != true))
 
 
-def save_transition_matrix(tm: TransitionMatrix, path) -> None:
-    """One row per line, space-separated decimals."""
-    with open(path, "w", newline="\n") as fh:
-        for row in tm.q:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_transition_matrix(path, nominal_eta: float | None = None) -> TransitionMatrix:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split()])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric matrix entry in {line!r}") from None
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise FormatError(f"matrix file {path} has ragged rows")
-    q = np.asarray(rows, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise FormatError(f"matrix file {path} is not square: shape {q.shape}")
-    if nominal_eta is None:
-        nominal_eta = float(1.0 - q.diagonal().min())
-    return TransitionMatrix(num_classes=q.shape[0], q=q, nominal_eta=nominal_eta)
-
-
 def load_mapping(path):
     """Read asymmetric flip pairs, one "src dst" or "src,dst" pair per
     line; # starts a comment."""

@@ -44,26 +44,6 @@ class PredictionSnapshot:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @classmethod
-    def assemble(cls, num_samples: int, parts) -> "PredictionSnapshot":
-        """Scatter (ids, probs) shards into id order; every id exactly once."""
-        out = None
-        filled = None
-        for ids, probs in parts:
-            ids = np.asarray(ids, dtype=np.int64)
-            probs = np.asarray(probs, dtype=np.float64)
-            if out is None:
-                out = np.zeros((num_samples, probs.shape[1]))
-                filled = np.zeros(num_samples, dtype=bool)
-            if np.any(filled[ids]):
-                raise MissingPredictionError("a sample id appears in more than one shard")
-            out[ids] = probs
-            filled[ids] = True
-        if out is None or not filled.all():
-            missing = num_samples if out is None else int((~filled).sum())
-            raise MissingPredictionError(f"snapshot is missing predictions for {missing} samples")
-        return cls(probs=out)
-
 
 @dataclass
 class EnsembleState:
@@ -162,12 +142,6 @@ def bootstrap_target(noisy_onehot, probs, beta: float):
     if y.shape != p.shape:
         raise DimensionError(f"labels shape {y.shape} != probs shape {p.shape}")
     return beta * y + (1.0 - beta) * p
-
-
-def harden_targets(targets) -> np.ndarray:
-    """One-hot at the argmax of each row (ties to the lowest class index)."""
-    t = np.asarray(targets, dtype=np.float64)
-    return one_hot(t.argmax(axis=1), t.shape[1])
 
 
 def save_state(state: EnsembleState, path) -> None:

@@ -1,5 +1,6 @@
-"""Training loops: plain cross entropy, bootstrap, EMA-corrected targets,
-and the mixup retraining stage that consumes corrected targets.
+"""Training: one epoch loop serves plain cross entropy, bootstrap,
+EMA-corrected targets, and the mixup retraining stage that consumes
+corrected targets.
 
 The loop is epoch-indexed. Once label correction activates, each epoch
 first snapshots the model's predictions over the whole training set (in
@@ -24,7 +25,6 @@ from .targets import (
     EnsembleState,
     PredictionSnapshot,
     bootstrap_target,
-    harden_targets,
     update_targets,
 )
 
@@ -36,6 +36,9 @@ METHODS = (METHOD_CE, METHOD_BOOTSTRAP, METHOD_SELC, METHOD_OPTION1)
 
 # Methods whose targets evolve during the run.
 _CORRECTING = (METHOD_SELC, METHOD_OPTION1)
+# The SELC+ retrain's mixup on fixed soft targets; not in METHODS, so
+# run_training never takes it.
+_METHOD_MIXUP = "mixup"
 
 
 @dataclass
@@ -118,6 +121,63 @@ def _train_step(model: MlpModel, opt: OptimizerState, x, t, epoch: int) -> float
     return loss_sum
 
 
+def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
+                method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None):
+    """The epoch loop behind every method and the SELC+ retrain; trains the
+    model in place and returns (state, records).
+
+    ``targets`` is the (n, C) matrix the batches train against until
+    correction activates; ``train_acc`` scores predictions against its
+    argmax. A correcting method starts its targets state from that argmax.
+    """
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    n = features.shape[0]
+    # for one-hot targets, exactly the noisy labels
+    labels = targets.argmax(axis=1)
+    state = None
+    if method in _CORRECTING:
+        mode = MODE_SELC if method == METHOD_SELC else MODE_ENSEMBLE_ONLY
+        state = EnsembleState.initial(labels, targets.shape[1], cfg.alpha, mode)
+
+    snapshot = None
+    records = []
+    for epoch in range(cfg.total_epochs):
+        lr = lr_at(opt, epoch)
+        correcting = state is not None and epoch >= cfg.activation_epoch
+        if correcting:
+            if snapshot is None:
+                # activation at epoch 0: fall back to the untrained model
+                snapshot = PredictionSnapshot(predict_proba(model, features))
+            update_targets(state, snapshot)
+        epoch_targets = state.targets if correcting else targets
+        order = stream(seed, "shuffle", epoch).permutation(n)
+        mix_rng = stream(seed, "mixup", epoch) if method == _METHOD_MIXUP else None
+        loss_sum = 0.0
+        for batch_ids in _batches(order, batch_size):
+            x = features[batch_ids]
+            t = epoch_targets[batch_ids]
+            if method == METHOD_BOOTSTRAP:
+                t = bootstrap_target(t, predict_proba(model, x), cfg.bootstrap_beta)
+            elif mix_rng is not None:
+                lam = float(mix_rng.beta(cfg.mixup_beta_param, cfg.mixup_beta_param))
+                partner = mix_rng.permutation(len(batch_ids))
+                x, t = mixup_batch(x, t, x[partner], t[partner], lam)
+            loss_sum += _train_step(model, opt, x, t, epoch)
+        snapshot = PredictionSnapshot(predict_proba(model, features))
+        train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == labels))
+        record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)
+        records.append(record)
+        if epoch_hook is not None:
+            stop = epoch_hook(EpochEvent(
+                epoch=epoch, lr=lr, train_loss=record.train_loss,
+                train_acc=train_acc, snapshot=snapshot, state=state,
+            ))
+            if stop:
+                break
+    return state, records
+
+
 def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
                  method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None = None):
     """Train the model in place; returns (model, state, records).
@@ -128,49 +188,9 @@ def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: Sel
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    n = view.n
-    labels_onehot = one_hot(view.noisy_labels, view.num_classes)
-    state = None
-    if method == METHOD_SELC:
-        state = EnsembleState.initial(view.noisy_labels, view.num_classes, cfg.alpha, MODE_SELC)
-    elif method == METHOD_OPTION1:
-        state = EnsembleState.initial(view.noisy_labels, view.num_classes, cfg.alpha, MODE_ENSEMBLE_ONLY)
-
-    snapshot = None
-    records = []
-    for epoch in range(cfg.total_epochs):
-        lr = lr_at(opt, epoch)
-        correcting = method in _CORRECTING and epoch >= cfg.activation_epoch
-        if correcting:
-            if snapshot is None:
-                # activation at epoch 0: fall back to the untrained model
-                snapshot = PredictionSnapshot(predict_proba(model, view.features))
-            update_targets(state, snapshot)
-        order = stream(seed, "shuffle", epoch).permutation(n)
-        loss_sum = 0.0
-        for batch_ids in _batches(order, batch_size):
-            x = view.features[batch_ids]
-            if correcting:
-                targets = state.targets[batch_ids]
-            elif method == METHOD_BOOTSTRAP:
-                probs = predict_proba(model, x)
-                targets = bootstrap_target(labels_onehot[batch_ids], probs, cfg.bootstrap_beta)
-            else:
-                targets = labels_onehot[batch_ids]
-            loss_sum += _train_step(model, opt, x, targets, epoch)
-        snapshot = PredictionSnapshot(predict_proba(model, view.features))
-        train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == view.noisy_labels))
-        record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)
-        records.append(record)
-        if epoch_hook is not None:
-            stop = epoch_hook(EpochEvent(
-                epoch=epoch, lr=lr, train_loss=record.train_loss,
-                train_acc=train_acc, snapshot=snapshot, state=state,
-            ))
-            if stop:
-                break
+    targets = one_hot(view.noisy_labels, view.num_classes)
+    state, records = _run_epochs(view.features, targets, model, opt, cfg, method,
+                                 batch_size, seed, epoch_hook)
     return model, state, records
 
 
@@ -178,57 +198,23 @@ def mixup_batch(x1, t1, x2, t2, lam: float):
     """Convex combination of two batches and their targets."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must be in [0, 1], got {lam}")
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    t1 = np.asarray(t1, dtype=np.float64)
-    t2 = np.asarray(t2, dtype=np.float64)
-    if x1.shape != x2.shape or t1.shape != t2.shape:
-        raise DimensionError("mixup inputs must pair up shape for shape")
     return lam * x1 + (1.0 - lam) * x2, lam * t1 + (1.0 - lam) * t2
 
 
 def run_selc_plus(features, corrected_targets, model: MlpModel, opt: OptimizerState,
                   cfg: SelcRunConfig, batch_size: int, seed: int,
-                  epoch_hook: EpochHook | None = None, harden: bool = False):
+                  epoch_hook: EpochHook | None = None):
     """Retrain a freshly initialized model with mixup on corrected targets.
 
     This stage sees only features and the corrected soft targets; the
     signature has no label argument on purpose. One lambda ~ Beta(a, a) is
     drawn per batch, and partners come from a within-batch permutation.
-    ``harden`` replaces each target with a one-hot at its argmax (ablation).
     Returns (model, records).
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(corrected_targets, dtype=np.float64)
-    if harden:
-        targets = harden_targets(targets)
     if features.shape[0] != targets.shape[0]:
         raise DimensionError("features and corrected targets must agree in length")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    n = features.shape[0]
-    records = []
-    for epoch in range(cfg.total_epochs):
-        lr = lr_at(opt, epoch)
-        order = stream(seed, "shuffle", epoch).permutation(n)
-        mix_rng = stream(seed, "mixup", epoch)
-        loss_sum = 0.0
-        for batch_ids in _batches(order, batch_size):
-            x = features[batch_ids]
-            t = targets[batch_ids]
-            lam = float(mix_rng.beta(cfg.mixup_beta_param, cfg.mixup_beta_param))
-            partner = mix_rng.permutation(len(batch_ids))
-            mx, mt = mixup_batch(x, t, x[partner], t[partner], lam)
-            loss_sum += _train_step(model, opt, mx, mt, epoch)
-        snapshot = PredictionSnapshot(predict_proba(model, features))
-        train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == targets.argmax(axis=1)))
-        record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)
-        records.append(record)
-        if epoch_hook is not None:
-            stop = epoch_hook(EpochEvent(
-                epoch=epoch, lr=lr, train_loss=record.train_loss,
-                train_acc=train_acc, snapshot=snapshot, state=None,
-            ))
-            if stop:
-                break
+    _, records = _run_epochs(features, targets, model, opt, cfg, _METHOD_MIXUP,
+                             batch_size, seed, epoch_hook)
     return model, records

@@ -176,6 +176,13 @@ def metric_m2(fit: GmmFit) -> float:
     return 0.5 * math.log(v2 / v1) + (v1 + gap * gap) / (2.0 * v2) - 0.5
 
 
+def separation_metrics(normalized_losses):
+    """(m1, m2, m3) of one epoch's normalized losses, from one GMM fit
+    and the 2-means that warm-starts it."""
+    gmm = fit_gmm2(normalized_losses)
+    return metric_m1(gmm), metric_m2(gmm), gmm.m3
+
+
 def fit_kmeans2_and_m3(normalized_losses):
     """Lloyd's 2-means on 1-D data; returns (KMeansFit, m3).
 
@@ -237,24 +244,14 @@ class MetricSeries:
             raise ParameterError(f"metric_choice must be one of {METRIC_NAMES}, got {metric_choice!r}")
         return getattr(self, metric_choice)
 
-    def estimated_t(self, metric_choice: str = "m1", smooth: bool = False) -> int:
-        return estimate_turning_point(self, metric_choice, smooth=smooth)
-
 
 def compute_metric_series(snapshots) -> MetricSeries:
-    """Fit the GMM (and with it the 2-means) to every snapshot and collect
-    the three metrics."""
+    """The three metrics of every snapshot, in epoch order."""
     snapshots = sorted(snapshots, key=lambda s: s.epoch)
     if not snapshots:
         raise ParameterError("need at least one loss snapshot")
-    epochs, m1s, m2s, m3s = [], [], [], []
-    for snap in snapshots:
-        gmm = fit_gmm2(snap.normalized)
-        epochs.append(snap.epoch)
-        m1s.append(metric_m1(gmm))
-        m2s.append(metric_m2(gmm))
-        m3s.append(gmm.m3)
-    return MetricSeries(epochs=np.array(epochs), m1=np.array(m1s),
+    m1s, m2s, m3s = zip(*(separation_metrics(snap.normalized) for snap in snapshots))
+    return MetricSeries(epochs=np.array([snap.epoch for snap in snapshots]), m1=np.array(m1s),
                         m2=np.array(m2s), m3=np.array(m3s))
 
 

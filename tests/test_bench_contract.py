@@ -1,0 +1,68 @@
+"""The names and return shapes the benchmark's tracer relies on.
+
+``perfbench/tracer.py`` finds the functions it times with ``getattr`` and
+counts epochs from the records the training entry points return; a
+rename or a changed return shape would otherwise only show as a missing
+layer in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
+from selc_lab.mlp import init_mlp, make_optimizer
+from selc_lab.noise import build_symmetric_q
+from selc_lab.rng import stream
+from selc_lab.training import METHOD_SELC, SelcRunConfig, run_selc_plus, run_training
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+def test_every_traced_name_resolves():
+    traced = load_traced()
+    assert traced
+    for module_name, names in traced.items():
+        module = importlib.import_module(f"selc_lab.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"selc_lab.{module_name}.{name}"
+
+
+@pytest.fixture
+def tiny_view():
+    spec = BlobSpec(n=48, dim=3, num_classes=3, cluster_std=0.3, seed=0)
+    x, y = generate_blobs(spec)
+    return make_noisy_dataset(x, y, build_symmetric_q(3, 0.2), seed=1).train_view()
+
+
+def fresh(view):
+    model = init_mlp([3, 8, view.num_classes], stream(0, "init"))
+    return model, make_optimizer(model, base_lr=0.05)
+
+
+def test_training_entry_points_return_one_record_per_epoch(tiny_view):
+    cfg = SelcRunConfig(total_epochs=2, activation_epoch=1)
+    hooked = []
+    model, opt = fresh(tiny_view)
+    result = run_training(tiny_view, model, opt, cfg, METHOD_SELC, 16, seed=0,
+                          epoch_hook=hooked.append)
+    assert len(result) == 3 and result[0] is model
+    assert [r.epoch for r in result[2]] == [0, 1]
+    targets = result[1].targets
+
+    model, opt = fresh(tiny_view)
+    result = run_selc_plus(tiny_view.features, targets, model, opt, cfg, 16, seed=0,
+                           epoch_hook=hooked.append)
+    assert len(result) == 2 and result[0] is model
+    assert [r.epoch for r in result[1]] == [0, 1]
+    assert len(hooked) == 4

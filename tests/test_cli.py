@@ -52,6 +52,20 @@ def test_run_verb_invalid_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# blob datasets that load as YAML but would fail every trial
+@pytest.mark.parametrize("dataset, field", [
+    ({"n": 3}, "dataset.n"),
+    ({"n": 8, "num_classes": 3}, "dataset.test_n"),
+    ({"dim": 2, "num_classes": 3, "cluster_std": 1.0}, "dataset.cluster_std"),
+], ids=["too_few_samples", "test_split_too_small", "centers_do_not_fit"])
+def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, field):
+    cfg = write_tiny_config(tmp_path, dataset=dataset)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_verb_reports_failed_trials(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, method={"name": "ce"},

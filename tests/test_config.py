@@ -9,9 +9,7 @@ from selc_lab.config import (
     MethodSpecConfig,
     alpha_values,
     config_from_dict,
-    config_to_dict,
     load_config,
-    save_config,
     validate_config,
 )
 from selc_lab.data import save_csv_dataset, write_idx
@@ -41,25 +39,16 @@ def test_defaults_fill_missing_sections():
     assert cfg.trials == [0]
 
 
-def test_roundtrip_is_fixed_point(tmp_path):
-    src = tmp_path / "a.yaml"
-    src.write_text(yaml.safe_dump(minimal_dict()))
-    cfg = load_config(src)
-    dst = tmp_path / "b.yaml"
-    save_config(cfg, dst)
-    again = load_config(dst)
-    assert config_to_dict(again) == config_to_dict(cfg)
-
-
 def test_unknown_keys_rejected():
     with pytest.raises(ParameterError) as err:
         config_from_dict(minimal_dict(extra_section={}))
     assert "extra_section" in str(err.value)
-    bad = minimal_dict()
-    bad["optimizer"]["turbo"] = True
-    with pytest.raises(ParameterError) as err:
-        config_from_dict(bad)
-    assert "turbo" in str(err.value)
+    for section, key in (("optimizer", "turbo"), ("method", "smooth")):
+        bad = minimal_dict()
+        bad[section][key] = True
+        with pytest.raises(ParameterError) as err:
+            config_from_dict(bad)
+        assert key in str(err.value)
 
 
 def test_relative_paths_resolve_against_config_dir(tmp_path):
@@ -109,14 +98,18 @@ def test_dataset_files_parsed_on_load(tmp_path):
     (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=r"train\.csv:3:"):
         config_from_dict(data, base_dir=str(tmp_path))
-    # idx: a corrupt labels file is a config error, a good pair loads
-    images = np.zeros((3, 2, 2), dtype=np.uint8)
-    for split in ("train", "test"):
-        write_idx(tmp_path / f"{split}-img", tmp_path / f"{split}-lbl", images,
-                  np.array([0, 1, 2], dtype=np.uint8))
+    # idx: a corrupt labels file is a config error, a good pair loads; a
+    # training split too small for the turning-point GMM is rejected
     data = minimal_dict(dataset={"kind": "idx", "train_images": "train-img",
                                  "train_labels": "train-lbl", "test_images": "test-img",
                                  "test_labels": "test-lbl"})
+    for n in (3, 4):
+        for split in ("train", "test"):
+            write_idx(tmp_path / f"{split}-img", tmp_path / f"{split}-lbl",
+                      np.zeros((n, 2, 2), dtype=np.uint8), np.arange(n, dtype=np.uint8) % 3)
+        if n == 3:
+            with pytest.raises(ParameterError, match=r"dataset\.train_images: need at least 4"):
+                config_from_dict(data, base_dir=str(tmp_path))
     assert config_from_dict(data, base_dir=str(tmp_path)).dataset.kind == "idx"
     (tmp_path / "test-lbl").write_bytes(b"\x00\x00")
     with pytest.raises(FormatError, match="test-lbl"):

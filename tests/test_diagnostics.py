@@ -157,13 +157,11 @@ def test_confusion_tracks_transition_matrix():
 
 def test_metrics_ledger_appends_with_single_header(tmp_path):
     path = tmp_path / "metrics.csv"
-    append_metrics_ledger(path, 0, "test_acc", 0.912345678)
-    append_metrics_ledger(path, 1, "test_acc", 0.5)
+    append_metrics_ledger(path, [(0, "test_acc", 0.912345678)])
+    append_metrics_ledger(path, [(1, "test_acc", 0.5), (1, "m1", 2)])
     lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,metric_name,value"
-    assert lines[1] == "0,test_acc,0.912346"
-    assert lines[2] == "1,test_acc,0.5"
-    assert len(lines) == 3
+    assert lines == ["epoch,metric_name,value", "0,test_acc,0.912346",
+                     "1,test_acc,0.5", "1,m1,2"]
 
 
 def test_write_confusion_csv(tmp_path):

@@ -9,8 +9,6 @@ from selc_lab.noise import (
     empirical_noise_rate,
     inject_noise,
     load_mapping,
-    load_transition_matrix,
-    save_transition_matrix,
 )
 
 
@@ -122,25 +120,6 @@ def test_empirical_noise_rate_edges():
     assert empirical_noise_rate(a, a + 1) == 1.0
     with pytest.raises(DimensionError):
         empirical_noise_rate(a, a[:2])
-
-
-def test_transition_matrix_roundtrip(tmp_path):
-    tm = build_asymmetric_q(5, 0.37, [(1, 2), (4, 0)])
-    path = tmp_path / "q.txt"
-    save_transition_matrix(tm, path)
-    back = load_transition_matrix(path, nominal_eta=0.37)
-    assert np.array_equal(back.q, tm.q)
-    assert back.num_classes == 5
-    # eta derived from the diagonal when not supplied
-    derived = load_transition_matrix(path)
-    assert derived.nominal_eta == pytest.approx(0.37)
-
-
-def test_load_transition_matrix_rejects_garbage(tmp_path):
-    path = tmp_path / "q.txt"
-    path.write_text("0.5 0.5\n0.9\n")
-    with pytest.raises(FormatError):
-        load_transition_matrix(path)
 
 
 def test_load_mapping(tmp_path):

@@ -14,7 +14,6 @@ from selc_lab.targets import (
     bootstrap_target,
     closed_form_target,
     ensemble_prediction,
-    harden_targets,
     load_state,
     save_state,
     selc_loss,
@@ -116,19 +115,9 @@ def test_ensemble_prediction_mass_identity():
         assert out.sum() == pytest.approx(1 - 0.9 ** k, abs=1e-10)
 
 
-def test_snapshot_validation_and_assembly():
+def test_snapshot_validation():
     with pytest.raises(ParameterError):
         PredictionSnapshot(np.array([[0.5, 0.6]]))
-    rng = stream(3, "assemble")
-    probs = random_probs(rng, 6, 3)
-    snap = PredictionSnapshot.assemble(6, [(np.array([0, 2, 4]), probs[[0, 2, 4]]),
-                                           (np.array([1, 3, 5]), probs[[1, 3, 5]])])
-    assert np.allclose(snap.probs, probs)
-    with pytest.raises(MissingPredictionError):
-        PredictionSnapshot.assemble(6, [(np.array([0, 1, 2]), probs[:3])])
-    with pytest.raises(MissingPredictionError):
-        PredictionSnapshot.assemble(4, [(np.array([0, 1]), probs[:2]),
-                                        (np.array([1, 2]), probs[1:3])])
 
 
 def test_update_rejects_mismatched_snapshot():
@@ -180,13 +169,6 @@ def test_bootstrap_target():
     assert np.allclose(bootstrap_target(onehot, p, 0.8), [[0.92, 0.08]], atol=1e-12)
     with pytest.raises(ParameterError):
         bootstrap_target(onehot, p, 1.2)
-
-
-def test_harden_targets():
-    soft = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2]])
-    hard = harden_targets(soft)
-    # ties break to the lowest index
-    assert np.array_equal(hard, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_state_checkpoint_roundtrip(tmp_path):

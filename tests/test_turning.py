@@ -275,7 +275,7 @@ def test_rise_then_fall_peak_is_found_by_every_metric():
     assert estimate_turning_point(series, "m1") == 3
     assert estimate_turning_point(series, "m2") == 3
     assert estimate_turning_point(series, "m3") == 3
-    assert series.estimated_t() == 3
+    assert estimate_turning_point(series) == 3
 
 
 def test_estimate_uses_listed_epoch_numbers():
@@ -314,8 +314,8 @@ def test_compute_metric_series_sorts_and_validates():
 def test_default_metric_is_m1():
     # m1 and m2 disagree; the default must follow m1
     series = MetricSeries(epochs=[0, 1], m1=[1.0, 0.5], m2=[0.1, 9.0], m3=[0.0, 0.0])
-    assert series.estimated_t() == 0
-    assert series.estimated_t(metric_choice="m2") == 1
+    assert estimate_turning_point(series) == 0
+    assert estimate_turning_point(series, metric_choice="m2") == 1
 
 
 def test_detector_patience_rule():
