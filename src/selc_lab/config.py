@@ -4,11 +4,13 @@ Relative paths inside a config (IDX/CSV datasets, noise mapping files,
 the output directory) resolve against the directory containing the config
 file, so a config plus its data folder can move as a unit. CSV and IDX
 datasets and noise mapping files are parsed on load, so a malformed one is
-a config error rather than a failure in every trial.
+a config error rather than a failure in every trial; the parsed dataset
+stays on the config for the run. Fields annotated ``int`` take integers
+only.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -55,7 +57,7 @@ class NoiseSpecConfig:
 
 @dataclass
 class ModelSpecConfig:
-    hidden_dims: list = field(default_factory=lambda: [64, 64])
+    hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
     activation: str = "tanh"
 
 
@@ -64,7 +66,7 @@ class OptimizerSpecConfig:
     lr: float = 0.02
     momentum: float = 0.9
     weight_decay: float = 0.001
-    milestones: list = field(default_factory=list)
+    milestones: list[int] = field(default_factory=list)
     decay_factor: float = 10.0
     batch_size: int = 128
     epochs: int = 60
@@ -90,8 +92,11 @@ class ExperimentConfig:
     model: ModelSpecConfig
     optimizer: OptimizerSpecConfig
     method: MethodSpecConfig
-    trials: list
+    trials: list[int]
     out_dir: str
+    # a CSV or IDX dataset's (train_x, train_y, test_x, test_y, num_classes),
+    # parsed once by validate_config; a run's forked workers inherit it
+    dataset_files: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def alpha_values(method: MethodSpecConfig) -> list:
@@ -106,8 +111,29 @@ def _require(cond, message):
         raise ParameterError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integer_fields(spec, prefix: str = "") -> None:
+    """Reject a float, bool or string in a field annotated ``int``,
+    ``int | None`` or ``list[int]``, naming the field."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        name = prefix + f.name
+        if is_dataclass(value):
+            _check_integer_fields(value, name + ".")
+        elif f.type in (int, int | None):
+            _require(_is_int(value) or (value is None and f.type is not int),
+                     f"{name} must be an integer, got {value!r}")
+        elif f.type == list[int]:
+            _require(isinstance(value, list) and all(_is_int(v) for v in value),
+                     f"{name} must be a list of integers, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     ds, noise, model, opt, method = cfg.dataset, cfg.noise, cfg.model, cfg.optimizer, cfg.method
+    _check_integer_fields(cfg)
     _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")
@@ -131,7 +157,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             path = getattr(ds, name)
             _require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
             _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
-        _, train_y, _, _, num_classes = load_dataset_files(ds)
+        cfg.dataset_files = load_dataset_files(ds)
+        train_y, num_classes = cfg.dataset_files[1], cfg.dataset_files[4]
         _require(train_y.size >= MIN_TRAIN_SAMPLES,
                  f"dataset.{names[0]}: need at least {MIN_TRAIN_SAMPLES} training samples, "
                  f"got {train_y.size}")
@@ -150,7 +177,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
 
     _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
-    _require(all(int(h) >= 1 for h in model.hidden_dims),
+    _require(all(h >= 1 for h in model.hidden_dims),
              f"model.hidden_dims must be positive, got {model.hidden_dims}")
     _require(model.activation in ACTIVATIONS,
              f"model.activation must be one of {ACTIVATIONS}, got {model.activation!r}")
@@ -162,7 +189,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(opt.batch_size >= 1, f"optimizer.batch_size must be >= 1, got {opt.batch_size}")
     _require(opt.epochs >= 1, f"optimizer.epochs must be >= 1, got {opt.epochs}")
     ms = list(opt.milestones)
-    _require(all(int(m) >= 0 for m in ms), f"optimizer.milestones must be >= 0, got {ms}")
+    _require(all(m >= 0 for m in ms), f"optimizer.milestones must be >= 0, got {ms}")
     _require(ms == sorted(ms) and len(set(ms)) == len(ms),
              f"optimizer.milestones must be strictly increasing, got {ms}")
 
@@ -188,9 +215,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _require(method.plus_epochs >= 1,
                      f"method.plus_epochs must be >= 1, got {method.plus_epochs}")
 
-    _require(isinstance(cfg.trials, list) and len(cfg.trials) >= 0, "trials must be a list")
-    _require(all(isinstance(t, int) and not isinstance(t, bool) for t in cfg.trials),
-             f"trials must be integer seeds, got {cfg.trials}")
     _require(len(set(cfg.trials)) == len(cfg.trials), f"trial seeds must be unique, got {cfg.trials}")
     _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
 

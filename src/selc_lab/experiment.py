@@ -8,9 +8,20 @@ targets checkpoint for the correcting methods. One ``summary.json`` sits at
 the run root. Reruns with the same config are byte-identical: no
 timestamps, fixed column orders, 6 significant digits, LF endings.
 
-Trials are independent, so a run with more than one sends them to forked
-worker processes, one per usable core; the outputs are the same as those of
-running them one after another.
+Every trial is two jobs. The train job runs the warm phase, the main run
+and the SELC+ retrain; the main run's epoch hook only records a trajectory
+(per-sample losses, prediction and target argmaxes, test accuracy). The
+diagnose job computes every diagnostic and writes every artifact from
+that trajectory; diagnostics never feed back into training, since SELC's
+correction reads only the previous epoch's predictions.
+
+A run with more than one trial sends its jobs to forked worker processes,
+one per usable core: every train job first, and each diagnose job as soon
+as its train job completes, so diagnoses run beside the trials still
+training. The data and each trial's trajectory, an anonymous shared
+mapping, exist before the workers fork; only the epoch rows and the final
+targets pass through the pool's pipe. In one process the same two jobs run
+one after the other, with the same outputs.
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
@@ -24,11 +35,10 @@ import numpy as np
 
 from . import BLAS_PINNED
 from .config import AUTO, ExperimentConfig, MethodSpecConfig, alpha_values
-from .data import BlobSpec, NoisyDataset, generate_blobs, load_dataset_files
+from .data import BlobSpec, TrainView, generate_blobs, load_dataset_files
 from .diagnostics import (
     append_metrics_ledger,
     confusion_of_corrections,
-    correction_accuracy,
     memorization_stats,
     write_confusion_csv,
 )
@@ -41,7 +51,7 @@ from .noise import (
     load_mapping,
 )
 from .rng import stream
-from .targets import save_state
+from .targets import EnsembleState, save_state
 from .training import (
     METHOD_CE,
     SelcRunConfig,
@@ -51,7 +61,6 @@ from .training import (
 )
 from .turning import (
     METRIC_NAMES,
-    LossSnapshot,
     OnlineTurningPointDetector,
     normalize_losses,
     save_loss_snapshots,
@@ -135,7 +144,7 @@ def _build_clean_data(cfg: ExperimentConfig):
         train_x, train_y = generate_blobs(spec, split="train")
         test_x, test_y = generate_blobs(spec, split="test")
         return train_x, train_y, test_x, test_y, ds.num_classes
-    return load_dataset_files(ds)
+    return cfg.dataset_files or load_dataset_files(ds)
 
 
 def _build_transition(cfg: ExperimentConfig, num_classes: int) -> TransitionMatrix:
@@ -159,55 +168,62 @@ class _TrialResult:
     plus_last_test_acc: float | None = None
 
 
-class _EpochObserver:
-    """Epoch hook that computes all per-epoch diagnostics for one run."""
+class _Trajectory:
+    """One trial's per-epoch main-run record, in an anonymous shared mapping.
 
-    def __init__(self, model, view, true_labels, test_x, test_y):
-        self.model = model
-        self.view = view
-        self.true_labels = true_labels
-        self.test_x = test_x
-        self.test_y = test_y
-        self.noisy_onehot = one_hot(view.noisy_labels, view.num_classes)
-        self.rows = []
-        self.snapshots = []
-        self.final_targets = None
+    ``losses[e]`` holds epoch e's per-sample losses against the noisy
+    labels; ``predicted[e]`` and ``target[e]`` the argmax of the
+    training-set prediction and of the targets; ``noisy`` the injected
+    labels. Labels take the smallest unsigned type that holds every class.
+    Allocated before the workers fork, so a train job and a diagnose job
+    see the same pages whichever workers run them.
+    """
 
-    def __call__(self, event):
-        per_sample, _ = soft_ce_loss(self.noisy_onehot, event.snapshot.probs)
-        snap = LossSnapshot.from_losses(event.epoch, per_sample)
-        self.snapshots.append(snap)
-        m1, m2, m3 = separation_metrics(snap.normalized)
-        test_probs = predict_proba(self.model, self.test_x)
-        test_acc = float(np.mean(test_probs.argmax(axis=1) == self.test_y))
-        targets = event.state.targets if event.state is not None else self.noisy_onehot
-        self.final_targets = targets
-        mem = memorization_stats(event.snapshot.probs, self.view.noisy_labels,
-                                 self.true_labels, event.epoch)
-        self.rows.append({
-            "epoch": event.epoch,
-            "lr": event.lr,
-            "train_loss": event.train_loss,
-            "train_acc": event.train_acc,
-            "test_acc": test_acc,
-            "m1": m1,
-            "m2": m2,
-            "m3": m3,
-            "correction_acc": correction_accuracy(targets, self.true_labels),
-            "clean_correct_frac": mem.clean_correct_frac,
-            "clean_incorrect_frac": mem.clean_incorrect_frac,
-            "mislabeled_correct_frac": mem.mislabeled_correct_frac,
-            "mislabeled_memorized_frac": mem.mislabeled_memorized_frac,
-            "mislabeled_other_frac": mem.mislabeled_other_frac,
-        })
-        return False
+    def __init__(self, epochs: int, n: int, num_classes: int):
+        # imported only here, so that commands that train nothing do not
+        # load it
+        import mmap
+
+        label = np.min_scalar_type(num_classes - 1)
+        floats = epochs * n * 8
+        # the arrays keep the mapping alive
+        buffer = mmap.mmap(-1, floats + (2 * epochs + 1) * n * label.itemsize)
+        self.losses = np.frombuffer(buffer, np.float64, epochs * n).reshape(epochs, n)
+        labels = np.frombuffer(buffer, label, (2 * epochs + 1) * n, floats).reshape(-1, n)
+        self.predicted = labels[:epochs]
+        self.target = labels[epochs:-1]
+        self.noisy = labels[-1]
+
+
+@dataclass
+class _Run:
+    """What every job of a run reads: the config, the data (train_x,
+    train_y, test_x, test_y, num_classes) and noise model built once for
+    all trials, and each job's (alpha, seed, trial_dir) and trajectory."""
+
+    cfg: ExperimentConfig
+    data: tuple
+    transition: TransitionMatrix
+    jobs: list
+    trajectories: list
+
+
+@dataclass
+class _Trained:
+    """A train job's result: rows of (epoch, lr, train_loss, train_acc,
+    test_acc) for the main run and the retrain, and the final targets."""
+
+    activation_epoch: int | None
+    rows: list
+    state: EnsembleState | None
+    plus_rows: list | None
 
 
 def _build_model(cfg: ExperimentConfig, view, seed: int, stream_name: str):
     """A fresh model for ``view``'s features and classes, initialized from
     ``stream(seed, stream_name)``, and its optimizer from ``cfg.optimizer``;
     returns (model, opt)."""
-    dims = [view.features.shape[1]] + [int(h) for h in cfg.model.hidden_dims] + [view.num_classes]
+    dims = [view.features.shape[1], *cfg.model.hidden_dims, view.num_classes]
     model = init_mlp(dims, stream(seed, stream_name), activation=cfg.model.activation)
     opt = make_optimizer(model, base_lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
                          weight_decay=cfg.optimizer.weight_decay,
@@ -254,19 +270,25 @@ def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int) -> int:
     return default_activation_epoch(estimated)
 
 
-def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -> _TrialResult:
+def _epoch_row(event, model, test_x, test_y) -> dict:
+    """An epoch's training record and the model's test accuracy."""
+    test_probs = predict_proba(model, test_x)
+    return {"epoch": event.epoch, "lr": event.lr, "train_loss": event.train_loss,
+            "train_acc": event.train_acc,
+            "test_acc": float(np.mean(test_probs.argmax(axis=1) == test_y))}
+
+
+def _train_job(run: _Run, k: int) -> _Trained:
+    """Train job ``k``: the warm phase, the main run, which records its
+    trajectory, and, for ``selc_plus``, the retrain."""
+    cfg, method = run.cfg, run.cfg.method
+    alpha, seed, trial_dir = run.jobs[k]
+    trajectory = run.trajectories[k]
     os.makedirs(trial_dir, exist_ok=True)
-    train_x, train_y, test_x, test_y, num_classes = _build_clean_data(cfg)
-    tm = _build_transition(cfg, num_classes)
-    dataset = NoisyDataset(
-        features=train_x,
-        noisy_labels=inject_noise(train_y, tm, seed),
-        true_labels=train_y,
-        ids=np.arange(train_x.shape[0]),
-        num_classes=num_classes,
-    )
-    view = dataset.train_view()
-    method = cfg.method
+    train_x, train_y, test_x, test_y, num_classes = run.data
+    view = TrainView(features=train_x, noisy_labels=inject_noise(train_y, run.transition, seed),
+                     ids=np.arange(train_x.shape[0]), num_classes=num_classes)
+    trajectory.noisy[:] = view.noisy_labels
 
     activation_epoch = None
     if method.name in ("selc", "option1", "selc_plus"):
@@ -283,47 +305,75 @@ def _run_trial(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str) -
         mixup_beta_param=method.mixup_beta_param,
     )
     model, opt = _build_model(cfg, view, seed, "init")
-    observer = _EpochObserver(model, view, dataset.true_labels, test_x, test_y)
-    train_method = "selc" if method.name == "selc_plus" else method.name
-    model, state, _ = run_training(view, model, opt, run_cfg, train_method,
-                                   cfg.optimizer.batch_size, seed, epoch_hook=observer)
+    noisy_onehot = one_hot(view.noisy_labels, num_classes)
+    rows = []
 
-    _write_csv(os.path.join(trial_dir, "epochs.csv"), EPOCH_COLUMNS, observer.rows)
-    save_loss_snapshots(observer.snapshots, os.path.join(trial_dir, "losses.csv"))
+    def record(event):
+        epoch, probs = event.epoch, event.snapshot.probs
+        trajectory.losses[epoch] = soft_ce_loss(noisy_onehot, probs)[0]
+        trajectory.predicted[epoch] = probs.argmax(axis=1)
+        trajectory.target[epoch] = (view.noisy_labels if event.state is None
+                                    else event.state.targets.argmax(axis=1))
+        rows.append(_epoch_row(event, model, test_x, test_y))
+
+    train_method = "selc" if method.name == "selc_plus" else method.name
+    _, state, _ = run_training(view, model, opt, run_cfg, train_method,
+                               cfg.optimizer.batch_size, seed, epoch_hook=record)
+
+    plus_rows = None
+    if method.name == "selc_plus":
+        plus_cfg = replace(run_cfg, total_epochs=method.plus_epochs or cfg.optimizer.epochs)
+        plus_model, plus_opt = _build_model(cfg, view, seed, "plus_init")
+        plus_rows = []
+
+        def record_plus(event):
+            plus_rows.append(_epoch_row(event, plus_model, test_x, test_y))
+
+        run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
+                      cfg.optimizer.batch_size, seed, epoch_hook=record_plus)
+    return _Trained(activation_epoch, rows, state, plus_rows)
+
+
+def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
+    """Diagnose job ``k``: the per-epoch separation metrics, correction
+    accuracy and memorization stats, computed from the trajectory, and
+    every artifact of the trial."""
+    _, seed, trial_dir = run.jobs[k]
+    trajectory = run.trajectories[k]
+    true_labels, num_classes = run.data[1], run.data[4]
+    rows = trained.rows
+    for row, losses, predicted, target in zip(rows, trajectory.losses, trajectory.predicted,
+                                              trajectory.target):
+        row["m1"], row["m2"], row["m3"] = separation_metrics(normalize_losses(losses))
+        row["correction_acc"] = float(np.mean(target == true_labels))
+        mem = memorization_stats(predicted, trajectory.noisy, true_labels, row["epoch"])
+        for name in LEDGER_METRICS[1:]:  # the memorization fractions
+            row[name] = getattr(mem, name)
+
+    _write_csv(os.path.join(trial_dir, "epochs.csv"), EPOCH_COLUMNS, rows)
+    save_loss_snapshots(trajectory.losses, os.path.join(trial_dir, "losses.csv"))
     ledger_path = os.path.join(trial_dir, "metrics.csv")
     if os.path.exists(ledger_path):
         os.remove(ledger_path)
     append_metrics_ledger(ledger_path, [(row["epoch"], name, row[name])
-                                        for row in observer.rows for name in LEDGER_METRICS])
-    last = observer.rows[-1]
-    confusion = confusion_of_corrections(observer.final_targets, dataset.true_labels)
+                                        for row in rows for name in LEDGER_METRICS])
+    last = rows[-1]
+    final_targets = (trained.state.targets if trained.state is not None
+                     else one_hot(trajectory.noisy, num_classes))
+    confusion = confusion_of_corrections(final_targets, true_labels)
     write_confusion_csv(confusion, os.path.join(trial_dir, f"confusion_epoch_{last['epoch']}.csv"))
-    if state is not None:
-        save_state(state, os.path.join(trial_dir, "targets_final.txt"))
+    if trained.state is not None:
+        save_state(trained.state, os.path.join(trial_dir, "targets_final.txt"))
 
     plus_acc = None
-    if method.name == "selc_plus":
-        plus_epochs = method.plus_epochs or cfg.optimizer.epochs
-        plus_cfg = replace(run_cfg, total_epochs=plus_epochs)
-        plus_model, plus_opt = _build_model(cfg, view, seed, "plus_init")
-        plus_rows = []
-
-        def plus_hook(event):
-            test_probs = predict_proba(plus_model, test_x)
-            acc = float(np.mean(test_probs.argmax(axis=1) == test_y))
-            plus_rows.append({"epoch": event.epoch, "lr": event.lr,
-                              "train_loss": event.train_loss,
-                              "train_acc": event.train_acc, "test_acc": acc})
-            return False
-
-        run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
-                      cfg.optimizer.batch_size, seed, epoch_hook=plus_hook)
-        plus_acc = plus_rows[-1]["test_acc"]
-        _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS, plus_rows)
+    if trained.plus_rows is not None:
+        plus_acc = trained.plus_rows[-1]["test_acc"]
+        _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS,
+                   trained.plus_rows)
 
     return _TrialResult(
         seed=seed,
-        activation_epoch=activation_epoch,
+        activation_epoch=trained.activation_epoch,
         last_test_acc=last["test_acc"],
         last_correction_acc=last["correction_acc"],
         last_memorized_frac=last["mislabeled_memorized_frac"],
@@ -348,40 +398,94 @@ def _aggregate(results, key):
     return {"per_trial": per_trial, "mean": mean, "stddev": stddev}
 
 
-def _trial_job(cfg: ExperimentConfig, alpha: float, seed: int, trial_dir: str):
-    """Run one trial; a failure comes back as its message, so it stays
-    with that trial whether the job ran in a worker or in-process."""
+def _outcome(job, *args):
+    """Call a job; a failure comes back as its message, so it stays with
+    its trial whether the job ran in a worker or in-process."""
     try:
-        return _run_trial(cfg, alpha, seed, trial_dir)
+        return job(*args)
     except (ValueError, RuntimeError, OSError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _run_trial(run: _Run, k: int):
+    """Trial ``k`` in this process: its train job, then its diagnose job."""
+    trained = _outcome(_train_job, run, k)
+    if isinstance(trained, str):
+        return trained
+    return _outcome(_diagnose_job, run, k, trained)
+
+
+# the run a forked worker serves, set by its pool's initializer; the
+# fork hands the run over without pickling its data or shared mappings
+_WORKER_RUN = None
+
+
+def _serve(run: _Run) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _train_in_worker(k: int):
+    return _outcome(_train_job, _WORKER_RUN, k)
+
+
+def _diagnose_in_worker(k: int, trained: _Trained):
+    return _outcome(_diagnose_job, _WORKER_RUN, k, trained)
+
+
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
-    """Run the ``(alpha, seed, trial_dir)`` jobs; outcomes in job order.
+    """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
     Jobs go to forked worker processes, one per usable core, when there is
-    more than one job and nothing runs beside this thread that a fork could
-    catch holding a lock: BLAS runs one thread (see ``selc_lab``) and no
-    other Python thread is alive. Otherwise they run one after another in
-    this process. Forked workers share the parent's imports and see its
-    module state, so a job is just the trial's arguments.
+    more than one trial and nothing runs beside this thread that a fork
+    could catch holding a lock: BLAS runs one thread (see ``selc_lab``) and
+    no other Python thread is alive. Every train job is queued first; a
+    trial's diagnose job is queued when its train job completes, and none
+    is queued for a trial whose training failed. Otherwise the trials run
+    one after another in this process.
     """
+    if not jobs:
+        return []
     workers = 1
     if (len(jobs) > 1 and BLAS_PINNED and threading.active_count() == 1
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    data = _build_clean_data(cfg)
+    train_x, num_classes = data[0], data[4]
+
+    def trajectory():
+        return _Trajectory(cfg.optimizer.epochs, train_x.shape[0], num_classes)
+
+    # trials in this process run one at a time and can share one trajectory
+    trajectories = ([trajectory() for _ in jobs] if workers > 1
+                    else [trajectory()] * len(jobs))
+    run = _Run(cfg, data, _build_transition(cfg, num_classes), jobs, trajectories)
     if workers < 2:
-        return [_trial_job(cfg, *job) for job in jobs]
+        return [_run_trial(run, k) for k in range(len(jobs))]
     # imported only here: at module level they would lengthen the start-up
     # of every selc-lab command
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    alphas, seeds, trial_dirs = zip(*jobs)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # map yields in job order and cancels what is left if a job raises
-        return list(pool.map(_trial_job, [cfg] * len(jobs), alphas, seeds, trial_dirs))
+    outcomes = [None] * len(jobs)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_serve, initargs=(run,)) as pool:
+        pending = {pool.submit(_train_in_worker, k): k for k in range(len(jobs))}
+        try:
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    k = pending.pop(future)
+                    outcome = future.result()
+                    if isinstance(outcome, _Trained):
+                        pending[pool.submit(_diagnose_in_worker, k, outcome)] = k
+                    else:
+                        outcomes[k] = outcome
+        finally:
+            # a job that raised ends the run; what has not started is dropped
+            for future in pending:
+                future.cancel()
+    return outcomes
 
 
 def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes) -> dict:
@@ -417,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all trials (and the alpha sweep, if configured); returns the
     root summary dict that is also written to ``summary.json``.
 
-    Every (alpha, seed) trial of the run is one job for ``_run_jobs``.
+    Every (alpha, seed) trial of the run is one trial for ``_run_jobs``.
     """
     out_dir = os.environ.get("SELC_OUT_DIR") or cfg.out_dir
     alphas = alpha_values(cfg.method)

@@ -13,6 +13,7 @@ The turning point is the argmax epoch of a metric series (m1 by default).
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -316,17 +317,23 @@ class OnlineTurningPointDetector:
         return self.best_epoch
 
 
-def save_loss_snapshots(snapshots, path) -> None:
-    """CSV rows (epoch, sample_id, loss); floats via repr for exact reload.
+def save_loss_snapshots(losses, path) -> None:
+    """CSV rows (epoch, sample_id, loss) of an (epochs, n) loss matrix whose
+    row e holds epoch e; floats via repr for exact reload.
 
     Written one epoch at a time, so only one epoch's text is in memory.
     """
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.ndim != 2:
+        raise ParameterError(f"losses must be an (epochs, n) matrix, got shape {losses.shape}")
+    ids = [f",{i}," for i in range(losses.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(LOSSES_HEADER + "\n")
-        for snap in sorted(snapshots, key=lambda s: s.epoch):
-            epoch = snap.epoch
-            fh.write("".join(f"{epoch},{i},{loss!r}\n"
-                             for i, loss in enumerate(snap.losses.tolist())))
+        for epoch, row in enumerate(losses):
+            # line i is epoch + ids[i] + repr(loss i)
+            head = str(epoch)
+            fh.write(head + ("\n" + head).join(map(operator.add, ids, map(repr, row.tolist())))
+                     + "\n")
 
 
 def _bad_losses_line(path, exc) -> FormatError:

@@ -8,7 +8,13 @@ import yaml
 from selc_lab.cli import main
 from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.rng import stream
-from selc_lab.turning import LossSnapshot, load_metric_series, save_loss_snapshots
+from selc_lab.turning import (
+    LossSnapshot,
+    compute_metric_series,
+    load_loss_snapshots,
+    load_metric_series,
+    save_loss_snapshots,
+)
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -63,6 +69,29 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"dataset": {"n": 60.5}}, "dataset.n"),
+    ({"dataset": {"dim": 3.0}}, "dataset.dim"),
+    ({"dataset": {"num_classes": True}}, "dataset.num_classes"),
+    ({"dataset": {"test_n": 20.5}}, "dataset.test_n"),
+    ({"dataset": {"seed": 0.5}}, "dataset.seed"),
+    ({"optimizer": {"epochs": 2.0}}, "optimizer.epochs"),
+    ({"optimizer": {"batch_size": 16.5}}, "optimizer.batch_size"),
+    ({"optimizer": {"milestones": [1.5]}}, "optimizer.milestones"),
+    ({"model": {"hidden_dims": [8.0]}}, "model.hidden_dims"),
+    ({"model": {"hidden_dims": 8}}, "model.hidden_dims"),
+    ({"trials": [1, 2.5]}, "trials"),
+    ({"method": {"name": "selc_plus", "plus_epochs": 1.5}}, "method.plus_epochs"),
+    ({"method": {"detector_patience": "ten"}}, "method.detector_patience"),
+])
+def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field} must be" in err
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -135,11 +164,9 @@ def make_losses_csv(tmp_path):
     from statistics import NormalDist
     zs = np.array([NormalDist().inv_cdf((i + 0.5) / 30) for i in range(30)])
     gaps = [0.05, 0.15, 0.3, 0.2, 0.1]
-    snaps = [LossSnapshot.from_losses(e, np.concatenate([1.0 + 0.03 * zs,
-                                                         1.0 + g + 0.03 * zs]))
-             for e, g in enumerate(gaps)]
+    losses = np.array([np.concatenate([1.0 + 0.03 * zs, 1.0 + g + 0.03 * zs]) for g in gaps])
     path = tmp_path / "losses.csv"
-    save_loss_snapshots(snaps, path)
+    save_loss_snapshots(losses, path)
     return path
 
 
@@ -158,6 +185,23 @@ def test_detect_verb_series_out_and_metric(tmp_path, capsys):
                  "--smooth", "--series-out", str(series_path)]) == 0
     series = load_metric_series(series_path)
     assert list(series.epochs) == [0, 1, 2, 3, 4]
+
+
+def test_detect_verb_reloads_written_losses_bit_for_bit(tmp_path, capsys):
+    losses = stream(8, "reload").lognormal(0.0, 1.5, size=(6, 40))
+    losses[0, :3] = [0.0, 5e-324, 27.631021115928547]
+    path = tmp_path / "losses.csv"
+    save_loss_snapshots(losses, path)
+    back = load_loss_snapshots(path)
+    assert [s.epoch for s in back] == list(range(6))
+    assert np.array_equal(np.array([s.losses for s in back]), losses)
+    series_path = tmp_path / "series.csv"
+    assert main(["detect-turning-point", str(path), "--series-out", str(series_path)]) == 0
+    reloaded = load_metric_series(series_path)
+    direct = compute_metric_series([LossSnapshot.from_losses(e, row)
+                                    for e, row in enumerate(losses)])
+    for name in ("epochs", "m1", "m2", "m3"):
+        assert np.array_equal(getattr(reloaded, name), getattr(direct, name)), name
 
 
 def test_detect_verb_bad_csv(tmp_path, capsys):

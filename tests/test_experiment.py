@@ -9,16 +9,22 @@ import pytest
 import yaml
 
 import selc_lab
+import selc_lab.data as data
 import selc_lab.experiment as experiment
 from selc_lab.config import config_from_dict, validate_config
+from selc_lab.data import BlobSpec, TrainView, generate_blobs, save_csv_dataset
+from selc_lab.diagnostics import correction_accuracy, memorization_stats
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
     _mean_stddev,
     desk_benchmark_config,
     run_experiment,
 )
+from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
+from selc_lab.noise import build_symmetric_q, inject_noise
 from selc_lab.targets import load_state
-from selc_lab.turning import load_loss_snapshots
+from selc_lab.training import SelcRunConfig, run_training
+from selc_lab.turning import load_loss_snapshots, normalize_losses, separation_metrics
 
 
 def tiny_config_data(**overrides):
@@ -80,6 +86,45 @@ def test_trial_artifacts_and_summary(tmp_path):
     assert on_disk["completed"] == [1, 2]
 
 
+@pytest.mark.parametrize("method", ["selc", "option1", "ce"])
+def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
+    """The diagnose job's epochs.csv and losses.csv hold what an epoch hook
+    computing every diagnostic during training would have written."""
+    cfg = tiny_config(tmp_path, method={"name": method, "activation_epoch": 1},
+                      optimizer={"epochs": 4}, trials=[1])
+    run_experiment(cfg)
+
+    train_x, train_y, test_x, test_y, num_classes = experiment._build_clean_data(cfg)
+    noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
+    view = TrainView(train_x, noisy, np.arange(noisy.size), num_classes)
+    model, opt = experiment._build_model(cfg, view, 1, "init")
+    noisy_onehot = one_hot(noisy, num_classes)
+    rows, losses = [], []
+
+    def observe(event):
+        per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
+        losses.append(per_sample)
+        m1, m2, m3 = separation_metrics(normalize_losses(per_sample))
+        test_acc = float(np.mean(predict_proba(model, test_x).argmax(axis=1) == test_y))
+        targets = event.state.targets if event.state is not None else noisy_onehot
+        mem = memorization_stats(event.snapshot.probs, noisy, train_y, event.epoch)
+        rows.append([event.epoch, event.lr, event.train_loss, event.train_acc, test_acc,
+                     m1, m2, m3, correction_accuracy(targets, train_y),
+                     mem.clean_correct_frac, mem.clean_incorrect_frac,
+                     mem.mislabeled_correct_frac, mem.mislabeled_memorized_frac,
+                     mem.mislabeled_other_frac])
+
+    run_training(view, model, opt, SelcRunConfig(total_epochs=4, activation_epoch=1),
+                 method, 16, 1, epoch_hook=observe)
+    trial = os.path.join(cfg.out_dir, "trial_1")
+    expected = [",".join(EPOCH_COLUMNS)] + [",".join(experiment._fmt(v) for v in row)
+                                            for row in rows]
+    with open(os.path.join(trial, "epochs.csv")) as fh:
+        assert fh.read().splitlines() == expected
+    written = load_loss_snapshots(os.path.join(trial, "losses.csv"))
+    assert np.array_equal([s.losses for s in written], losses)
+
+
 def test_ce_method_writes_no_targets(tmp_path):
     cfg = tiny_config(tmp_path, method={"name": "ce"})
     summary = run_experiment(cfg)
@@ -125,20 +170,57 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
 
 def test_failing_trial_is_isolated(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path)
-    real = experiment._run_trial
+    real = experiment._train_job
 
-    def flaky(cfg_, alpha, seed, trial_dir):
-        if seed == 1:
+    def flaky(run, k):
+        if run.jobs[k][1] == 1:
             raise RuntimeError("injected failure")
-        return real(cfg_, alpha, seed, trial_dir)
+        return real(run, k)
 
-    monkeypatch.setattr(experiment, "_run_trial", flaky)
+    monkeypatch.setattr(experiment, "_train_job", flaky)
+    record_pids(monkeypatch)
     summary = run_experiment(cfg)
     assert summary["completed"] == [2]
     assert summary["failed"] == {"1": "RuntimeError: injected failure"}
     assert summary["empty"] is False
     assert summary["last_epoch_test_acc"]["per_trial"] == {"2": pytest.approx(
         summary["last_epoch_test_acc"]["mean"])}
+    # no diagnose job for the trial whose training failed
+    assert not os.path.exists(os.path.join(cfg.out_dir, "trial_1", "diagnose_job.pid"))
+    assert os.path.exists(os.path.join(cfg.out_dir, "trial_2", "diagnose_job.pid"))
+
+
+def test_failing_diagnose_job_stays_with_its_trial(tmp_path):
+    cfg = tiny_config(tmp_path, trials=[1, 2, 3])
+    # a directory where trial 2's epochs.csv belongs makes its write fail
+    os.makedirs(os.path.join(cfg.out_dir, "trial_2", "epochs.csv"))
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 3]
+    assert list(summary["failed"]) == ["2"]
+    assert summary["failed"]["2"].startswith("IsADirectoryError: ")
+    for seed in (1, 3):
+        assert os.path.exists(os.path.join(cfg.out_dir, f"trial_{seed}", "losses.csv"))
+
+
+def test_csv_files_parsed_once_per_run(tmp_path, monkeypatch):
+    spec = BlobSpec(n=60, dim=3, num_classes=3, cluster_std=0.3, seed=0)
+    for split in ("train", "test"):
+        save_csv_dataset(tmp_path / f"{split}.csv", *generate_blobs(spec, split=split))
+    parses = tmp_path / "parses.log"
+    real = data.load_csv_dataset
+
+    def counting(path):
+        # appended to a file, so parses in worker processes count too
+        with open(parses, "a") as fh:
+            fh.write(os.path.basename(path) + "\n")
+        return real(path)
+
+    monkeypatch.setattr(data, "load_csv_dataset", counting)
+    cfg = tiny_config(tmp_path, dataset={"kind": "csv", "train_csv": "train.csv",
+                                         "test_csv": "test.csv"}, trials=[1, 2, 3])
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 2, 3]
+    assert sorted(parses.read_text().split()) == ["test.csv", "train.csv"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -229,16 +311,26 @@ def read_tree(root):
 
 
 def record_pids(monkeypatch):
-    """Make every trial write the id of the process that ran it."""
-    real = experiment._run_trial
+    """Make every train and diagnose job write the id of the process that
+    ran it to ``train_job.pid`` and ``diagnose_job.pid`` in its trial."""
+    for name in ("_train_job", "_diagnose_job"):
+        real = getattr(experiment, name)
 
-    def recording(cfg_, alpha, seed, trial_dir):
-        result = real(cfg_, alpha, seed, trial_dir)
-        with open(os.path.join(trial_dir, "pid"), "w") as fh:
-            fh.write(str(os.getpid()))
-        return result
+        def recording(run, k, *args, real=real, name=name):
+            result = real(run, k, *args)
+            with open(os.path.join(run.jobs[k][2], name.strip("_") + ".pid"), "w") as fh:
+                fh.write(str(os.getpid()))
+            return result
 
-    monkeypatch.setattr(experiment, "_run_trial", recording)
+        monkeypatch.setattr(experiment, name, recording)
+
+
+def job_pids(cfg, seed):
+    pids = []
+    for job in ("train", "diagnose"):
+        with open(os.path.join(cfg.out_dir, f"trial_{seed}", f"{job}_job.pid")) as fh:
+            pids.append(fh.read())
+    return pids
 
 
 def test_cli_run_matches_in_process_trials(tmp_path, monkeypatch):
@@ -257,6 +349,29 @@ def test_cli_run_matches_in_process_trials(tmp_path, monkeypatch):
     assert read_tree(tmp_path / "cli") == in_process
 
 
+@pytest.mark.parametrize("method", [
+    {"name": "selc"},
+    {"name": "selc_plus", "plus_epochs": 2},
+    {"name": "ce"},
+])
+def test_three_trial_cli_run_matches_in_process_trials(tmp_path, monkeypatch, method):
+    # three trials on a pool of two workers: a diagnose job runs beside the
+    # third train job
+    overrides = {"method": method, "trials": [1, 2, 3]}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(tiny_config_data(**overrides, out_dir="cli")))
+    subprocess.run([sys.executable, "-c", RUN_CLI, "run", str(path)],
+                   env=child_env(), check=True, timeout=120, capture_output=True)
+
+    monkeypatch.setattr(experiment, "BLAS_PINNED", False)
+    cfg = tiny_config(tmp_path, **overrides, out_dir="in_process")
+    run_experiment(cfg)
+    in_process = read_tree(cfg.out_dir)
+    per_trial = {"selc": 5, "selc_plus": 6, "ce": 4}[method["name"]]
+    assert len(in_process) == 1 + 3 * per_trial
+    assert read_tree(tmp_path / "cli") == in_process
+
+
 def test_trials_run_in_worker_processes(tmp_path, monkeypatch):
     if not (experiment.BLAS_PINNED and threading.active_count() == 1 and hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
@@ -265,7 +380,8 @@ def test_trials_run_in_worker_processes(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, trials=[1, 2, 3])
     summary = run_experiment(cfg)
     assert summary["completed"] == [1, 2, 3]
-    pids = {open(os.path.join(cfg.out_dir, f"trial_{seed}", "pid")).read() for seed in (1, 2, 3)}
+    # train and diagnose jobs alike
+    pids = {pid for seed in (1, 2, 3) for pid in job_pids(cfg, seed)}
     assert str(os.getpid()) not in pids
 
 
@@ -282,14 +398,14 @@ def test_trials_run_in_process_beside_another_thread(tmp_path, monkeypatch):
         other.join(timeout=60)
     assert not other.is_alive()
     for seed in (1, 2):
-        assert open(os.path.join(cfg.out_dir, f"trial_{seed}", "pid")).read() == str(os.getpid())
+        assert job_pids(cfg, seed) == [str(os.getpid())] * 2
 
 
 def test_one_trial_runs_in_process(tmp_path, monkeypatch):
     record_pids(monkeypatch)
     cfg = tiny_config(tmp_path, trials=[1])
     run_experiment(cfg)
-    assert open(os.path.join(cfg.out_dir, "trial_1", "pid")).read() == str(os.getpid())
+    assert job_pids(cfg, 1) == [str(os.getpid())] * 2
 
 
 def import_report(env, numpy_first=False):
@@ -327,9 +443,9 @@ cfg = config_from_dict(json.loads(sys.argv[1]), base_dir=sys.argv[2])
 real = experiment._run_trial
 pids = []
 
-def recording(cfg_, alpha, seed, trial_dir):
+def recording(run, k):
     pids.append(os.getpid())
-    return real(cfg_, alpha, seed, trial_dir)
+    return real(run, k)
 
 experiment._run_trial = recording
 summary = experiment.run_experiment(cfg)

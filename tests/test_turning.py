@@ -359,15 +359,41 @@ def test_detector_validation():
 
 
 def test_loss_snapshot_roundtrip_is_exact(tmp_path):
-    rng = stream(6, "io")
-    snaps = [LossSnapshot.from_losses(e, rng.uniform(0.01, 3.0, size=17)) for e in (0, 2, 5)]
+    losses = stream(6, "io").uniform(0.01, 3.0, size=(3, 17))
     path = tmp_path / "losses.csv"
-    save_loss_snapshots(snaps, path)
+    save_loss_snapshots(losses, path)
     back = load_loss_snapshots(path)
-    assert [s.epoch for s in back] == [0, 2, 5]
-    for a, b in zip(snaps, back):
-        assert np.array_equal(a.losses, b.losses)
-        assert np.array_equal(a.normalized, b.normalized)
+    assert [s.epoch for s in back] == [0, 1, 2]
+    for row, b in zip(losses, back):
+        assert np.array_equal(row, b.losses)
+        assert np.array_equal(LossSnapshot.from_losses(0, row).normalized, b.normalized)
+
+
+def snapshot_writer_reference(snapshots, path):
+    """The per-snapshot losses.csv writer the matrix writer replaced."""
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,sample_id,loss\n")
+        for snap in sorted(snapshots, key=lambda s: s.epoch):
+            epoch = snap.epoch
+            fh.write("".join(f"{epoch},{i},{loss!r}\n"
+                             for i, loss in enumerate(snap.losses.tolist())))
+
+
+@pytest.mark.parametrize("epochs,n", [(1, 1), (3, 17), (12, 1001)])
+def test_loss_matrix_writer_matches_snapshot_writer(tmp_path, epochs, n):
+    losses = stream(9, "bytes").lognormal(0.0, 2.0, size=(epochs, n))
+    losses[0, 0] = 27.631021115928547  # -log(1e-12), the clamped maximum
+    if n > 3:
+        losses[-1, 1:4] = [0.0, 5e-324, 1.0]
+    save_loss_snapshots(losses, tmp_path / "matrix.csv")
+    snapshot_writer_reference([LossSnapshot.from_losses(e, row) for e, row in enumerate(losses)],
+                              tmp_path / "snapshots.csv")
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "snapshots.csv").read_bytes()
+
+
+def test_loss_matrix_writer_rejects_non_matrix(tmp_path):
+    with pytest.raises(ParameterError):
+        save_loss_snapshots(np.ones(5), tmp_path / "losses.csv")
 
 
 def test_loss_snapshot_load_rejects_bad_files(tmp_path):
