@@ -57,7 +57,7 @@ from .errors import (
     ParameterError,
     TrainingDivergenceError,
 )
-from .experiment import desk_benchmark_config, run_experiment
+from .experiment import run_experiment
 from .mlp import (
     Gradients,
     MlpModel,
@@ -105,7 +105,6 @@ from .training import (
 from .turning import (
     GmmFit,
     KMeansFit,
-    LossSnapshot,
     MetricSeries,
     OnlineTurningPointDetector,
     compute_metric_series,

@@ -87,8 +87,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    snapshots = load_loss_snapshots(args.losses_csv)
-    series = compute_metric_series(snapshots)
+    epochs, losses = load_loss_snapshots(args.losses_csv)
+    if epochs.size == 0:
+        raise FormatError(f"{args.losses_csv}: no losses after the header")
+    series = compute_metric_series(epochs, losses)
     if args.series_out:
         save_metric_series(series, args.series_out)
     for name in METRIC_NAMES:
@@ -97,35 +99,49 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_inspect(args) -> int:
-    path = os.path.join(args.run_dir, "summary.json")
-    if not os.path.exists(path):
-        raise ParameterError(f"no summary.json under {args.run_dir}")
-    with open(path) as fh:
-        summary = json.load(fh)
+def _summary_lines(summary) -> list:
+    """What ``inspect`` prints for a run's summary; a malformed one raises
+    KeyError, TypeError, ValueError or AttributeError."""
     if "alpha_sweep" in summary:
-        print(f"alpha sweep: {', '.join(summary['alpha_sweep'])}")
+        lines = [f"alpha sweep: {', '.join(summary['alpha_sweep'])}"]
         for key, sub in summary["runs"].items():
             agg = sub.get("last_epoch_test_acc")
-            line = f"  alpha {key}: "
-            line += "no completed trials" if not agg else \
-                f"test acc {agg['mean']:.6g} +/- {agg['stddev']:.6g}"
-            print(line)
+            lines.append(f"  alpha {key}: " + ("no completed trials" if not agg else
+                                              f"test acc {agg['mean']:.6g} +/- {agg['stddev']:.6g}"))
         if summary.get("test_acc_spread") is not None:
-            print(f"spread: {summary['test_acc_spread']:.6g}")
-        return 0
-    print(f"method: {summary['method']}")
-    print(f"alpha: {summary['alpha']:.6g}")
-    print(f"trials: {len(summary['completed'])} completed, {len(summary['failed'])} failed")
+            lines.append(f"spread: {summary['test_acc_spread']:.6g}")
+        return lines
+    lines = [f"method: {summary['method']}", f"alpha: {summary['alpha']:.6g}",
+             f"trials: {len(summary['completed'])} completed, {len(summary['failed'])} failed"]
     for name, label in (("last_epoch_test_acc", "test acc"),
                         ("last_epoch_correction_acc", "correction acc"),
                         ("last_epoch_memorized_frac", "memorized frac"),
                         ("plus_last_epoch_test_acc", "retrain test acc")):
         agg = summary.get(name)
         if agg:
-            print(f"{label}: {agg['mean']:.6g} +/- {agg['stddev']:.6g}")
-    for seed, err in summary.get("failed", {}).items():
-        print(f"trial {seed} failed: {err}")
+            lines.append(f"{label}: {agg['mean']:.6g} +/- {agg['stddev']:.6g}")
+    lines.extend(f"trial {seed} failed: {err}" for seed, err in summary["failed"].items())
+    return lines
+
+
+def _cmd_inspect(args) -> int:
+    path = os.path.join(args.run_dir, "summary.json")
+    if not os.path.exists(path):
+        raise ParameterError(f"no summary.json under {args.run_dir}")
+    with open(path) as fh:
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        lines = _summary_lines(summary)
+    except KeyError as exc:
+        raise FormatError(f"{path}: not a run summary: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: not a run summary: {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -137,13 +153,14 @@ def _cmd_make_blobs(args) -> int:
             raise ParameterError(f"{args.spec}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParameterError(f"{args.spec}: expected a mapping of blob fields")
-    unknown = set(raw) - {"n", "dim", "num_classes", "cluster_std", "seed", "test_n"}
-    if unknown:
-        raise ParameterError(f"{args.spec}: unknown keys {sorted(unknown)}")
-    spec = BlobSpec(**raw)
+    try:
+        spec = BlobSpec(**raw)
+        # both splits exist before either file is written
+        splits = [(split, *generate_blobs(spec, split=split)) for split in ("train", "test")]
+    except (ParameterError, TypeError) as exc:
+        raise ParameterError(f"{args.spec}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
-    for split in ("train", "test"):
-        features, labels = generate_blobs(spec, split=split)
+    for split, features, labels in splits:
         path = os.path.join(args.out_dir, f"{split}.csv")
         save_csv_dataset(path, features, labels)
         print(f"wrote {path} ({features.shape[0]} x {features.shape[1]})")

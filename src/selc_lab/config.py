@@ -10,21 +10,20 @@ only.
 """
 
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import yaml
 
-from .data import BlobSpec, _blob_centers, load_dataset_files
+from .data import BlobSpec, _blob_centers, check_integer_fields, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import build_asymmetric_q, load_mapping
+from .turning import MIN_SAMPLES
 
 DATASET_KINDS = ("blobs", "idx", "csv")
 NOISE_KINDS = ("none", "symmetric", "asymmetric")
 METHOD_NAMES = ("ce", "bootstrap", "selc", "option1", "selc_plus")
 AUTO = "auto"
-# the turning-point GMM fits a mixture to each epoch's per-sample losses
-MIN_TRAIN_SAMPLES = 4
 
 
 @dataclass
@@ -111,34 +110,14 @@ def _require(cond, message):
         raise ParameterError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_integer_fields(spec, prefix: str = "") -> None:
-    """Reject a float, bool or string in a field annotated ``int``,
-    ``int | None`` or ``list[int]``, naming the field."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        name = prefix + f.name
-        if is_dataclass(value):
-            _check_integer_fields(value, name + ".")
-        elif f.type in (int, int | None):
-            _require(_is_int(value) or (value is None and f.type is not int),
-                     f"{name} must be an integer, got {value!r}")
-        elif f.type == list[int]:
-            _require(isinstance(value, list) and all(_is_int(v) for v in value),
-                     f"{name} must be a list of integers, got {value!r}")
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
     ds, noise, model, opt, method = cfg.dataset, cfg.noise, cfg.model, cfg.optimizer, cfg.method
-    _check_integer_fields(cfg)
+    check_integer_fields(cfg)
     _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")
-        _require(ds.n >= max(ds.num_classes, MIN_TRAIN_SAMPLES),
-                 f"dataset.n must be >= num_classes and >= {MIN_TRAIN_SAMPLES}, got {ds.n}")
+        _require(ds.n >= max(ds.num_classes, MIN_SAMPLES),
+                 f"dataset.n must be >= num_classes and >= {MIN_SAMPLES}, got {ds.n}")
         test_n = ds.test_n if ds.test_n is not None else ds.n // 4
         _require(test_n >= ds.num_classes,
                  f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
@@ -159,8 +138,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
         cfg.dataset_files = load_dataset_files(ds)
         train_y, num_classes = cfg.dataset_files[1], cfg.dataset_files[4]
-        _require(train_y.size >= MIN_TRAIN_SAMPLES,
-                 f"dataset.{names[0]}: need at least {MIN_TRAIN_SAMPLES} training samples, "
+        _require(train_y.size >= MIN_SAMPLES,
+                 f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
                  f"got {train_y.size}")
 
     _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")

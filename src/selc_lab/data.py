@@ -6,7 +6,7 @@ full dataset.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -70,6 +70,27 @@ def make_noisy_dataset(features, clean_labels, tm: TransitionMatrix, seed: int) 
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_integer_fields(spec, prefix: str = "") -> None:
+    """Reject a float, bool or string in a field of dataclass ``spec``, or
+    of a dataclass nested in it, annotated ``int``, ``int | None`` or
+    ``list[int]``; the ``ParameterError`` names the field."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        name = prefix + f.name
+        if is_dataclass(value):
+            check_integer_fields(value, name + ".")
+        elif f.type in (int, int | None):
+            if not (_is_int(value) or (value is None and f.type is not int)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        elif f.type == list[int]:
+            if not (isinstance(value, list) and all(_is_int(v) for v in value)):
+                raise ParameterError(f"{name} must be a list of integers, got {value!r}")
+
+
 @dataclass
 class BlobSpec:
     """Isotropic Gaussian clusters around well-separated random centers."""
@@ -82,6 +103,7 @@ class BlobSpec:
     test_n: int | None = None  # defaults to n // 4
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.num_classes < 2:
             raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
         if self.n < self.num_classes:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import BLAS_PINNED
-from .config import AUTO, ExperimentConfig, MethodSpecConfig, alpha_values
+from .config import AUTO, ExperimentConfig, alpha_values
 from .data import BlobSpec, TrainView, generate_blobs, load_dataset_files
 from .diagnostics import (
     append_metrics_ledger,
@@ -62,6 +62,7 @@ from .training import (
 from .turning import (
     METRIC_NAMES,
     OnlineTurningPointDetector,
+    compute_metric_series,
     normalize_losses,
     save_loss_snapshots,
     separation_metrics,
@@ -106,33 +107,6 @@ def _write_json(data, path) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(_round6(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def desk_benchmark_config(method: str = "selc", out_dir: str = "out",
-                          trials=(1, 2, 3), alpha=0.9,
-                          activation_epoch=AUTO) -> ExperimentConfig:
-    """The fixed in-repo benchmark: 4 Gaussian blob classes, 40% symmetric
-    label noise, a small two-hidden-layer net, 60 epochs with two lr drops.
-    """
-    from .config import (
-        DatasetSpecConfig,
-        ModelSpecConfig,
-        NoiseSpecConfig,
-        OptimizerSpecConfig,
-    )
-
-    return ExperimentConfig(
-        dataset=DatasetSpecConfig(kind="blobs", n=4000, dim=16, num_classes=4,
-                                  cluster_std=1.0, seed=0),
-        noise=NoiseSpecConfig(kind="symmetric", eta=0.4),
-        model=ModelSpecConfig(hidden_dims=[64, 64], activation="relu"),
-        optimizer=OptimizerSpecConfig(lr=0.06, momentum=0.9, weight_decay=0.0,
-                                      milestones=[24, 48], decay_factor=10.0,
-                                      batch_size=128, epochs=60),
-        method=MethodSpecConfig(name=method, alpha=alpha, activation_epoch=activation_epoch),
-        trials=list(trials),
-        out_dir=out_dir,
-    )
 
 
 def _build_clean_data(cfg: ExperimentConfig):
@@ -250,24 +224,18 @@ def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int) -> int:
     detector = OnlineTurningPointDetector(patience=method.detector_patience)
     noisy_onehot = one_hot(view.noisy_labels, view.num_classes)
     metric = METRIC_NAMES.index(method.metric_choice)
-    values = []
 
     def hook(event):
         per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
-        value = separation_metrics(normalize_losses(per_sample))[metric]
-        values.append(value)
-        return detector.observe(event.epoch, value)
+        return detector.observe(event.epoch,
+                                separation_metrics(normalize_losses(per_sample))[metric])
 
     model, opt = _build_model(cfg, view, seed, "init")
     warm_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs)
     run_training(view, model, opt, warm_cfg, METHOD_CE,
                  cfg.optimizer.batch_size, seed, epoch_hook=hook)
-    if detector.fired:
-        estimated = detector.estimate
-    else:
-        # ran out of epochs before the patience rule tripped
-        estimated = int(np.argmax(values))
-    return default_activation_epoch(estimated)
+    # fired or not, the running maximum is the earliest argmax so far
+    return default_activation_epoch(detector.estimate)
 
 
 def _epoch_row(event, model, test_x, test_y) -> dict:
@@ -342,9 +310,10 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
     trajectory = run.trajectories[k]
     true_labels, num_classes = run.data[1], run.data[4]
     rows = trained.rows
-    for row, losses, predicted, target in zip(rows, trajectory.losses, trajectory.predicted,
-                                              trajectory.target):
-        row["m1"], row["m2"], row["m3"] = separation_metrics(normalize_losses(losses))
+    series = compute_metric_series(np.arange(len(trajectory.losses)), trajectory.losses)
+    for row, m1, m2, m3, predicted, target in zip(rows, series.m1, series.m2, series.m3,
+                                                  trajectory.predicted, trajectory.target):
+        row["m1"], row["m2"], row["m3"] = m1, m2, m3
         row["correction_acc"] = float(np.mean(target == true_labels))
         mem = memorization_stats(predicted, trajectory.noisy, true_labels, row["epoch"])
         for name in LEDGER_METRICS[1:]:  # the memorization fractions

@@ -10,6 +10,12 @@ separation metrics track that gap per epoch:
   m3  gap between the two 1-D k-means centroids
 
 The turning point is the argmax epoch of a metric series (m1 by default).
+
+Per-epoch losses are one (epochs, n) float64 matrix everywhere: row i
+holds epoch i's loss of sample j in column j. ``save_loss_snapshots``
+writes it as ``losses.csv``, ``load_loss_snapshots`` reads it back with
+its epoch numbers, and ``compute_metric_series`` turns it into the three
+series, normalizing one row at a time.
 """
 
 import math
@@ -26,6 +32,8 @@ EM_TOL = 1e-6
 EM_MAX_ITER = 200
 KMEANS_MAX_ITER = 200
 METRIC_NAMES = ("m1", "m2", "m3")
+# a two-component mixture needs a few points per epoch
+MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
 _LOSSES_DTYPE = [("epoch", np.int64), ("sample_id", np.int64), ("loss", np.float64)]
 
@@ -44,28 +52,6 @@ def normalize_losses(losses) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(losses)
     return (losses - lo) / (hi - lo)
-
-
-@dataclass
-class LossSnapshot:
-    """Per-sample CE losses for one epoch plus their normalized form."""
-
-    epoch: int
-    losses: np.ndarray
-    normalized: np.ndarray
-
-    def __post_init__(self):
-        self.losses = np.asarray(self.losses, dtype=np.float64)
-        self.normalized = np.asarray(self.normalized, dtype=np.float64)
-        if self.losses.shape != self.normalized.shape:
-            raise ParameterError("losses and normalized lengths differ")
-        if self.normalized.size and (self.normalized.min() < 0.0 or self.normalized.max() > 1.0):
-            raise ParameterError("normalized losses must lie in [0, 1]")
-
-    @classmethod
-    def from_losses(cls, epoch: int, losses) -> "LossSnapshot":
-        losses = np.asarray(losses, dtype=np.float64)
-        return cls(epoch=epoch, losses=losses, normalized=normalize_losses(losses))
 
 
 @dataclass
@@ -96,8 +82,9 @@ def fit_gmm2(normalized_losses) -> GmmFit:
     The pre-pass's centroid gap is returned as ``m3``.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
-    if x.ndim != 1 or x.size < 4:
-        raise ParameterError(f"need at least 4 one-dimensional points, got shape {x.shape}")
+    if x.ndim != 1 or x.size < MIN_SAMPLES:
+        raise ParameterError(f"need at least {MIN_SAMPLES} one-dimensional points, "
+                             f"got shape {x.shape}")
     km, m3 = fit_kmeans2_and_m3(x)
     # responsibilities of the two components, r0 + r1 = 1
     r1 = km.assignments.astype(np.float64)
@@ -246,14 +233,17 @@ class MetricSeries:
         return getattr(self, metric_choice)
 
 
-def compute_metric_series(snapshots) -> MetricSeries:
-    """The three metrics of every snapshot, in epoch order."""
-    snapshots = sorted(snapshots, key=lambda s: s.epoch)
-    if not snapshots:
-        raise ParameterError("need at least one loss snapshot")
-    m1s, m2s, m3s = zip(*(separation_metrics(snap.normalized) for snap in snapshots))
-    return MetricSeries(epochs=np.array([snap.epoch for snap in snapshots]), m1=np.array(m1s),
-                        m2=np.array(m2s), m3=np.array(m3s))
+def compute_metric_series(epochs, losses) -> MetricSeries:
+    """The three metrics of each row of an (epochs, n) loss matrix whose row
+    i holds epoch ``epochs[i]``; epochs must be strictly increasing."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.ndim != 2 or losses.shape[0] != len(epochs):
+        raise ParameterError(f"need one loss row per epoch, got {len(epochs)} epochs "
+                             f"and losses of shape {losses.shape}")
+    if len(epochs) == 0:
+        raise ParameterError("need at least one epoch of losses")
+    m1s, m2s, m3s = zip(*(separation_metrics(normalize_losses(row)) for row in losses))
+    return MetricSeries(epochs=epochs, m1=np.array(m1s), m2=np.array(m2s), m3=np.array(m3s))
 
 
 def _median3(values: np.ndarray) -> np.ndarray:
@@ -336,8 +326,9 @@ def save_loss_snapshots(losses, path) -> None:
                      + "\n")
 
 
-def _bad_losses_line(path, exc) -> FormatError:
-    """Rescan a losses CSV numpy rejected, to name the first bad line."""
+def _bad_losses_line(path, message) -> FormatError:
+    """Rescan a losses CSV that failed to load, to name its first bad line;
+    ``message`` describes the failure when no single line is at fault."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -349,13 +340,23 @@ def _bad_losses_line(path, exc) -> FormatError:
             try:
                 int(parts[0])
                 int(parts[1])
-                float(parts[2])
+                loss = float(parts[2])
             except ValueError as line_exc:
                 return FormatError(f"{path}:{lineno}: {line_exc}")
-    return FormatError(f"{path}: {exc}")
+            if not math.isfinite(loss):
+                return FormatError(f"{path}:{lineno}: loss must be finite, got {parts[2]}")
+    return FormatError(f"{path}: {message}")
 
 
 def load_loss_snapshots(path):
+    """(epochs, losses) of a losses CSV: the ascending int64 epoch numbers
+    and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``.
+
+    Lines may come in any order. Every epoch must hold the sample ids
+    0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch,
+    and every loss must be finite. A header-only file is an empty run:
+    no epochs and a (0, 0) matrix.
+    """
     with open(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
@@ -368,17 +369,27 @@ def load_loss_snapshots(path):
         except ValueError as exc:
             raise _bad_losses_line(path, exc) from exc
     if epochs.size == 0:
-        return []
+        return epochs, np.empty((0, 0))
+    if not np.isfinite(losses).all():
+        raise _bad_losses_line(path, "losses must be finite")
     order = np.lexsort((ids, epochs))
     epochs, ids, losses = epochs[order], ids[order], losses[order]
-    bounds = np.flatnonzero(np.diff(epochs)) + 1
-    snapshots = []
-    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, epochs.size]):
-        epoch = int(epochs[start])
-        if not np.array_equal(ids[start:stop], np.arange(stop - start)):
-            raise FormatError(f"{path}: epoch {epoch} sample ids are not 0..{stop - start - 1}")
-        snapshots.append(LossSnapshot.from_losses(epoch, losses[start:stop]))
-    return snapshots
+    starts = np.r_[0, np.flatnonzero(np.diff(epochs)) + 1]
+    sizes = np.diff(np.r_[starts, epochs.size])
+    n = int(sizes[0])
+    uneven = np.flatnonzero(sizes != n)
+    if uneven.size:
+        k = uneven[0]
+        raise FormatError(f"{path}: epoch {epochs[starts[k]]} holds {sizes[k]} samples, "
+                          f"epoch {epochs[0]} holds {n}")
+    if n < MIN_SAMPLES:
+        raise FormatError(f"{path}: each epoch needs at least {MIN_SAMPLES} samples, got {n}")
+    ids = ids.reshape(-1, n)
+    misnumbered = np.flatnonzero((ids != np.arange(n)).any(axis=1))
+    if misnumbered.size:
+        raise FormatError(f"{path}: epoch {epochs[starts[misnumbered[0]]]} sample ids "
+                          f"are not 0..{n - 1}")
+    return epochs[starts], losses.reshape(-1, n)
 
 
 def save_metric_series(series: MetricSeries, path) -> None:

@@ -11,14 +11,16 @@ in conftest.py prints one PASS/FAIL line per criterion.
 import os
 import time
 import warnings
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from selc_lab.config import load_config
 from selc_lab.data import BlobSpec, generate_blobs
-from selc_lab.experiment import desk_benchmark_config, run_experiment
+from selc_lab.experiment import run_experiment
 from selc_lab.mlp import (
     backward,
     init_mlp,
@@ -38,7 +40,6 @@ from selc_lab.targets import (
     update_targets,
 )
 from selc_lab.turning import (
-    LossSnapshot,
     compute_metric_series,
     estimate_turning_point,
     fit_gmm2,
@@ -46,6 +47,17 @@ from selc_lab.turning import (
     metric_m1,
     metric_m2,
 )
+
+
+DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "desk_benchmark.yaml")
+
+
+def desk_config(method, out_dir, alpha=0.9):
+    """The desk benchmark config file with its method, alpha and output
+    directory replaced."""
+    cfg = load_config(DESK_CONFIG)
+    return replace(cfg, method=replace(cfg.method, name=method, alpha=alpha), out_dir=out_dir)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -63,7 +75,7 @@ def bench(tmp_path_factory):
     start = time.perf_counter()
     summaries = {}
     for method in ("ce", "selc", "option1"):
-        cfg = desk_benchmark_config(method=method, out_dir=str(base / method))
+        cfg = desk_config(method, str(base / method))
         summaries[method] = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     return {"summaries": summaries, "base": base, "elapsed": elapsed}
@@ -72,15 +84,14 @@ def bench(tmp_path_factory):
 @pytest.fixture(scope="module")
 def sweep_summary(tmp_path_factory):
     base = tmp_path_factory.mktemp("sweep")
-    cfg = desk_benchmark_config(method="selc", out_dir=str(base / "sweep"),
-                                alpha=[0.85, 0.9, 0.95])
+    cfg = desk_config("selc", str(base / "sweep"), alpha=[0.85, 0.9, 0.95])
     return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
 def plus_summary(tmp_path_factory):
     base = tmp_path_factory.mktemp("plus")
-    cfg = desk_benchmark_config(method="selc_plus", out_dir=str(base / "plus"))
+    cfg = desk_config("selc_plus", str(base / "plus"))
     return run_experiment(cfg)
 
 
@@ -227,12 +238,9 @@ def test_criterion_06_turning_point_schedule():
             return 0.10 + (0.50 - 0.10) * epoch / 37
         return 0.50 - (0.50 - 0.08) * (epoch - 37) / (79 - 37)
 
-    snapshots = [
-        LossSnapshot.from_losses(e, np.concatenate([1.0 + 0.05 * zs,
-                                                    1.0 + gap_at(e) + 0.05 * zs]))
-        for e in range(80)
-    ]
-    series = compute_metric_series(snapshots)
+    losses = np.array([np.concatenate([1.0 + 0.05 * zs, 1.0 + gap_at(e) + 0.05 * zs])
+                       for e in range(80)])
+    series = compute_metric_series(np.arange(80), losses)
     assert estimate_turning_point(series, "m1") == 37
     assert estimate_turning_point(series, "m3") == 37
     assert abs(estimate_turning_point(series, "m2") - 37) <= 2
@@ -284,7 +292,7 @@ def test_criterion_08_alpha_sensitivity(sweep_summary):
 def test_criterion_09_determinism(bench, tmp_path_factory):
     first_dir = str(bench["base"] / "selc")
     again_dir = str(tmp_path_factory.mktemp("again") / "selc")
-    cfg = desk_benchmark_config(method="selc", out_dir=again_dir)
+    cfg = desk_config("selc", again_dir)
     run_experiment(cfg)
 
     files = []

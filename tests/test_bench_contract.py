@@ -1,14 +1,17 @@
 """The names and return shapes the benchmark's tracer relies on.
 
-``perfbench/tracer.py`` finds the functions it times with ``getattr`` and
-counts epochs from the records the training entry points return; a
-rename or a changed return shape would otherwise only show as a missing
-layer in a traced benchmark run.
+``perfbench/tracer.py`` finds the functions it times with ``getattr``,
+counts epochs from the records the training entry points return, binds
+some of their arguments by name and reads ``GmmFit.iterations``. A rename
+or a changed return shape would otherwise only show as a missing layer or
+count in a traced benchmark run, or break it.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -16,7 +19,9 @@ from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
 from selc_lab.mlp import init_mlp, make_optimizer
 from selc_lab.noise import build_symmetric_q
 from selc_lab.rng import stream
+from selc_lab.targets import save_state
 from selc_lab.training import METHOD_SELC, SelcRunConfig, run_selc_plus, run_training
+from selc_lab.turning import GmmFit, save_loss_snapshots
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -36,6 +41,20 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"selc_lab.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"selc_lab.{module_name}.{name}"
+
+
+@pytest.mark.parametrize("fn, name", [
+    (save_loss_snapshots, "path"),  # bytes written
+    (save_state, "path"),
+    (run_training, "epoch_hook"),  # the hook span
+    (run_selc_plus, "epoch_hook"),
+])
+def test_parameters_the_tracer_binds_by_name(fn, name):
+    assert name in inspect.signature(fn).parameters
+
+
+def test_gmm_fit_reports_em_iterations():
+    assert "iterations" in {f.name for f in fields(GmmFit)}
 
 
 @pytest.fixture

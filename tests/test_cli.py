@@ -9,7 +9,6 @@ from selc_lab.cli import main
 from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.rng import stream
 from selc_lab.turning import (
-    LossSnapshot,
     compute_metric_series,
     load_loss_snapshots,
     load_metric_series,
@@ -192,14 +191,13 @@ def test_detect_verb_reloads_written_losses_bit_for_bit(tmp_path, capsys):
     losses[0, :3] = [0.0, 5e-324, 27.631021115928547]
     path = tmp_path / "losses.csv"
     save_loss_snapshots(losses, path)
-    back = load_loss_snapshots(path)
-    assert [s.epoch for s in back] == list(range(6))
-    assert np.array_equal(np.array([s.losses for s in back]), losses)
+    epochs, back = load_loss_snapshots(path)
+    assert list(epochs) == list(range(6))
+    assert np.array_equal(back, losses)
     series_path = tmp_path / "series.csv"
     assert main(["detect-turning-point", str(path), "--series-out", str(series_path)]) == 0
     reloaded = load_metric_series(series_path)
-    direct = compute_metric_series([LossSnapshot.from_losses(e, row)
-                                    for e, row in enumerate(losses)])
+    direct = compute_metric_series(np.arange(6), losses)
     for name in ("epochs", "m1", "m2", "m3"):
         assert np.array_equal(getattr(reloaded, name), getattr(direct, name)), name
 
@@ -209,6 +207,23 @@ def test_detect_verb_bad_csv(tmp_path, capsys):
     path.write_text("not,a,losses\nfile,at,all\n")
     assert main(["detect-turning-point", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: lines[:-1], "losses.csv: epoch 4 holds 59 samples, epoch 0 holds 60"),
+    (lambda lines: lines[:40] + ["0,40,nan"] + lines[41:], "losses.csv:42: loss must be finite"),
+    (lambda lines: lines[:40] + ["0,40,inf"] + lines[41:], "losses.csv:42: loss must be finite"),
+    (lambda lines: [line for line in lines if line.split(",")[1] in ("0", "1", "2")],
+     "losses.csv: each epoch needs at least 4 samples, got 3"),
+    (lambda lines: [], "losses.csv: no losses after the header"),
+], ids=["uneven_epochs", "nan_loss", "inf_loss", "three_samples", "header_only"])
+def test_detect_verb_bad_losses_name_the_file(tmp_path, capsys, edit, where):
+    path = make_losses_csv(tmp_path)
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(lines)]) + "\n")
+    assert main(["detect-turning-point", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
 
 
 def test_detect_verb_bad_metric_flag(tmp_path, capsys):
@@ -232,6 +247,20 @@ def test_inspect_verb_missing_dir(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"method": "selc",', "summary.json:1: not valid JSON"),
+    (b'{"method": "selc"}', "summary.json: not a run summary: missing key 'alpha'"),
+    (b"[1, 2]", "summary.json: not a run summary"),
+    (b'{"method": "\xff"}', "summary.json: not valid JSON"),
+], ids=["truncated", "missing_key", "not_an_object", "not_utf8"])
+def test_inspect_verb_bad_summary_names_the_file(tmp_path, capsys, content, message):
+    (tmp_path / "summary.json").write_bytes(content)
+    assert main(["inspect", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_make_blobs_verb(tmp_path, capsys):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,
@@ -250,6 +279,22 @@ def test_make_blobs_rejects_unknown_keys(tmp_path, capsys):
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2, "shape": "moons"}))
     assert main(["make-blobs", str(spec), str(tmp_path / "d")]) == 1
     assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 10.5}, "n must be an integer, got 10.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"dim": True}, "dim must be an integer, got True"),
+    ({"test_n": 1}, "test split of size 1 cannot balance 2 classes"),
+], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small"])
+def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
+    spec = tmp_path / "blobs.yaml"
+    spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,
+                                    "cluster_std": 0.2, "seed": 4, **fields}))
+    assert main(["make-blobs", str(spec), str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"blobs.yaml: {message}" in err
+    assert not os.path.exists(tmp_path / "d")
 
 
 def test_usage_errors_exit_one(capsys):

@@ -213,10 +213,12 @@ def test_validate_config_direct_call():
 def test_repo_desk_benchmark_config_loads():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = load_config(os.path.join(here, "configs", "desk_benchmark.yaml"))
-    assert cfg.dataset.n == 4000
-    assert cfg.dataset.num_classes == 4
+    assert cfg.dataset.n == 4000 and cfg.dataset.dim == 16
+    assert cfg.dataset.num_classes == 4 and cfg.dataset.cluster_std == 1.0
     assert cfg.noise.eta == 0.4
+    assert cfg.model.hidden_dims == [64, 64]
     assert cfg.optimizer.epochs == 60
     assert cfg.optimizer.milestones == [24, 48]
+    assert cfg.optimizer.batch_size == 128 and cfg.optimizer.momentum == 0.9
     assert cfg.method.activation_epoch == AUTO
     assert cfg.trials == [1, 2, 3]

@@ -11,20 +11,25 @@ import yaml
 import selc_lab
 import selc_lab.data as data
 import selc_lab.experiment as experiment
-from selc_lab.config import config_from_dict, validate_config
+from selc_lab.config import config_from_dict
 from selc_lab.data import BlobSpec, TrainView, generate_blobs, save_csv_dataset
 from selc_lab.diagnostics import correction_accuracy, memorization_stats
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
     _mean_stddev,
-    desk_benchmark_config,
     run_experiment,
 )
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
 from selc_lab.noise import build_symmetric_q, inject_noise
 from selc_lab.targets import load_state
-from selc_lab.training import SelcRunConfig, run_training
-from selc_lab.turning import load_loss_snapshots, normalize_losses, separation_metrics
+from selc_lab.training import METHOD_CE, SelcRunConfig, run_training
+from selc_lab.turning import (
+    fit_gmm2,
+    load_loss_snapshots,
+    metric_m1,
+    normalize_losses,
+    separation_metrics,
+)
 
 
 def tiny_config_data(**overrides):
@@ -69,9 +74,9 @@ def test_trial_artifacts_and_summary(tmp_path):
         lines = open(os.path.join(trial, "epochs.csv")).read().splitlines()
         assert lines[0] == ",".join(EPOCH_COLUMNS)
         assert len(lines) == 4  # header + 3 epochs
-        snaps = load_loss_snapshots(os.path.join(trial, "losses.csv"))
-        assert [s.epoch for s in snaps] == [0, 1, 2]
-        assert snaps[0].losses.size == 60
+        epochs, losses = load_loss_snapshots(os.path.join(trial, "losses.csv"))
+        assert list(epochs) == [0, 1, 2]
+        assert losses.shape == (3, 60)
         ledger = open(os.path.join(trial, "metrics.csv")).read().splitlines()
         assert ledger[0] == "epoch,metric_name,value"
         assert len(ledger) == 1 + 3 * 6  # epochs x diagnostics
@@ -121,8 +126,8 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
                                             for row in rows]
     with open(os.path.join(trial, "epochs.csv")) as fh:
         assert fh.read().splitlines() == expected
-    written = load_loss_snapshots(os.path.join(trial, "losses.csv"))
-    assert np.array_equal([s.losses for s in written], losses)
+    _, written = load_loss_snapshots(os.path.join(trial, "losses.csv"))
+    assert np.array_equal(written, losses)
 
 
 def test_ce_method_writes_no_targets(tmp_path):
@@ -139,6 +144,36 @@ def test_auto_activation_resolves_to_int(tmp_path):
     resolved = summary["activation_epochs"]["1"]
     assert isinstance(resolved, int)
     assert 1 <= resolved < 4
+
+
+def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path, monkeypatch):
+    """A detector whose patience outlasts the warm phase never fires; its
+    running maximum is then the estimate, the earliest argmax of m1 over a
+    CE run of the same model."""
+    epochs = 12
+    cfg = tiny_config(tmp_path, dataset={"n": 120, "cluster_std": 0.6},
+                      optimizer={"epochs": epochs},
+                      method={"name": "selc", "activation_epoch": "auto",
+                              "detector_patience": epochs + 1}, trials=[1])
+    train_x, train_y, _, _, num_classes = experiment._build_clean_data(cfg)
+    noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
+    view = TrainView(train_x, noisy, np.arange(noisy.size), num_classes)
+    noisy_onehot = one_hot(noisy, num_classes)
+    m1 = []
+
+    def observe(event):
+        per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
+        m1.append(metric_m1(fit_gmm2(normalize_losses(per_sample))))
+
+    model, opt = experiment._build_model(cfg, view, 1, "init")
+    run_training(view, model, opt, SelcRunConfig(total_epochs=epochs), METHOD_CE, 16, 1,
+                 epoch_hook=observe)
+    expected = int(np.argmax(m1))
+    assert 0 < expected < epochs - 1  # a peak inside the run, not at either end
+
+    # the estimate before the floor of default_activation_epoch
+    monkeypatch.setattr(experiment, "default_activation_epoch", lambda estimate: estimate)
+    assert experiment._estimate_activation_epoch(view, cfg, 1) == expected
 
 
 def test_empty_trials_marker(tmp_path):
@@ -271,19 +306,6 @@ def test_selc_plus_stage_outputs(tmp_path):
     lines = open(os.path.join(cfg.out_dir, "trial_1", "plus_epochs.csv")).read().splitlines()
     assert lines[0] == "epoch,lr,train_loss,train_acc,test_acc"
     assert len(lines) == 3  # header + 2 plus epochs
-
-
-def test_desk_benchmark_config_is_valid():
-    cfg = desk_benchmark_config()
-    validate_config(cfg)
-    assert cfg.dataset.n == 4000 and cfg.dataset.dim == 16
-    assert cfg.dataset.num_classes == 4 and cfg.dataset.cluster_std == 1.0
-    assert cfg.noise.eta == 0.4
-    assert cfg.model.hidden_dims == [64, 64]
-    assert cfg.optimizer.epochs == 60 and cfg.optimizer.milestones == [24, 48]
-    assert cfg.optimizer.batch_size == 128 and cfg.optimizer.momentum == 0.9
-    assert cfg.trials == [1, 2, 3]
-    assert cfg.method.activation_epoch == "auto"
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -12,7 +12,6 @@ from selc_lab.turning import (
     EM_TOL,
     VARIANCE_FLOOR,
     GmmFit,
-    LossSnapshot,
     MetricSeries,
     OnlineTurningPointDetector,
     compute_metric_series,
@@ -60,14 +59,6 @@ def test_normalize_rejects_bad_input():
         normalize_losses(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         normalize_losses([1.0, np.nan])
-
-
-def test_loss_snapshot_from_losses():
-    snap = LossSnapshot.from_losses(7, [1.0, 2.0, 3.0])
-    assert snap.epoch == 7
-    assert np.allclose(snap.normalized, [0.0, 0.5, 1.0])
-    with pytest.raises(ParameterError):
-        LossSnapshot(epoch=0, losses=np.array([1.0, 2.0]), normalized=np.array([0.0, 1.5]))
 
 
 def test_gmm_recovers_separated_components():
@@ -267,11 +258,8 @@ def test_metric_series_validation_and_values():
 
 def test_rise_then_fall_peak_is_found_by_every_metric():
     gaps = [0.05, 0.12, 0.2, 0.3, 0.22, 0.12, 0.06]
-    snapshots = [
-        LossSnapshot.from_losses(e, bimodal_losses(1.0, g, 0.03, 50))
-        for e, g in enumerate(gaps)
-    ]
-    series = compute_metric_series(snapshots)
+    losses = np.array([bimodal_losses(1.0, g, 0.03, 50) for g in gaps])
+    series = compute_metric_series(np.arange(len(gaps)), losses)
     assert estimate_turning_point(series, "m1") == 3
     assert estimate_turning_point(series, "m2") == 3
     assert estimate_turning_point(series, "m3") == 3
@@ -303,12 +291,16 @@ def test_smoothing_suppresses_single_epoch_spike():
     assert estimate_turning_point(series, "m1", smooth=True) == 6
 
 
-def test_compute_metric_series_sorts_and_validates():
-    snaps = [LossSnapshot.from_losses(e, bimodal_losses(1.0, 0.2, 0.05, 20)) for e in (5, 1, 3)]
-    series = compute_metric_series(snaps)
+def test_compute_metric_series_validates():
+    losses = np.array([bimodal_losses(1.0, g, 0.05, 20) for g in (0.3, 0.1, 0.2)])
+    series = compute_metric_series([1, 3, 5], losses)
     assert list(series.epochs) == [1, 3, 5]
     with pytest.raises(ParameterError):
-        compute_metric_series([])
+        compute_metric_series([], np.empty((0, 0)))
+    with pytest.raises(ParameterError):
+        compute_metric_series([0, 1], losses)
+    with pytest.raises(ParameterError):
+        compute_metric_series([5, 1, 3], losses)
 
 
 def test_default_metric_is_m1():
@@ -342,9 +334,8 @@ def test_detector_never_fires_on_rising_series():
 
 def test_detector_agrees_with_offline_argmax():
     gaps = [0.05, 0.12, 0.2, 0.3, 0.22, 0.12, 0.06, 0.05, 0.05, 0.05]
-    snapshots = [LossSnapshot.from_losses(e, bimodal_losses(1.0, g, 0.03, 50))
-                 for e, g in enumerate(gaps)]
-    series = compute_metric_series(snapshots)
+    losses = np.array([bimodal_losses(1.0, g, 0.03, 50) for g in gaps])
+    series = compute_metric_series(np.arange(len(gaps)), losses)
     det = OnlineTurningPointDetector(patience=4)
     for epoch, value in zip(series.epochs, series.m1):
         if det.observe(int(epoch), float(value)):
@@ -362,21 +353,18 @@ def test_loss_snapshot_roundtrip_is_exact(tmp_path):
     losses = stream(6, "io").uniform(0.01, 3.0, size=(3, 17))
     path = tmp_path / "losses.csv"
     save_loss_snapshots(losses, path)
-    back = load_loss_snapshots(path)
-    assert [s.epoch for s in back] == [0, 1, 2]
-    for row, b in zip(losses, back):
-        assert np.array_equal(row, b.losses)
-        assert np.array_equal(LossSnapshot.from_losses(0, row).normalized, b.normalized)
+    epochs, back = load_loss_snapshots(path)
+    assert epochs.dtype == np.int64 and list(epochs) == [0, 1, 2]
+    assert back.dtype == np.float64 and np.array_equal(back, losses)
 
 
-def snapshot_writer_reference(snapshots, path):
-    """The per-snapshot losses.csv writer the matrix writer replaced."""
+def snapshot_writer_reference(losses, path):
+    """The per-snapshot losses.csv writer the matrix writer replaced, one
+    snapshot per row of ``losses``."""
     with open(path, "w", newline="") as fh:
         fh.write("epoch,sample_id,loss\n")
-        for snap in sorted(snapshots, key=lambda s: s.epoch):
-            epoch = snap.epoch
-            fh.write("".join(f"{epoch},{i},{loss!r}\n"
-                             for i, loss in enumerate(snap.losses.tolist())))
+        for epoch, row in enumerate(losses):
+            fh.write("".join(f"{epoch},{i},{loss!r}\n" for i, loss in enumerate(row.tolist())))
 
 
 @pytest.mark.parametrize("epochs,n", [(1, 1), (3, 17), (12, 1001)])
@@ -386,8 +374,7 @@ def test_loss_matrix_writer_matches_snapshot_writer(tmp_path, epochs, n):
     if n > 3:
         losses[-1, 1:4] = [0.0, 5e-324, 1.0]
     save_loss_snapshots(losses, tmp_path / "matrix.csv")
-    snapshot_writer_reference([LossSnapshot.from_losses(e, row) for e, row in enumerate(losses)],
-                              tmp_path / "snapshots.csv")
+    snapshot_writer_reference(losses, tmp_path / "snapshots.csv")
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "snapshots.csv").read_bytes()
 
 
@@ -401,7 +388,7 @@ def test_loss_snapshot_load_rejects_bad_files(tmp_path):
     p.write_text("wrong,header,here\n0,0,1.0\n")
     with pytest.raises(FormatError):
         load_loss_snapshots(p)
-    p.write_text("epoch,sample_id,loss\n0,0,1.0\n0,2,1.0\n")
+    p.write_text("epoch,sample_id,loss\n0,0,1.0\n0,1,1.0\n0,2,1.0\n0,4,1.0\n")
     with pytest.raises(FormatError):
         load_loss_snapshots(p)
     p.write_text("epoch,sample_id,loss\n0,0,banana\n")
@@ -411,19 +398,20 @@ def test_loss_snapshot_load_rejects_bad_files(tmp_path):
 
 def test_loss_snapshot_load_skips_blank_lines_and_groups_by_epoch(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("epoch,sample_id,loss\n3,1,2.0\n\n1,0,0.5\n3,0,1.0\n1,1,0.25\n\n")
-    back = load_loss_snapshots(p)
-    assert [s.epoch for s in back] == [1, 3]
-    assert np.array_equal(back[0].losses, [0.5, 0.25])
-    assert np.array_equal(back[1].losses, [1.0, 2.0])
+    p.write_text("epoch,sample_id,loss\n3,1,2.0\n\n1,0,0.5\n3,0,1.0\n1,3,0.75\n1,1,0.25\n"
+                 "3,3,4.0\n\n1,2,0.125\n3,2,3.0\n\n")
+    epochs, back = load_loss_snapshots(p)
+    assert list(epochs) == [1, 3]
+    assert np.array_equal(back, [[0.5, 0.25, 0.125, 0.75], [1.0, 2.0, 3.0, 4.0]])
 
 
 def test_loss_snapshot_load_header_only_is_empty(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("epoch,sample_id,loss\n")
-    assert load_loss_snapshots(p) == []
-    p.write_text("epoch,sample_id,loss")
-    assert load_loss_snapshots(p) == []
+    for text in ("epoch,sample_id,loss\n", "epoch,sample_id,loss"):
+        p.write_text(text)
+        epochs, losses = load_loss_snapshots(p)
+        assert epochs.dtype == np.int64 and epochs.size == 0
+        assert losses.shape == (0, 0)
 
 
 @pytest.mark.parametrize("bad_line", ["0,2,banana", "0,1.5,1.0", "0,2", "#0,2,1.0"])
