@@ -29,96 +29,8 @@ def _pin_blas_threads() -> bool:
     return pinned
 
 
-# before the first numpy import below, which starts the BLAS library
+# importing any selc_lab module runs this first, before its numpy import
+# starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
-
-from .config import ExperimentConfig, load_config
-from .data import (
-    BlobSpec,
-    NoisyDataset,
-    TrainView,
-    generate_blobs,
-    load_csv_dataset,
-    load_idx,
-    make_noisy_dataset,
-    save_csv_dataset,
-    write_idx,
-)
-from .diagnostics import (
-    MemorizationStats,
-    confusion_of_corrections,
-    correction_accuracy,
-    memorization_stats,
-)
-from .errors import (
-    DimensionError,
-    FormatError,
-    MissingPredictionError,
-    ParameterError,
-    TrainingDivergenceError,
-)
-from .experiment import run_experiment
-from .mlp import (
-    Gradients,
-    MlpModel,
-    OptimizerState,
-    backward,
-    forward,
-    init_mlp,
-    lr_at,
-    make_optimizer,
-    one_hot,
-    predict_proba,
-    sgd_step,
-    soft_ce_loss,
-    softmax,
-)
-from .noise import (
-    TransitionMatrix,
-    build_asymmetric_q,
-    build_symmetric_q,
-    empirical_noise_rate,
-    inject_noise,
-    load_mapping,
-)
-from .rng import stream
-from .targets import (
-    EnsembleState,
-    PredictionSnapshot,
-    bootstrap_target,
-    closed_form_target,
-    ensemble_prediction,
-    load_state,
-    save_state,
-    selc_loss,
-    update_targets,
-)
-from .training import (
-    EpochEvent,
-    EpochRecord,
-    SelcRunConfig,
-    default_activation_epoch,
-    mixup_batch,
-    run_selc_plus,
-    run_training,
-)
-from .turning import (
-    GmmFit,
-    KMeansFit,
-    MetricSeries,
-    OnlineTurningPointDetector,
-    compute_metric_series,
-    estimate_turning_point,
-    fit_gmm2,
-    fit_kmeans2_and_m3,
-    load_loss_snapshots,
-    load_metric_series,
-    metric_m1,
-    metric_m2,
-    normalize_losses,
-    save_loss_snapshots,
-    save_metric_series,
-    separation_metrics,
-)
 
 __version__ = "0.1.0"

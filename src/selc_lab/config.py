@@ -5,8 +5,8 @@ the output directory) resolve against the directory containing the config
 file, so a config plus its data folder can move as a unit. CSV and IDX
 datasets and noise mapping files are parsed on load, so a malformed one is
 a config error rather than a failure in every trial; the parsed dataset
-stays on the config for the run. Fields annotated ``int`` take integers
-only.
+stays on the config for the run. Fields annotated ``int``, ``float`` or
+``bool`` take values of that type only; an integer is a float too.
 """
 
 import os
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .data import BlobSpec, _blob_centers, check_integer_fields, load_dataset_files
+from .data import BlobSpec, _blob_centers, check_field_types, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import build_asymmetric_q, load_mapping
@@ -76,7 +76,7 @@ class MethodSpecConfig:
     name: str = "ce"
     beta: float = 0.8
     # alpha may be a single value or a list (sweep -> one subrun per value)
-    alpha: object = 0.9
+    alpha: float | list[float] = 0.9
     activation_epoch: object = AUTO
     detector_patience: int = 10
     metric_choice: str = "m1"
@@ -112,7 +112,7 @@ def _require(cond, message):
 
 def validate_config(cfg: ExperimentConfig) -> None:
     ds, noise, model, opt, method = cfg.dataset, cfg.noise, cfg.model, cfg.optimizer, cfg.method
-    check_integer_fields(cfg)
+    check_field_types(cfg)
     _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParameterError
 from .noise import TransitionMatrix, inject_noise
 from .rng import stream
+from .tables import line_of_row, read_rows
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -74,21 +75,37 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_integer_fields(spec, prefix: str = "") -> None:
-    """Reject a float, bool or string in a field of dataclass ``spec``, or
-    of a dataclass nested in it, annotated ``int``, ``int | None`` or
-    ``list[int]``; the ``ParameterError`` names the field."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field annotation -> (accepts the value, what a value must be)
+_FIELD_TYPES = {
+    int: (_is_int, "an integer"),
+    int | None: (lambda v: v is None or _is_int(v), "an integer"),
+    list[int]: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    float: (_is_number, "a number"),
+    float | list[float]: (lambda v: _is_number(v) or (isinstance(v, list)
+                                                      and all(map(_is_number, v))),
+                          "a number or a list of numbers"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def check_field_types(spec, prefix: str = "") -> None:
+    """Check each field of dataclass ``spec``, and of the dataclasses nested
+    in it, against its annotation in ``_FIELD_TYPES``: a bool is no
+    number, and an integer is a number but a float is no integer. The
+    ``ParameterError`` names the field."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         name = prefix + f.name
         if is_dataclass(value):
-            check_integer_fields(value, name + ".")
-        elif f.type in (int, int | None):
-            if not (_is_int(value) or (value is None and f.type is not int)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        elif f.type == list[int]:
-            if not (isinstance(value, list) and all(_is_int(v) for v in value)):
-                raise ParameterError(f"{name} must be a list of integers, got {value!r}")
+            check_field_types(value, name + ".")
+        elif f.type in _FIELD_TYPES:
+            accepts, what = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ParameterError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -103,7 +120,7 @@ class BlobSpec:
     test_n: int | None = None  # defaults to n // 4
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         if self.num_classes < 2:
             raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
         if self.n < self.num_classes:
@@ -241,30 +258,21 @@ def save_csv_dataset(path, features, labels) -> None:
 
 
 def load_csv_dataset(path):
+    """(features, labels) of a CSV with header ``label,f0,...``: a float64
+    (n, width) matrix of finite features and int64 labels >= 0."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("label,"):
             raise FormatError(f"{path}: expected header starting with 'label,', got {header!r}")
-        width = len(header.split(",")) - 1
-        feats, labels = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) != width + 1:
-                raise FormatError(f"{path}: line {lineno} has {len(toks)} fields, expected {width + 1}")
-            try:
-                label = int(toks[0])
-                feats.append([float(t) for t in toks[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if label < 0:
-                raise FormatError(f"{path}:{lineno}: negative label {label}")
-            labels.append(label)
-    if not feats:
+        rows = read_rows(path, fh, [("label", int), ("feature", float, (header.count(","),))],
+                         ",")
+    if rows.size == 0:
         raise FormatError(f"{path}: no data rows")
-    return np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    labels = np.ascontiguousarray(rows["label"])
+    if labels.min() < 0:
+        row = int(np.argmax(labels < 0))
+        raise FormatError(f"{path}:{line_of_row(path, row, ',')}: negative label {labels[row]}")
+    return np.ascontiguousarray(rows["feature"]), labels
 
 
 def load_dataset_files(ds):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, MissingPredictionError, ParameterError
 from .mlp import one_hot, soft_ce_loss
+from .tables import read_rows
 
 MODE_ENSEMBLE_ONLY = "option1_ensemble_only"
 MODE_SELC = "option2_selc"
@@ -164,21 +165,11 @@ def load_state(path) -> EnsembleState:
             alpha, epoch_k, mode = float(header[0]), int(header[1]), header[2]
         except ValueError as exc:
             raise FormatError(f"{path}:1: {exc}") from exc
-        rows = {}
-        width = None
-        for lineno, line in enumerate(fh, start=2):
-            toks = line.split()
-            if not toks:
-                continue
-            if width is None:
-                width = len(toks)
-            elif len(toks) != width:
-                raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(toks)}")
-            try:
-                rows[int(toks[0])] = [float(t) for t in toks[1:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if sorted(rows) != list(range(len(rows))):
+        start = fh.tell()  # the first row sets the width: an id, then the targets
+        width = len(next((line.split() for line in fh if line.split()), [None]))
+        fh.seek(start)
+        rows = read_rows(path, fh, [("id", int), ("target", float, (width - 1,))])
+    if not np.array_equal(np.sort(rows["id"]), np.arange(rows.size)):
         raise ParameterError(f"checkpoint {path} does not cover ids 0..N-1 exactly")
-    targets = np.asarray([rows[i] for i in range(len(rows))], dtype=np.float64)
-    return EnsembleState(targets=targets, alpha=alpha, epoch_k=epoch_k, mode=mode)
+    return EnsembleState(targets=rows["target"][np.argsort(rows["id"])], alpha=alpha,
+                         epoch_k=epoch_k, mode=mode)

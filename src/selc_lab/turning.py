@@ -20,12 +20,12 @@ series, normalizing one row at a time.
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
+from .tables import read_rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -35,7 +35,7 @@ METRIC_NAMES = ("m1", "m2", "m3")
 # a two-component mixture needs a few points per epoch
 MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
-_LOSSES_DTYPE = [("epoch", np.int64), ("sample_id", np.int64), ("loss", np.float64)]
+SERIES_HEADER = "epoch,m1,m2,m3"
 
 
 def normalize_losses(losses) -> np.ndarray:
@@ -326,54 +326,24 @@ def save_loss_snapshots(losses, path) -> None:
                      + "\n")
 
 
-def _bad_losses_line(path, message) -> FormatError:
-    """Rescan a losses CSV that failed to load, to name its first bad line;
-    ``message`` describes the failure when no single line is at fault."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 or not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                return FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                int(parts[0])
-                int(parts[1])
-                loss = float(parts[2])
-            except ValueError as line_exc:
-                return FormatError(f"{path}:{lineno}: {line_exc}")
-            if not math.isfinite(loss):
-                return FormatError(f"{path}:{lineno}: loss must be finite, got {parts[2]}")
-    return FormatError(f"{path}: {message}")
-
-
 def load_loss_snapshots(path):
     """(epochs, losses) of a losses CSV: the ascending int64 epoch numbers
     and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``.
-
     Lines may come in any order. Every epoch must hold the sample ids
-    0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch,
-    and every loss must be finite. A header-only file is an empty run:
-    no epochs and a (0, 0) matrix.
-    """
+    0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
+    A header-only file is an empty run: no epochs and a (0, 0) matrix."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty run, not a malformed one
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                epochs, ids, losses = np.loadtxt(fh, dtype=_LOSSES_DTYPE, delimiter=",",
-                                                 comments=None, ndmin=1, unpack=True)
-        except ValueError as exc:
-            raise _bad_losses_line(path, exc) from exc
+        rows = read_rows(path, fh, [("epoch", int), ("sample_id", int), ("loss", float)], ",")
+    epochs, ids, losses = rows["epoch"], rows["sample_id"], rows["loss"]
     if epochs.size == 0:
         return epochs, np.empty((0, 0))
-    if not np.isfinite(losses).all():
-        raise _bad_losses_line(path, "losses must be finite")
-    order = np.lexsort((ids, epochs))
-    epochs, ids, losses = epochs[order], ids[order], losses[order]
+    # what save_loss_snapshots writes is already in (epoch, sample_id) order
+    step = np.diff(epochs)
+    if (step < 0).any() or ((step == 0) & (np.diff(ids) <= 0)).any():
+        order = np.lexsort((ids, epochs))
+        epochs, ids, losses = epochs[order], ids[order], losses[order]
     starts = np.r_[0, np.flatnonzero(np.diff(epochs)) + 1]
     sizes = np.diff(np.r_[starts, epochs.size])
     n = int(sizes[0])
@@ -384,16 +354,15 @@ def load_loss_snapshots(path):
                           f"epoch {epochs[0]} holds {n}")
     if n < MIN_SAMPLES:
         raise FormatError(f"{path}: each epoch needs at least {MIN_SAMPLES} samples, got {n}")
-    ids = ids.reshape(-1, n)
-    misnumbered = np.flatnonzero((ids != np.arange(n)).any(axis=1))
+    misnumbered = np.flatnonzero((ids.reshape(-1, n) != np.arange(n)).any(axis=1))
     if misnumbered.size:
         raise FormatError(f"{path}: epoch {epochs[starts[misnumbered[0]]]} sample ids "
                           f"are not 0..{n - 1}")
-    return epochs[starts], losses.reshape(-1, n)
+    return epochs[starts], np.ascontiguousarray(losses).reshape(-1, n)
 
 
 def save_metric_series(series: MetricSeries, path) -> None:
-    lines = ["epoch,m1,m2,m3"]
+    lines = [SERIES_HEADER]
     for i in range(series.epochs.size):
         lines.append(f"{series.epochs[i]},{float(series.m1[i])!r},"
                      f"{float(series.m2[i])!r},{float(series.m3[i])!r}")
@@ -403,22 +372,7 @@ def save_metric_series(series: MetricSeries, path) -> None:
 
 def load_metric_series(path) -> MetricSeries:
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "epoch,m1,m2,m3":
-        raise FormatError(f"{path}: expected header 'epoch,m1,m2,m3'")
-    epochs, m1s, m2s, m3s = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            epochs.append(int(parts[0]))
-            m1s.append(float(parts[1]))
-            m2s.append(float(parts[2]))
-            m3s.append(float(parts[3]))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return MetricSeries(epochs=np.array(epochs, dtype=np.int64), m1=np.array(m1s),
-                        m2=np.array(m2s), m3=np.array(m3s))
+        if fh.readline().rstrip("\n") != SERIES_HEADER:
+            raise FormatError(f"{path}: expected header '{SERIES_HEADER}'")
+        rows = read_rows(path, fh, [("epoch", int), *((m, float) for m in METRIC_NAMES)], ",")
+    return MetricSeries(rows["epoch"], *(rows[m] for m in METRIC_NAMES))

@@ -1,9 +1,12 @@
 # selc_lab first: importing it before numpy is what lets its one-thread
 # BLAS default take effect, and with it the worker processes for trials
-import selc_lab as sl  # isort: skip
+import selc_lab  # noqa: F401  # isort: skip
 
 import numpy as np
 import pytest
+
+from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
+from selc_lab.noise import build_symmetric_q
 
 
 @pytest.fixture
@@ -14,10 +17,10 @@ def rng():
 @pytest.fixture
 def small_noisy_view():
     """A 300-sample 3-class blob set with 40% symmetric noise injected."""
-    spec = sl.BlobSpec(n=300, dim=8, num_classes=3, cluster_std=0.4, seed=5)
-    x, y = sl.generate_blobs(spec, split="train")
-    tm = sl.build_symmetric_q(3, 0.4)
-    ds = sl.make_noisy_dataset(x, y, tm, seed=11)
+    spec = BlobSpec(n=300, dim=8, num_classes=3, cluster_std=0.4, seed=5)
+    x, y = generate_blobs(spec, split="train")
+    tm = build_symmetric_q(3, 0.4)
+    ds = make_noisy_dataset(x, y, tm, seed=11)
     return ds
 
 

@@ -11,9 +11,13 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
+
+import selc_lab
 
 from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
 from selc_lab.mlp import init_mlp, make_optimizer
@@ -41,6 +45,18 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"selc_lab.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"selc_lab.{module_name}.{name}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # install() looks each traced module up in sys.modules after importing
+    # the CLI, so a module the CLI imported lazily would break every trace
+    code = "import sys, selc_lab.cli; print(*sorted(sys.modules))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selc_lab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    for module_name in load_traced():
+        assert f"selc_lab.{module_name}" in loaded
 
 
 @pytest.mark.parametrize("fn, name", [

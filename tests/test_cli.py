@@ -85,6 +85,12 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     ({"trials": [1, 2.5]}, "trials"),
     ({"method": {"name": "selc_plus", "plus_epochs": 1.5}}, "method.plus_epochs"),
     ({"method": {"detector_patience": "ten"}}, "method.detector_patience"),
+    ({"method": {"alpha": "high"}}, "method.alpha"),
+    ({"method": {"alpha": [0.5, "high"]}}, "method.alpha"),
+    ({"optimizer": {"lr": "fast"}}, "optimizer.lr"),
+    ({"optimizer": {"lr": True}}, "optimizer.lr"),
+    ({"noise": {"exclude_true_class": "no"}}, "noise.exclude_true_class"),
+    ({"dataset": {"cluster_std": "wide"}}, "dataset.cluster_std"),
 ])
 def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
     cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
@@ -156,6 +162,22 @@ def test_run_verb_bad_csv_data_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "train.csv:3" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_run_verb_nan_csv_feature_is_config_error(tmp_path, capsys):
+    rng = stream(0, "csv")
+    for split in ("train", "test"):
+        save_csv_dataset(tmp_path / f"{split}.csv", rng.standard_normal((12, 3)),
+                         np.arange(12) % 3)
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    lines[5] = "2,0.5,nan,0.5"
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_tiny_config(tmp_path, dataset={"kind": "csv", "train_csv": "train.csv",
+                                               "test_csv": "test.csv"})
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "train.csv:6: feature must be finite" in err
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -286,7 +308,8 @@ def test_make_blobs_rejects_unknown_keys(tmp_path, capsys):
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"dim": True}, "dim must be an integer, got True"),
     ({"test_n": 1}, "test split of size 1 cannot balance 2 classes"),
-], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small"])
+    ({"cluster_std": "wide"}, "cluster_std must be a number, got 'wide'"),
+], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small", "str_cluster_std"])
 def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,

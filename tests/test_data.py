@@ -191,6 +191,7 @@ def test_csv_load_rejects_bad_files(tmp_path):
     ("1.5,2.0", "invalid literal for int()"),
     ("1,abc", "could not convert string to float"),
     ("-1,2.0", "negative label -1"),
+    ("1,2.0,3.0", "expected 2 fields, got 3"),
 ])
 def test_csv_load_names_file_and_line(tmp_path, row, reason):
     p = tmp_path / "bad.csv"

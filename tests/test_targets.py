@@ -193,6 +193,7 @@ def test_state_checkpoint_roundtrip(tmp_path):
     ("0.9 2 selc\n0 1.0 0.0\n1 1.0\n", 3, "expected 3 fields, got 2"),
     ("0.9 2 selc\n0 1.0 0.0\n\n1.0 0.0 1.0\n", 4, "invalid literal for int()"),
     ("0.9 2 selc\n0 1.0 0.0\n1 0.5 x\n", 3, "could not convert string to float"),
+    ("0.9 2 selc\n0 1.0 0.0\n1 nan 1.0\n", 3, "target must be finite, got nan"),
 ])
 def test_state_load_names_file_and_line(tmp_path, text, line, reason):
     path = tmp_path / "state.txt"
