@@ -8,15 +8,20 @@ the estimated memorization turning point.
 Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1; a value the
 caller set is kept). The matmuls here are too small to gain from a BLAS
-thread pool, and a run's trials go to worker processes instead, one per
-core. The default only takes effect if numpy is not imported yet.
-``BLAS_PINNED`` records whether BLAS runs one thread: numpy was imported
-after the default, or every variable already read 1. Trials use worker
-processes only when it is true.
+thread pool; a run's trials, and the per-epoch mixture fits of a loss
+matrix, go to forked processes instead, one per core. The default only
+takes effect if numpy is not imported yet. ``BLAS_PINNED`` records whether
+BLAS runs one thread: numpy was imported after the default, or every
+variable already read 1.
+
+``fork_workers`` holds the one rule for when this process may fork to
+share its work; ``experiment._run_jobs`` and
+``turning.compute_metric_series`` both ask it.
 """
 
 import os
 import sys
+import threading
 
 
 def _pin_blas_threads() -> bool:
@@ -32,5 +37,22 @@ def _pin_blas_threads() -> bool:
 # importing any selc_lab module runs this first, before its numpy import
 # starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
+# a process with another pid was forked after the import: a pool worker or
+# a fan-out child, whose siblings already hold the other cores
+_IMPORT_PID = os.getpid()
+
+
+def fork_workers(tasks: int) -> int:
+    """How many processes may share ``tasks`` independent tasks: one per
+    usable core, at most one per task. It is 1, this process alone, unless
+    a fork is safe and this process is not itself a forked worker. Safe
+    means nothing runs beside this thread that a fork could catch holding
+    a lock: BLAS runs one thread and no other Python thread is alive; and
+    ``os.fork`` and ``os.sched_getaffinity`` exist."""
+    if not (BLAS_PINNED and os.getpid() == _IMPORT_PID and threading.active_count() == 1
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(tasks, len(os.sched_getaffinity(0))))
+
 
 __version__ = "0.1.0"

@@ -149,7 +149,7 @@ def _cmd_make_blobs(args) -> int:
     with open(args.spec) as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ParameterError(f"{args.spec}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParameterError(f"{args.spec}: expected a mapping of blob fields")

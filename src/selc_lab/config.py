@@ -253,7 +253,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ParameterError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:
         raise ParameterError(f"{path}: empty config")

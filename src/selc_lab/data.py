@@ -5,6 +5,7 @@ True labels live only on :class:`NoisyDataset`; the training loop receives a
 full dataset.
 """
 
+import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParameterError
 from .noise import TransitionMatrix, inject_noise
 from .rng import stream
-from .tables import line_of_row, read_rows
+from .tables import line_of_row, open_text, read_rows
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -185,14 +186,28 @@ def _read_be32(fh, path, what):
     raw = fh.read(4)
     if len(raw) != 4:
         raise FormatError(f"{path}: truncated while reading {what} at offset {fh.tell() - len(raw)}")
-    return struct.unpack(">i", raw)[0]
+    return struct.unpack(">I", raw)[0]
+
+
+def _read_payload(fh, path, what, expected):
+    # the header's sizes must match the rest of the file exactly, checked
+    # before the read, so that a corrupt size cannot ask for a huge buffer
+    start = fh.tell()
+    got = os.fstat(fh.fileno()).st_size - start
+    if got < expected:
+        raise FormatError(f"{path}: expected {expected} {what} bytes, got {got} "
+                          f"(truncated at offset {start + got})")
+    if got > expected:
+        raise FormatError(f"{path}: expected {expected} {what} bytes, got {got} "
+                          f"({got - expected} trailing bytes)")
+    return fh.read(expected)
 
 
 def load_idx(images_path, labels_path):
     """Read an IDX image/label file pair.
 
     Returns (features, labels) with pixel values scaled to [0, 1] and
-    images flattened to rows.
+    images flattened to rows. Each file must end where its header says.
     """
     with open(images_path, "rb") as fh:
         magic = _read_be32(fh, images_path, "magic")
@@ -201,24 +216,13 @@ def load_idx(images_path, labels_path):
         count = _read_be32(fh, images_path, "count")
         rows = _read_be32(fh, images_path, "rows")
         cols = _read_be32(fh, images_path, "cols")
-        expected = count * rows * cols
-        pixels = fh.read(expected)
-        if len(pixels) != expected:
-            raise FormatError(
-                f"{images_path}: expected {expected} pixel bytes, got {len(pixels)} "
-                f"(truncated at offset {16 + len(pixels)})"
-            )
+        pixels = _read_payload(fh, images_path, "pixel", count * rows * cols)
     with open(labels_path, "rb") as fh:
         magic = _read_be32(fh, labels_path, "magic")
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(f"{labels_path}: bad label magic {magic:#010x} at offset 0")
         label_count = _read_be32(fh, labels_path, "count")
-        raw = fh.read(label_count)
-        if len(raw) != label_count:
-            raise FormatError(
-                f"{labels_path}: expected {label_count} label bytes, got {len(raw)} "
-                f"(truncated at offset {8 + len(raw)})"
-            )
+        raw = _read_payload(fh, labels_path, "label", label_count)
     if label_count != count:
         raise FormatError(
             f"count mismatch: {images_path} holds {count} images but {labels_path} holds {label_count} labels"
@@ -260,7 +264,7 @@ def save_csv_dataset(path, features, labels) -> None:
 def load_csv_dataset(path):
     """(features, labels) of a CSV with header ``label,f0,...``: a float64
     (n, width) matrix of finite features and int64 labels >= 0."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("label,"):
             raise FormatError(f"{path}: expected header starting with 'label,', got {header!r}")

@@ -16,24 +16,26 @@ that trajectory; diagnostics never feed back into training, since SELC's
 correction reads only the previous epoch's predictions.
 
 A run with more than one trial sends its jobs to forked worker processes,
-one per usable core: every train job first, and each diagnose job as soon
-as its train job completes, so diagnoses run beside the trials still
-training. The data and each trial's trajectory, an anonymous shared
-mapping, exist before the workers fork; only the epoch rows and the final
-targets pass through the pool's pipe. In one process the same two jobs run
-one after the other, with the same outputs.
+one per usable core, when ``selc_lab.fork_workers`` allows: every train
+job first, and each diagnose job as soon as its train job completes, so
+diagnoses run beside the trials still training. The data and each
+trial's trajectory, an anonymous shared mapping, exist before the workers
+fork; only the epoch rows and the final targets pass through the pool's
+pipe. In one process the same two jobs run one after the other, with the
+same outputs; there the diagnose job's mixture fits fan out over the
+cores (``turning.compute_metric_series``), which they never do inside a
+pool worker.
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
 
 import json
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import BLAS_PINNED
+from . import fork_workers
 from .config import AUTO, ExperimentConfig, alpha_values
 from .data import BlobSpec, TrainView, generate_blobs, load_dataset_files
 from .diagnostics import (
@@ -405,20 +407,16 @@ def _diagnose_in_worker(k: int, trained: _Trained):
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
-    Jobs go to forked worker processes, one per usable core, when there is
-    more than one trial and nothing runs beside this thread that a fork
-    could catch holding a lock: BLAS runs one thread (see ``selc_lab``) and
-    no other Python thread is alive. Every train job is queued first; a
-    trial's diagnose job is queued when its train job completes, and none
-    is queued for a trial whose training failed. Otherwise the trials run
-    one after another in this process.
+    Jobs go to as many forked worker processes as ``selc_lab.fork_workers``
+    allows for the trials: one per usable core, when there is more than one
+    trial and a fork is safe. Every train job is queued first; a trial's
+    diagnose job is queued when its train job completes, and none is
+    queued for a trial whose training failed. Otherwise the trials run one
+    after another in this process.
     """
     if not jobs:
         return []
-    workers = 1
-    if (len(jobs) > 1 and BLAS_PINNED and threading.active_count() == 1
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    workers = fork_workers(len(jobs))
     data = _build_clean_data(cfg)
     train_x, num_classes = data[0], data[4]
 

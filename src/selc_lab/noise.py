@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
 from .rng import stream
+from .tables import open_text
 
 ROW_SUM_TOL = 1e-12
 
@@ -98,10 +99,11 @@ def empirical_noise_rate(noisy_labels, true_labels) -> float:
 
 
 def load_mapping(path):
-    """Read asymmetric flip pairs, one "src dst" or "src,dst" pair per
-    line; # starts a comment."""
+    """Read asymmetric flip pairs, one "src dst" or "src,dst" pair of
+    decimal ints per line; # starts a comment. The file is printable ASCII
+    text (see ``tables.open_text``)."""
     pairs = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -110,6 +112,8 @@ def load_mapping(path):
             try:
                 src, dst = (int(tok) for tok in toks)
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad mapping line {line!r}") from None
+                src = None
+            if src is None or "_" in line:  # Python's int also reads 1_000
+                raise FormatError(f"{path}:{lineno}: bad mapping line {line!r}")
             pairs.append((src, dst))
     return pairs

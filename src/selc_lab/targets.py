@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, MissingPredictionError, ParameterError
 from .mlp import one_hot, soft_ce_loss
-from .tables import read_rows
+from .tables import open_text, read_rows
 
 MODE_ENSEMBLE_ONLY = "option1_ensemble_only"
 MODE_SELC = "option2_selc"
@@ -157,7 +157,7 @@ def save_state(state: EnsembleState, path) -> None:
 
 
 def load_state(path) -> EnsembleState:
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise FormatError(f"{path}:1: expected 'alpha epoch_k mode', got {len(header)} fields")
@@ -171,5 +171,8 @@ def load_state(path) -> EnsembleState:
         rows = read_rows(path, fh, [("id", int), ("target", float, (width - 1,))])
     if not np.array_equal(np.sort(rows["id"]), np.arange(rows.size)):
         raise ParameterError(f"checkpoint {path} does not cover ids 0..N-1 exactly")
-    return EnsembleState(targets=rows["target"][np.argsort(rows["id"])], alpha=alpha,
-                         epoch_k=epoch_k, mode=mode)
+    try:
+        return EnsembleState(targets=rows["target"][np.argsort(rows["id"])], alpha=alpha,
+                             epoch_k=epoch_k, mode=mode)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -15,17 +15,20 @@ Per-epoch losses are one (epochs, n) float64 matrix everywhere: row i
 holds epoch i's loss of sample j in column j. ``save_loss_snapshots``
 writes it as ``losses.csv``, ``load_loss_snapshots`` reads it back with
 its epoch numbers, and ``compute_metric_series`` turns it into the three
-series, normalizing one row at a time.
+series, normalizing one row at a time and sharing the rows between
+forked processes when the matrix is large.
 """
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fork_workers
 from .errors import FormatError, ParameterError
-from .tables import read_rows
+from .tables import open_text, read_rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -36,6 +39,13 @@ METRIC_NAMES = ("m1", "m2", "m3")
 MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
 SERIES_HEADER = "epoch,m1,m2,m3"
+# compute_metric_series forks only for a loss matrix this large. On 2
+# vCPUs, a fit of a 6000-sample epoch of perfbench's planted losses takes
+# about 0.6 us per loss, and a fork, the child's exit and its reaping
+# take 2-4 ms in a process that holds such a 100 x 6000 matrix. At the
+# cut-off the fits take about 30 ms, and the half that moves to a second
+# core saves several times what the fork costs.
+FAN_OUT_MIN_ELEMENTS = 50_000
 
 
 def normalize_losses(losses) -> np.ndarray:
@@ -233,17 +243,60 @@ class MetricSeries:
         return getattr(self, metric_choice)
 
 
+def _fit_rows(losses, rows, metrics, done) -> None:
+    # metrics[:, i] and done[i] of each row i in turn
+    for i in rows:
+        metrics[:, i] = separation_metrics(normalize_losses(losses[i]))
+        done[i] = True
+
+
 def compute_metric_series(epochs, losses) -> MetricSeries:
     """The three metrics of each row of an (epochs, n) loss matrix whose row
-    i holds epoch ``epochs[i]``; epochs must be strictly increasing."""
+    i holds epoch ``epochs[i]``; epochs must be strictly increasing.
+
+    The fits are independent, so a matrix of at least
+    ``FAN_OUT_MIN_ELEMENTS`` losses is shared between this process and
+    forked children, as many in all as ``selc_lab.fork_workers`` allows.
+    Of ``w`` processes, process j fits rows j, j + w, ...: EM needs more
+    iterations in some epochs than in others, and interleaved shares even
+    that out. The children write their metrics to an anonymous shared
+    mapping and are reaped before this returns. A row that no process
+    fitted, because a child failed or a share stopped at a row that
+    raised, is fitted here afterwards, in row order, so an error is the
+    one the first failing row raises in one process.
+    """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 2 or losses.shape[0] != len(epochs):
         raise ParameterError(f"need one loss row per epoch, got {len(epochs)} epochs "
                              f"and losses of shape {losses.shape}")
     if len(epochs) == 0:
         raise ParameterError("need at least one epoch of losses")
-    m1s, m2s, m3s = zip(*(separation_metrics(normalize_losses(row)) for row in losses))
-    return MetricSeries(epochs=epochs, m1=np.array(m1s), m2=np.array(m2s), m3=np.array(m3s))
+    # imported only here, so that commands that fit nothing do not load it
+    import mmap
+
+    rows = losses.shape[0]
+    workers = fork_workers(rows) if losses.size >= FAN_OUT_MIN_ELEMENTS else 1
+    buffer = mmap.mmap(-1, 25 * rows)
+    metrics = np.frombuffer(buffer, np.float64, 3 * rows).reshape(3, rows)
+    done = np.frombuffer(buffer, np.bool_, rows, 24 * rows)
+    children = []
+    try:
+        for j in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _fit_rows(losses, range(j, rows, workers), metrics, done)
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        _fit_rows(losses, range(0, rows, workers), metrics, done)
+    except Exception:
+        pass  # the rows left are fitted below, where the first bad one raises again
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+    _fit_rows(losses, np.flatnonzero(~done), metrics, done)
+    return MetricSeries(epochs, *metrics.copy())
 
 
 def _median3(values: np.ndarray) -> np.ndarray:
@@ -332,7 +385,7 @@ def load_loss_snapshots(path):
     Lines may come in any order. Every epoch must hold the sample ids
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
         rows = read_rows(path, fh, [("epoch", int), ("sample_id", int), ("loss", float)], ",")
@@ -371,8 +424,11 @@ def save_metric_series(series: MetricSeries, path) -> None:
 
 
 def load_metric_series(path) -> MetricSeries:
-    with open(path) as fh:
+    with open_text(path) as fh:
         if fh.readline().rstrip("\n") != SERIES_HEADER:
             raise FormatError(f"{path}: expected header '{SERIES_HEADER}'")
         rows = read_rows(path, fh, [("epoch", int), *((m, float) for m in METRIC_NAMES)], ",")
-    return MetricSeries(rows["epoch"], *(rows[m] for m in METRIC_NAMES))
+    try:
+        return MetricSeries(rows["epoch"], *(rows[m] for m in METRIC_NAMES))
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

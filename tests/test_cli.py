@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from selc_lab.cli import main
-from selc_lab.data import load_csv_dataset, save_csv_dataset
+from selc_lab.data import load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
 from selc_lab.turning import (
     compute_metric_series,
@@ -334,3 +334,103 @@ def test_run_summary_readable_by_inspect_after_sweep(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "run")]) == 0
     out = capsys.readouterr().out
     assert "alpha sweep: 0.5, 0.9" in out
+
+
+def csv_run(tmp_path):
+    """A run on CSV data with mapping-file noise: config.yaml, train.csv,
+    test.csv and pairs.txt."""
+    rng = stream(0, "csv")
+    for split in ("train", "test"):
+        save_csv_dataset(tmp_path / f"{split}.csv", rng.standard_normal((12, 3)),
+                         np.arange(12) % 3)
+    (tmp_path / "pairs.txt").write_text("# flips\n0 1\n2,0\n")
+    cfg = write_tiny_config(tmp_path, dataset={"kind": "csv", "train_csv": "train.csv",
+                                               "test_csv": "test.csv"},
+                            noise={"kind": "asymmetric", "eta": 0.3, "mapping_file": "pairs.txt"})
+    return ["run", str(cfg)]
+
+
+def idx_run(tmp_path):
+    """A run on IDX data: config.yaml and four IDX files."""
+    rng = stream(1, "idx")
+    for split in ("train", "test"):
+        write_idx(tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx",
+                  rng.integers(0, 256, size=(12, 2, 2)), np.arange(12) % 3)
+    cfg = write_tiny_config(tmp_path, dataset={
+        "kind": "idx", "train_images": "train-images.idx", "train_labels": "train-labels.idx",
+        "test_images": "test-images.idx", "test_labels": "test-labels.idx"})
+    return ["run", str(cfg)]
+
+
+def detect_run(tmp_path):
+    return ["detect-turning-point", str(make_losses_csv(tmp_path))]
+
+
+def inspect_run(tmp_path):
+    summary = {"method": "selc", "alpha": 0.9, "completed": [1], "failed": {},
+               "last_epoch_test_acc": {"mean": 0.5, "stddev": 0.0}}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    return ["inspect", str(tmp_path)]
+
+
+def replace_line(lineno, new):
+    def edit(raw):
+        lines = raw.split(b"\n")
+        lines[lineno - 1] = new
+        return b"\n".join(lines)
+    return edit
+
+
+# (command, file, edit of its bytes, what stderr must name)
+MALFORMED = {
+    "yaml_syntax": (csv_run, "config.yaml", lambda raw: raw.replace(b"kind: csv", b"kind: [csv"),
+                    "config.yaml"),
+    "yaml_not_utf8": (csv_run, "config.yaml", lambda raw: raw + b"# \xff\n", "config.yaml"),
+    "yaml_field_type": (csv_run, "config.yaml", lambda raw: raw.replace(b"eta: 0.3", b"eta: high"),
+                        "noise.eta"),
+    "csv_non_ascii_label": (csv_run, "train.csv", replace_line(3, "ᅰ,0.5,0.5,0.5".encode()),
+                            "train.csv:3"),
+    "csv_separator_in_float": (csv_run, "train.csv", replace_line(4, b"1,0.5,1\x1c5,0.5"),
+                               "train.csv:4"),
+    "csv_nan_feature": (csv_run, "train.csv", replace_line(5, b"2,nan,0.5,0.5"), "train.csv:5"),
+    "csv_not_utf8": (csv_run, "test.csv", replace_line(6, b"0,0.\xff5,0.5,0.5"), "test.csv:6"),
+    "mapping_underscore": (csv_run, "pairs.txt", replace_line(2, b"0 1_0"), "pairs.txt:2"),
+    "mapping_non_ascii_digit": (csv_run, "pairs.txt", replace_line(3, "2,٠".encode()),
+                                "pairs.txt:3"),
+    "mapping_three_fields": (csv_run, "pairs.txt", replace_line(2, b"0 1 2"), "pairs.txt:2"),
+    "idx_truncated": (idx_run, "train-images.idx", lambda raw: raw[:-3], "train-images.idx"),
+    "idx_trailing_bytes": (idx_run, "test-labels.idx", lambda raw: raw + b"\0",
+                           "test-labels.idx"),
+    "idx_bad_magic": (idx_run, "train-labels.idx", lambda raw: b"\0\0\x09" + raw[3:],
+                      "train-labels.idx"),
+    "idx_huge_count": (idx_run, "test-images.idx", lambda raw: raw[:4] + b"\x7f" + raw[5:],
+                       "test-images.idx"),
+    "losses_separator_in_float": (detect_run, "losses.csv", replace_line(3, b"0,1,1\x1c5"),
+                                  "losses.csv:3"),
+    "losses_header": (detect_run, "losses.csv", replace_line(1, b"epoch,id,loss"), "losses.csv"),
+    "losses_not_utf8": (detect_run, "losses.csv", replace_line(4, b"0,2,1.\xff"), "losses.csv:4"),
+    "summary_not_json": (inspect_run, "summary.json", lambda raw: raw[:-1], "summary.json"),
+    "summary_not_utf8": (inspect_run, "summary.json", lambda raw: b"\xff" + raw, "summary.json"),
+    "summary_missing_key": (inspect_run, "summary.json",
+                            lambda raw: raw.replace(b'"alpha"', b'"beta"'), "summary.json"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_one_and_names_the_file(tmp_path, capsys, case):
+    command, name, edit, named = MALFORMED[case]
+    argv = command(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    # an exception escaping main would print a traceback and exit 2
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and named in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("command", [csv_run, idx_run, detect_run, inspect_run],
+                         ids=lambda command: command.__name__)
+def test_unedited_inputs_of_the_malformed_cases_succeed(tmp_path, capsys, command):
+    assert main(command(tmp_path)) == 0

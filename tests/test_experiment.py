@@ -363,7 +363,7 @@ def test_cli_run_matches_in_process_trials(tmp_path, monkeypatch):
                    env=child_env(), check=True, timeout=120, capture_output=True)
 
     # the same jobs, each a call of _run_trial in this process
-    monkeypatch.setattr(experiment, "BLAS_PINNED", False)
+    monkeypatch.setattr(selc_lab, "BLAS_PINNED", False)
     cfg = tiny_config(tmp_path, **sweep, out_dir="in_process")
     run_experiment(cfg)
     in_process = read_tree(cfg.out_dir)
@@ -385,7 +385,7 @@ def test_three_trial_cli_run_matches_in_process_trials(tmp_path, monkeypatch, me
     subprocess.run([sys.executable, "-c", RUN_CLI, "run", str(path)],
                    env=child_env(), check=True, timeout=120, capture_output=True)
 
-    monkeypatch.setattr(experiment, "BLAS_PINNED", False)
+    monkeypatch.setattr(selc_lab, "BLAS_PINNED", False)
     cfg = tiny_config(tmp_path, **overrides, out_dir="in_process")
     run_experiment(cfg)
     in_process = read_tree(cfg.out_dir)
@@ -395,8 +395,7 @@ def test_three_trial_cli_run_matches_in_process_trials(tmp_path, monkeypatch, me
 
 
 def test_trials_run_in_worker_processes(tmp_path, monkeypatch):
-    if not (experiment.BLAS_PINNED and threading.active_count() == 1 and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+    if selc_lab.fork_workers(3) < 2:
         pytest.skip("trials run in-process here")
     record_pids(monkeypatch)
     cfg = tiny_config(tmp_path, trials=[1, 2, 3])

@@ -122,3 +122,34 @@ def test_python_only_spellings_name_their_line(tmp_path, name, kind):
         edited[2] = delimiter.join(fields)
         path.write_text("\n".join(edited) + "\n", encoding="utf-8")
         assert_names_line(load, path, 3)
+
+
+# np.loadtxt reads some of these inside a number (U+1170 as the digit 0);
+# no loader may read any of them
+STRAY = ["ᅰ", "\x1c", "\x1f", "\x00", "\x7f", "\x0b", "é"]
+
+
+@pytest.mark.parametrize("stray", STRAY, ids=[f"U+{ord(c):04X}" for c in STRAY])
+@pytest.mark.parametrize("field", [0, -1], ids=["int", "float"])
+@pytest.mark.parametrize("name", FORMATS)
+def test_stray_characters_name_their_line(tmp_path, name, field, stray):
+    write, load, delimiter, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.txt"
+    write(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(delimiter)
+    fields[field] = fields[field][:1] + stray + fields[field][1:]
+    lines[2] = delimiter.join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_names_line(load, path, 3)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_bad_utf8_names_its_line(tmp_path, name):
+    write, load, _, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.txt"
+    write(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+    path.write_bytes(b"\n".join(lines))
+    assert_names_line(load, path, 4)

@@ -201,3 +201,15 @@ def test_state_load_names_file_and_line(tmp_path, text, line, reason):
     with pytest.raises(FormatError, match=reason) as info:
         load_state(path)
     assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("header, reason", [
+    ("nan 2 option2_selc", "alpha must be in [0, 1), got nan"),
+    ("0.9 2 selc", "mode must be one of"),
+])
+def test_state_load_names_file_when_the_state_rejects_it(tmp_path, header, reason):
+    path = tmp_path / "state.txt"
+    path.write_text(f"{header}\n0 1.0 0.0\n1 0.0 1.0\n")
+    with pytest.raises(FormatError) as info:
+        load_state(path)
+    assert str(info.value).startswith(f"{path}: ") and reason in str(info.value)

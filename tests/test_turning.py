@@ -443,3 +443,11 @@ def test_metric_series_load_rejects_bad_files(tmp_path):
     p.write_text("epoch,m1,m2,m3\n0,0.1,0.2\n")
     with pytest.raises(FormatError):
         load_metric_series(p)
+
+
+def test_metric_series_load_names_file_when_the_series_rejects_it(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("epoch,m1,m2,m3\n1,0.1,0.2,0.3\n0,0.4,0.5,0.6\n")
+    with pytest.raises(FormatError) as info:
+        load_metric_series(path)
+    assert str(info.value) == f"{path}: epochs must be strictly increasing"
