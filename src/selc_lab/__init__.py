@@ -8,15 +8,16 @@ the estimated memorization turning point.
 Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1; a value the
 caller set is kept). The matmuls here are too small to gain from a BLAS
-thread pool; a run's trials, and the per-epoch mixture fits of a loss
-matrix, go to forked processes instead, one per core. The default only
-takes effect if numpy is not imported yet. ``BLAS_PINNED`` records whether
-BLAS runs one thread: numpy was imported after the default, or every
-variable already read 1.
+thread pool; a run's trials, the per-epoch mixture fits of a loss matrix
+and the parse of a large text file go to forked processes instead, one
+per core. The default only takes effect if numpy is not imported yet.
+``BLAS_PINNED`` records whether BLAS runs one thread: numpy was imported
+after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
-share its work; ``experiment._run_jobs`` and
-``turning.compute_metric_series`` both ask it.
+share its work; ``experiment._run_jobs``, ``turning.compute_metric_series``
+and ``tables.read_rows`` all ask it. ``run_shares`` is the one place the
+last two fork, run a share in each child and reap them.
 """
 
 import os
@@ -53,6 +54,37 @@ def fork_workers(tasks: int) -> int:
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(tasks, len(os.sched_getaffinity(0))))
+
+
+def run_shares(workers: int, share) -> bool:
+    """Call ``share(j)`` for each j in 0..workers-1: j = 0 in this process,
+    every other j in a forked child that leaves through ``os._exit``, so it
+    runs none of this process's exit code. Every child is reaped before
+    this returns, also when this process's own share raises. True if every
+    share returned; False if a fork failed, a share raised or a child
+    died, and the caller then redoes what is missing. Take ``workers``
+    from ``fork_workers``."""
+    children = []
+    ok = False
+    try:
+        for j in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    share(j)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        share(0)
+        ok = True
+    except Exception:
+        pass  # the caller redoes the work of a share that did not finish
+    finally:
+        for pid in children:
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    return ok
 
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import yaml
 from .config import load_config
 from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
-from .experiment import run_experiment
+from .experiment import WARM_FIELDS, run_experiment
 from .turning import (
     METRIC_NAMES,
     compute_metric_series,
@@ -120,8 +120,19 @@ def _summary_lines(summary) -> list:
         agg = summary.get(name)
         if agg:
             lines.append(f"{label}: {agg['mean']:.6g} +/- {agg['stddev']:.6g}")
+    warm = [summary.get(key, {}) for key in WARM_FIELDS]
+    for seed, epoch in summary.get("activation_epochs", {}).items():
+        estimate, fired, clamped = (values.get(seed) for values in warm)
+        if epoch is not None:
+            lines.append(f"trial {seed}: activation epoch {epoch}" + (
+                "" if estimate is None else f", turning point estimate {estimate}, "
+                f"detector fired {_yes(fired)}, activation clamped {_yes(clamped)}"))
     lines.extend(f"trial {seed} failed: {err}" for seed, err in summary["failed"].items())
     return lines
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _cmd_inspect(args) -> int:

@@ -24,7 +24,8 @@ fork; only the epoch rows and the final targets pass through the pool's
 pipe. In one process the same two jobs run one after the other, with the
 same outputs; there the diagnose job's mixture fits fan out over the
 cores (``turning.compute_metric_series``), which they never do inside a
-pool worker.
+pool worker. CSV data is parsed at config load, before any worker
+exists, and a large file's parse fans out too (``tables.read_rows``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
@@ -56,6 +57,7 @@ from .rng import stream
 from .targets import EnsembleState, save_state
 from .training import (
     METHOD_CE,
+    TURNING_POINT_OFFSET,
     SelcRunConfig,
     default_activation_epoch,
     run_selc_plus,
@@ -82,6 +84,10 @@ LEDGER_METRICS = (
     "correction_acc", "clean_correct_frac", "clean_incorrect_frac",
     "mislabeled_correct_frac", "mislabeled_memorized_frac", "mislabeled_other_frac",
 )
+# what summary.json records of each trial's warm phase: the detector's raw
+# turning point, whether it fired, and whether the activation epoch was
+# clamped to 1; all null for a fixed activation epoch or no correction
+WARM_FIELDS = ("turning_point_estimate", "detector_fired", "activation_clamped")
 
 
 def _fmt(value) -> str:
@@ -141,6 +147,7 @@ class _TrialResult:
     last_test_acc: float
     last_correction_acc: float
     last_memorized_frac: float
+    warm: dict
     plus_last_test_acc: float | None = None
 
 
@@ -186,10 +193,12 @@ class _Run:
 
 @dataclass
 class _Trained:
-    """A train job's result: rows of (epoch, lr, train_loss, train_acc,
-    test_acc) for the main run and the retrain, and the final targets."""
+    """A train job's result: the ``WARM_FIELDS`` of its warm phase, rows of
+    (epoch, lr, train_loss, train_acc, test_acc) for the main run and the
+    retrain, and the final targets."""
 
     activation_epoch: int | None
+    warm: dict
     rows: list
     state: EnsembleState | None
     plus_rows: list | None
@@ -216,14 +225,15 @@ def _write_csv(path, columns, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int) -> int:
-    """CE warm phase with the online separation detector.
+def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int, detector=None) -> int:
+    """CE warm phase with the online separation detector: ``detector`` if
+    given, which holds the raw estimate afterwards, and whether it fired.
 
     The warm model uses the same init and shuffle streams as the main run,
     so the main run's pre-activation epochs replay this phase exactly.
     """
     method = cfg.method
-    detector = OnlineTurningPointDetector(patience=method.detector_patience)
+    detector = detector or OnlineTurningPointDetector(patience=method.detector_patience)
     noisy_onehot = one_hot(view.noisy_labels, view.num_classes)
     metric = METRIC_NAMES.index(method.metric_choice)
 
@@ -261,9 +271,14 @@ def _train_job(run: _Run, k: int) -> _Trained:
     trajectory.noisy[:] = view.noisy_labels
 
     activation_epoch = None
+    warm = dict.fromkeys(WARM_FIELDS)
     if method.name in ("selc", "option1", "selc_plus"):
         if method.activation_epoch == AUTO:
-            activation_epoch = _estimate_activation_epoch(view, cfg, seed)
+            detector = OnlineTurningPointDetector(patience=method.detector_patience)
+            activation_epoch = _estimate_activation_epoch(view, cfg, seed, detector)
+            warm = dict(zip(WARM_FIELDS, (
+                detector.estimate, detector.fired,
+                activation_epoch != detector.estimate - TURNING_POINT_OFFSET)))
         else:
             activation_epoch = int(method.activation_epoch)
 
@@ -301,7 +316,7 @@ def _train_job(run: _Run, k: int) -> _Trained:
 
         run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
                       cfg.optimizer.batch_size, seed, epoch_hook=record_plus)
-    return _Trained(activation_epoch, rows, state, plus_rows)
+    return _Trained(activation_epoch, warm, rows, state, plus_rows)
 
 
 def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
@@ -348,6 +363,7 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
         last_test_acc=last["test_acc"],
         last_correction_acc=last["correction_acc"],
         last_memorized_frac=last["mislabeled_memorized_frac"],
+        warm=trained.warm,
         plus_last_test_acc=plus_acc,
     )
 
@@ -474,6 +490,7 @@ def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes
         "completed": [r.seed for r in ordered],
         "failed": failures,
         "activation_epochs": {str(r.seed): r.activation_epoch for r in ordered},
+        **{key: {str(r.seed): r.warm[key] for r in ordered} for key in WARM_FIELDS},
         "last_epoch_test_acc": _aggregate(ordered, "last_test_acc") if ordered else None,
         "last_epoch_correction_acc": _aggregate(ordered, "last_correction_acc") if ordered else None,
         "last_epoch_memorized_frac": _aggregate(ordered, "last_memorized_frac") if ordered else None,

@@ -68,9 +68,14 @@ class SelcRunConfig:
             raise ParameterError(f"mixup_beta_param must be positive, got {self.mixup_beta_param}")
 
 
+# correction starts this many epochs before the estimated turning point
+TURNING_POINT_OFFSET = 10
+
+
 def default_activation_epoch(turning_point: int) -> int:
-    """Start correcting a little before the estimated turning point."""
-    return max(int(turning_point) - 10, 1)
+    """Start correcting a little before the estimated turning point, and
+    at epoch 1 at the earliest."""
+    return max(int(turning_point) - TURNING_POINT_OFFSET, 1)
 
 
 @dataclass

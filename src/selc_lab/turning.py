@@ -21,12 +21,11 @@ forked processes when the matrix is large.
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fork_workers
+from . import fork_workers, run_shares
 from .errors import FormatError, ParameterError
 from .tables import open_text, read_rows
 
@@ -279,22 +278,8 @@ def compute_metric_series(epochs, losses) -> MetricSeries:
     buffer = mmap.mmap(-1, 25 * rows)
     metrics = np.frombuffer(buffer, np.float64, 3 * rows).reshape(3, rows)
     done = np.frombuffer(buffer, np.bool_, rows, 24 * rows)
-    children = []
-    try:
-        for j in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    _fit_rows(losses, range(j, rows, workers), metrics, done)
-                finally:
-                    os._exit(0)
-            children.append(pid)
-        _fit_rows(losses, range(0, rows, workers), metrics, done)
-    except Exception:
-        pass  # the rows left are fitted below, where the first bad one raises again
-    finally:
-        for pid in children:
-            os.waitpid(pid, 0)
+    run_shares(workers, lambda j: _fit_rows(losses, range(j, rows, workers), metrics, done))
+    # the rows left are fitted here, where the first bad one raises again
     _fit_rows(losses, np.flatnonzero(~done), metrics, done)
     return MetricSeries(epochs, *metrics.copy())
 

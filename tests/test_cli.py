@@ -262,6 +262,32 @@ def test_inspect_verb(tmp_path, capsys):
     assert "method: selc" in out
     assert "test acc" in out
     assert "correction acc" in out
+    # a fixed activation epoch: no warm phase to report
+    assert "trial 1: activation epoch 1" in out.splitlines()
+
+
+def test_inspect_verb_prints_the_warm_phase(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, optimizer={"epochs": 6}, trials=[1, 2],
+                            method={"activation_epoch": "auto", "detector_patience": 2})
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for seed in ("1", "2"):
+        fired, clamped = (("yes" if summary[key][seed] else "no")
+                          for key in ("detector_fired", "activation_clamped"))
+        assert (f"trial {seed}: activation epoch {summary['activation_epochs'][seed]}, "
+                f"turning point estimate {summary['turning_point_estimate'][seed]}, "
+                f"detector fired {fired}, activation clamped {clamped}") in out
+
+
+def test_inspect_verb_prints_no_warm_phase_for_ce(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, method={"name": "ce"})
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "run")]) == 0
+    assert not any(line.startswith("trial ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_inspect_verb_missing_dir(tmp_path, capsys):

@@ -22,8 +22,9 @@ from selc_lab.experiment import (
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
 from selc_lab.noise import build_symmetric_q, inject_noise
 from selc_lab.targets import load_state
-from selc_lab.training import METHOD_CE, SelcRunConfig, run_training
+from selc_lab.training import METHOD_CE, TURNING_POINT_OFFSET, SelcRunConfig, run_training
 from selc_lab.turning import (
+    OnlineTurningPointDetector,
     fit_gmm2,
     load_loss_snapshots,
     metric_m1,
@@ -64,6 +65,8 @@ def test_trial_artifacts_and_summary(tmp_path):
     assert summary["completed"] == [1, 2]
     assert summary["failed"] == {}
     assert summary["activation_epochs"] == {"1": 1, "2": 1}
+    for key in experiment.WARM_FIELDS:  # no warm phase at a fixed activation epoch
+        assert summary[key] == {"1": None, "2": None}
     for key in ("last_epoch_test_acc", "last_epoch_correction_acc", "last_epoch_memorized_frac"):
         agg = summary[key]
         assert set(agg) == {"per_trial", "mean", "stddev"}
@@ -134,6 +137,8 @@ def test_ce_method_writes_no_targets(tmp_path):
     cfg = tiny_config(tmp_path, method={"name": "ce"})
     summary = run_experiment(cfg)
     assert summary["activation_epochs"] == {"1": None, "2": None}
+    for key in experiment.WARM_FIELDS:
+        assert summary[key] == {"1": None, "2": None}
     assert not os.path.exists(os.path.join(cfg.out_dir, "trial_1", "targets_final.txt"))
 
 
@@ -146,15 +151,16 @@ def test_auto_activation_resolves_to_int(tmp_path):
     assert 1 <= resolved < 4
 
 
-def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path, monkeypatch):
-    """A detector whose patience outlasts the warm phase never fires; its
-    running maximum is then the estimate, the earliest argmax of m1 over a
-    CE run of the same model."""
-    epochs = 12
-    cfg = tiny_config(tmp_path, dataset={"n": 120, "cluster_std": 0.6},
-                      optimizer={"epochs": epochs},
-                      method={"name": "selc", "activation_epoch": "auto",
-                              "detector_patience": epochs + 1}, trials=[1])
+def warm_config(tmp_path, epochs, patience):
+    return tiny_config(tmp_path, dataset={"n": 120, "cluster_std": 0.6},
+                       optimizer={"epochs": epochs},
+                       method={"name": "selc", "activation_epoch": "auto",
+                               "detector_patience": patience}, trials=[1])
+
+
+def ce_m1_series(cfg):
+    """m1 of each epoch of a CE run of trial 1's model, as the warm phase
+    starts it: same data, noise, init and shuffle streams."""
     train_x, train_y, _, _, num_classes = experiment._build_clean_data(cfg)
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
     view = TrainView(train_x, noisy, np.arange(noisy.size), num_classes)
@@ -166,14 +172,42 @@ def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path, monkeypatch
         m1.append(metric_m1(fit_gmm2(normalize_losses(per_sample))))
 
     model, opt = experiment._build_model(cfg, view, 1, "init")
-    run_training(view, model, opt, SelcRunConfig(total_epochs=epochs), METHOD_CE, 16, 1,
-                 epoch_hook=observe)
+    run_training(view, model, opt, SelcRunConfig(total_epochs=cfg.optimizer.epochs), METHOD_CE,
+                 16, 1, epoch_hook=observe)
+    return view, m1
+
+
+def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path, monkeypatch):
+    """A detector whose patience outlasts the warm phase never fires; its
+    running maximum is then the estimate, the earliest argmax of m1 over a
+    CE run of the same model."""
+    epochs = 12
+    cfg = warm_config(tmp_path, epochs, epochs + 1)
+    view, m1 = ce_m1_series(cfg)
     expected = int(np.argmax(m1))
     assert 0 < expected < epochs - 1  # a peak inside the run, not at either end
 
     # the estimate before the floor of default_activation_epoch
     monkeypatch.setattr(experiment, "default_activation_epoch", lambda estimate: estimate)
     assert experiment._estimate_activation_epoch(view, cfg, 1) == expected
+
+
+@pytest.mark.parametrize("patience, fired", [(2, True), (13, False)])
+def test_summary_records_the_warm_phase(tmp_path, patience, fired):
+    """summary.json holds the detector's raw turning point, whether it
+    fired and whether the activation epoch was clamped: the outcome of the
+    patience rule on the m1 series of a CE run of the same model."""
+    cfg = warm_config(tmp_path, 12, patience)
+    detector = OnlineTurningPointDetector(patience)
+    for epoch, value in enumerate(ce_m1_series(cfg)[1]):
+        detector.observe(epoch, value)
+    assert detector.fired is fired
+    summary = run_experiment(cfg)
+    estimate = detector.estimate
+    assert summary["turning_point_estimate"] == {"1": estimate}
+    assert summary["detector_fired"] == {"1": fired}
+    assert summary["activation_clamped"] == {"1": estimate - TURNING_POINT_OFFSET < 1}
+    assert summary["activation_epochs"] == {"1": max(estimate - TURNING_POINT_OFFSET, 1)}
 
 
 def test_empty_trials_marker(tmp_path):

@@ -1,6 +1,7 @@
-"""The fork fan-out of ``compute_metric_series``: the same series as in one
-process, the same error, no child left behind, and no fork where the
-rule in ``selc_lab.fork_workers`` or the size cut-off forbids one."""
+"""The fork fan-outs of ``compute_metric_series`` and ``tables.read_rows``:
+the same series and rows as in one process, the same error, no child left
+behind, and no fork where the rule in ``selc_lab.fork_workers`` or a size
+cut-off forbids one."""
 
 import os
 import threading
@@ -11,13 +12,18 @@ import numpy as np
 import pytest
 
 import selc_lab
+import selc_lab.tables as tables
 import selc_lab.turning as turning
-from selc_lab.errors import ParameterError
+from selc_lab.data import load_csv_dataset, save_csv_dataset
+from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
+from selc_lab.tables import FAN_OUT_MIN_BYTES
 from selc_lab.turning import (
     FAN_OUT_MIN_ELEMENTS,
     compute_metric_series,
+    load_loss_snapshots,
     normalize_losses,
+    save_loss_snapshots,
     separation_metrics,
 )
 
@@ -176,3 +182,235 @@ def test_no_fork_inside_a_pool_worker():
         workers, attempts, m1 = pool.submit(fit_in_worker, losses).result(timeout=120)
     assert (workers, attempts) == (1, 0)
     assert m1 == in_process_series(losses)[0].tobytes()
+
+
+# --- the shared parse of tables.read_rows ---
+
+LOSSES = [("epoch", int), ("sample_id", int), ("loss", float)]
+# a losses.csv of 40 epochs of 2500 samples is about 2.7 MB
+BIG_EPOCHS, BIG_N = 40, 2500
+
+
+def read_losses_rows(path):
+    with tables.open_text(path) as fh:
+        fh.readline()
+        return tables.read_rows(path, fh, LOSSES, ",")
+
+
+def one_process(load, path):
+    """``load(path)`` with the fork rule saying no, as one process reads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "fork_workers", lambda tasks: 1)
+        return load(path)
+
+
+@pytest.fixture(scope="module")
+def big_losses(tmp_path_factory):
+    """A losses.csv over the cut-off, in the format ``run`` writes, and the
+    bytes of its rows as one process reads them."""
+    path = tmp_path_factory.mktemp("big") / "losses.csv"
+    save_loss_snapshots(two_mode_losses(BIG_EPOCHS, BIG_N), path)
+    assert os.path.getsize(path) >= FAN_OUT_MIN_BYTES
+    return path, one_process(read_losses_rows, path).tobytes()
+
+
+@pytest.fixture(scope="module")
+def big_csv(tmp_path_factory):
+    """A CSV dataset over the cut-off, and its arrays as one process reads
+    them."""
+    path = tmp_path_factory.mktemp("big") / "train.csv"
+    rng = stream(7, "fan_out_csv")
+    save_csv_dataset(path, rng.standard_normal((8000, 16)), rng.integers(0, 4, 8000))
+    assert os.path.getsize(path) >= FAN_OUT_MIN_BYTES
+    return path, [a.tobytes() for a in one_process(load_csv_dataset, path)]
+
+
+def copy_of(tmp_path, source):
+    path = tmp_path / source.name
+    path.write_bytes(source.read_bytes())
+    return path
+
+
+def line_count(path):
+    with open(path, "rb") as fh:
+        return fh.read().count(b"\n")
+
+
+def edit_line(path, lineno, text):
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = text
+    path.write_bytes(b"\n".join(lines))
+
+
+def parse_fans_out():
+    return selc_lab.fork_workers(2) > 1
+
+
+def test_shared_parse_equals_one_process_parse(big_losses, forks):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_losses
+    got = read_losses_rows(path)
+    assert len(forks) == selc_lab.fork_workers(len(got)) - 1
+    assert got.tobytes() == want
+    assert len(got) == line_count(path) - 1
+    # the rows are those of the shared mapping, not of a read in one process
+    assert isinstance(got.base, memoryview)
+    _, losses = load_loss_snapshots(path)
+    assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
+    assert_no_child_left()
+
+
+def test_shared_parse_of_a_csv_dataset(big_csv, forks):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_csv
+    assert [a.tobytes() for a in load_csv_dataset(path)] == want
+    assert forks
+    assert_no_child_left()
+
+
+# line 3 falls in this process's share, the next-to-last line in the last
+# child's; the error names the first bad line, as a read in one process does
+@pytest.mark.parametrize("where", ["parent", "child", "both"])
+def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path = copy_of(tmp_path, big_losses[0])
+    last = line_count(path) - 1
+    bad = {"parent": [3], "child": [last], "both": [3, last]}[where]
+    for lineno in bad:
+        edit_line(path, lineno, b"0,1,1.5x")
+    with pytest.raises(FormatError) as exc:
+        load_loss_snapshots(path)
+    assert str(exc.value) == f"{path}:{bad[0]}: could not convert string to float: '1.5x'"
+    assert forks
+    assert_no_child_left()
+
+
+def test_a_bad_csv_line_in_a_child_share(tmp_path, big_csv, forks):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path = copy_of(tmp_path, big_csv[0])
+    lineno = line_count(path) - 2
+    edit_line(path, lineno, b"1,2")
+    with pytest.raises(FormatError) as exc:
+        load_csv_dataset(path)
+    assert str(exc.value) == f"{path}:{lineno}: expected 17 fields, got 2"
+    assert forks
+    assert_no_child_left()
+
+
+def test_a_non_finite_loss_in_a_child_share(tmp_path, big_losses, forks):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path = copy_of(tmp_path, big_losses[0])
+    lineno = line_count(path) - 1
+    edit_line(path, lineno, f"{BIG_EPOCHS - 1},{BIG_N - 2},nan".encode())
+    with pytest.raises(FormatError) as exc:
+        load_loss_snapshots(path)
+    assert str(exc.value) == f"{path}:{lineno}: loss must be finite, got nan"
+    assert forks
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_is_read_again_here(monkeypatch, big_losses, forks):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_losses
+    parent, real = os.getpid(), np.loadtxt
+
+    def dying_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", dying_in_a_child)
+    assert read_losses_rows(path).tobytes() == want
+    assert forks
+    assert_no_child_left()
+
+
+def crlf(raw):
+    return raw.replace(b"\n", b"\r\n")
+
+
+def lone_cr(raw):
+    return raw.replace(b"\n", b"\r")
+
+
+def blank_line(raw):
+    # an empty line before the last line, in the last share
+    head, _, tail = raw[:-1].rpartition(b"\n")
+    return head + b"\n\n" + tail + b"\n"
+
+
+def no_trailing_lf(raw):
+    return raw[:-1]
+
+
+@pytest.mark.parametrize("edit", [crlf, lone_cr, blank_line, no_trailing_lf])
+def test_other_line_ends_load_the_same_arrays(tmp_path, big_losses, edit):
+    path = tmp_path / "losses.csv"
+    path.write_bytes(edit(big_losses[0].read_bytes()))
+    assert read_losses_rows(path).tobytes() == big_losses[1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("edit", [crlf, lone_cr, no_trailing_lf])
+def test_no_shared_parse_unless_every_lf_ends_a_line(tmp_path, big_losses, no_fork, edit):
+    path = tmp_path / "losses.csv"
+    path.write_bytes(edit(big_losses[0].read_bytes()))
+    read_losses_rows(path)
+    assert no_fork == []
+
+
+def test_no_shared_parse_below_the_cut_off(tmp_path, no_fork):
+    path = tmp_path / "losses.csv"
+    save_loss_snapshots(two_mode_losses(10, 1000), path)
+    assert os.path.getsize(path) < FAN_OUT_MIN_BYTES
+    assert len(read_losses_rows(path)) == 10_000
+    assert no_fork == []
+
+
+def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
+    path, want = big_losses
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        got = read_losses_rows(path)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert no_fork == []
+    assert got.tobytes() == want
+
+
+def test_a_failed_fork_parses_here(big_losses, no_fork):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_losses
+    assert read_losses_rows(path).tobytes() == want
+    assert len(no_fork) == 1
+
+
+def parse_in_worker(path):
+    attempts = []
+
+    def refusing_fork():
+        attempts.append(1)
+        raise OSError("fork attempted")
+
+    os.fork = refusing_fork  # this worker process only
+    return len(attempts), read_losses_rows(path).tobytes()
+
+
+def test_no_shared_parse_inside_a_pool_worker(big_losses):
+    if not parse_fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_losses
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        attempts, got = pool.submit(parse_in_worker, path).result(timeout=120)
+    assert (attempts, got) == (0, want)
