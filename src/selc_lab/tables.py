@@ -5,11 +5,11 @@ Only printable ASCII, tab, CR and LF may appear in it.
 
 A large file is parsed in shares by this process and forked children
 (``read_rows``); the scan of its bytes that ``open_text`` makes anyway
-finds where the shares may start and how many rows each holds."""
+counts its lines and tells whether each LF ends one row."""
 
 import math
+import os
 import warnings
-from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
@@ -23,28 +23,26 @@ from .errors import FormatError
 TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 TEXT_CHARS = frozenset(TEXT_BYTES.decode())
 # the scan reads a file in chunks of this size, so that it adds no
-# file-sized buffer to the peak; a share of the parse starts at the first
-# line that begins in a chunk
+# file-sized buffer to the peak
 SCAN_CHUNK = 1 << 16
 # read_rows parses a file in shares only from this size on. On 2 vCPUs
-# np.loadtxt parses perfbench's losses.csv at 27-33 ns per byte, and a
-# fork, the child's exit and its reaping take about 5 ms. In two
-# processes, a 2 MB cut of that file took 44-45 ms against 61-65 ms in
-# one, while 1 MB took 26-27 ms either way (medians of 15 reads).
+# np.loadtxt parses perfbench's losses.csv at about 30 ns per byte, and a
+# fork, the child's exit and its reaping take 5-9 ms. In two processes, a
+# 2 MB cut of that file took 42-46 ms against 58-66 ms in one, while 1 MB
+# took 27-30 ms against 30-31 ms (medians of 15 reads, three runs).
 FAN_OUT_MIN_BYTES = 1 << 21
 
 
 class Lines(NamedTuple):
-    """What the scan of ``open_text`` saw of a file's lines: its ``size``
-    in bytes, its ``count`` of LF bytes, whether it is ``plain`` (no CR,
-    an LF at the end, so that each LF ends one line) and, for each chunk
-    in which a line starts, the mark (offset, LFs before it) of the first
-    such line."""
+    """What the scan of ``open_text`` saw of a file: its ``size`` in
+    bytes, the offset ``head`` where its second line starts, its ``count``
+    of LF bytes, and whether it is ``plain``: no CR, no empty line and an
+    LF at the end, so that each LF ends one row or the header."""
 
     size: int
+    head: int | None
     count: int
     plain: bool
-    marks: list
 
 
 def open_text(path):
@@ -52,21 +50,24 @@ def open_text(path):
     only ``TEXT_BYTES``; a stray byte is a ``FormatError`` naming its line.
     The file's ``lines`` attribute holds the ``Lines`` of the scan."""
     size = count = 0
-    plain, last, marks = True, b"", []
+    head, plain, last = None, True, b"\n"
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(SCAN_CHUNK), b""):
             if chunk.translate(None, TEXT_BYTES):
                 raise _first_stray_line(path)
-            first = chunk.find(b"\n")
-            if 0 <= first < len(chunk) - 1:  # a line starts in this chunk
-                marks.append((size + first + 1, count + 1))
             # numpy counts bytes about three times as fast as bytes.count
-            count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 0x0A))
+            lf = np.frombuffer(chunk, np.uint8) == 0x0A
+            if head is None and lf.any():
+                head = size + int(lf.argmax()) + 1
+            count += int(np.count_nonzero(lf))
             size += len(chunk)
-            plain = plain and b"\r" not in chunk
+            # an empty line is two LFs in a row, across chunks too, or an
+            # LF at the start
+            plain = (plain and b"\r" not in chunk and not (lf[0] and last == b"\n")
+                     and not (lf[1:] & lf[:-1]).any())
             last = chunk[-1:]
     fh = open(path)
-    fh.lines = Lines(size, count, plain and last == b"\n", marks)
+    fh.lines = Lines(size, head, count, plain and last == b"\n")
     return fh
 
 
@@ -93,46 +94,46 @@ def read_rows(path, fh, columns, delimiter=None) -> np.ndarray:
 
 
 def _parse_shares(path, fh, dtype, delimiter):
-    """The rows left in ``fh`` parsed in shares, one per process that
-    ``fork_workers`` allows, as a view of an anonymous shared mapping; or
-    None if one process must parse them. Each share is the lines from one
-    mark of the scan to the next share's. Each process feeds exactly its
-    share's lines to the same ``np.loadtxt`` as one process runs and
-    writes the rows to their place in the mapping. If a share raises, or
-    returns fewer rows than it has lines (``np.loadtxt`` skips an empty
-    line), the answer is None. A file that is not ``plain``, or under
-    ``FAN_OUT_MIN_BYTES``, has no shares."""
-    lines = getattr(fh, "lines", None)
-    if lines is None or not lines.plain or lines.size < FAN_OUT_MIN_BYTES:
+    """The rows after the header of ``fh`` parsed in shares, one per
+    process that ``fork_workers`` allows, as a view of an anonymous shared
+    mapping; or None if one process must parse them. Share j is a run of
+    whole lines; its process hands ``np.loadtxt`` the file's path with
+    ``skiprows`` and ``max_rows`` set to the share's lines, which reads in
+    blocks, not line by line as from ``fh``, and writes the rows to their
+    place in the mapping. If a share raises or returns fewer rows than it
+    has lines, the answer is None.
+
+    ``max_rows`` does not count a line that ``np.loadtxt`` skips, so there
+    are no shares in a file that is not ``plain`` or whose delimiter is
+    whitespace (a line of blanks is skipped), nor under
+    ``FAN_OUT_MIN_BYTES`` or with ``fh`` not at the second line."""
+    lines = fh.lines
+    if (delimiter is None or not lines.plain or lines.size < FAN_OUT_MIN_BYTES
+            or fh.tell() != lines.head):
         return None
-    marks, start = lines.marks, fh.tell()
-    workers = fork_workers(len(marks)) if marks and marks[0][0] == start else 1
+    total = lines.count - 1
+    workers = fork_workers(total)
     if workers < 2:
         return None
-    # share j starts at the first mark at or past j / workers of the bytes left
-    shares = [marks[i] for i in sorted({
-        min(bisect_left(marks, (start + j * (lines.size - start) // workers,)), len(marks) - 1)
-        for j in range(workers)})]
-    ends = [before for _, before in shares[1:]] + [lines.count]
-    first = shares[0][1]
+    # share j is lines bounds[j] + 1 .. bounds[j + 1] of the file, line 1
+    # the header
+    bounds = [1 + j * total // workers for j in range(workers + 1)]
     # imported only here, so that a small file does not load it
     import mmap
 
-    rows = np.frombuffer(mmap.mmap(-1, (lines.count - first) * dtype.itemsize), dtype)
+    rows = np.frombuffer(mmap.mmap(-1, total * dtype.itemsize), dtype)
+    # an absolute path, which np.loadtxt cannot take for a URL
+    source = os.path.abspath(path)
 
     def parse(j):
-        (offset, before), end = shares[j], ends[j]
-        with open(path) as share:
-            share.seek(offset)
-            got = np.loadtxt(islice(share, end - before), dtype=dtype, delimiter=delimiter,
-                             comments=None, ndmin=1)
-        # np.loadtxt skips an empty line, and a line of blanks if the
-        # delimiter is whitespace
-        if got.size != end - before:
-            raise ValueError(f"{end - before - got.size} lines skipped")
-        rows[before - first:end - first] = got
+        skip, stop = bounds[j], bounds[j + 1]
+        got = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1,
+                         skiprows=skip, max_rows=stop - skip)
+        if got.size != stop - skip:
+            raise ValueError(f"{stop - skip - got.size} rows missing")
+        rows[skip - 1:stop - 1] = got
 
-    return rows if run_shares(len(shares), parse) else None
+    return rows if run_shares(workers, parse) else None
 
 
 def line_of_row(path, row: int, delimiter) -> int:

@@ -18,6 +18,7 @@ from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
 from selc_lab.tables import FAN_OUT_MIN_BYTES
+from selc_lab.targets import MODE_SELC, EnsembleState, load_state, save_state
 from selc_lab.turning import (
     FAN_OUT_MIN_ELEMENTS,
     compute_metric_series,
@@ -345,11 +346,17 @@ def blank_line(raw):
     return head + b"\n\n" + tail + b"\n"
 
 
+def early_blank_line(raw):
+    # an empty line after line 2, in this process's share
+    first, second, rest = raw.split(b"\n", 2)
+    return first + b"\n" + second + b"\n\n" + rest
+
+
 def no_trailing_lf(raw):
     return raw[:-1]
 
 
-@pytest.mark.parametrize("edit", [crlf, lone_cr, blank_line, no_trailing_lf])
+@pytest.mark.parametrize("edit", [crlf, lone_cr, blank_line, early_blank_line, no_trailing_lf])
 def test_other_line_ends_load_the_same_arrays(tmp_path, big_losses, edit):
     path = tmp_path / "losses.csv"
     path.write_bytes(edit(big_losses[0].read_bytes()))
@@ -357,11 +364,21 @@ def test_other_line_ends_load_the_same_arrays(tmp_path, big_losses, edit):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("edit", [crlf, lone_cr, no_trailing_lf])
-def test_no_shared_parse_unless_every_lf_ends_a_line(tmp_path, big_losses, no_fork, edit):
+@pytest.mark.parametrize("edit", [crlf, lone_cr, blank_line, no_trailing_lf])
+def test_no_shared_parse_unless_every_lf_ends_a_row(tmp_path, big_losses, no_fork, edit):
     path = tmp_path / "losses.csv"
     path.write_bytes(edit(big_losses[0].read_bytes()))
     read_losses_rows(path)
+    assert no_fork == []
+
+
+def test_no_shared_parse_of_a_whitespace_separated_file(tmp_path, no_fork):
+    # np.loadtxt skips a line of blanks there, so max_rows could overrun a share
+    path = tmp_path / "targets.txt"
+    targets = stream(9, "fan_out_targets").dirichlet(np.ones(4), size=30_000)
+    save_state(EnsembleState(targets=targets, alpha=0.9, epoch_k=3, mode=MODE_SELC), path)
+    assert os.path.getsize(path) >= FAN_OUT_MIN_BYTES
+    assert load_state(path).targets.tobytes() == targets.tobytes()
     assert no_fork == []
 
 
