@@ -188,7 +188,7 @@ def test_no_fork_inside_a_pool_worker():
 # --- the shared parse of tables.read_rows ---
 
 LOSSES = [("epoch", int), ("sample_id", int), ("loss", float)]
-# a losses.csv of 40 epochs of 2500 samples is about 2.7 MB
+# a losses.csv of 40 epochs of 2500 samples is about 2.6 MB
 BIG_EPOCHS, BIG_N = 40, 2500
 
 
@@ -243,12 +243,8 @@ def edit_line(path, lineno, text):
     path.write_bytes(b"\n".join(lines))
 
 
-def parse_fans_out():
-    return selc_lab.fork_workers(2) > 1
-
-
 def test_shared_parse_equals_one_process_parse(big_losses, forks):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path, want = big_losses
     got = read_losses_rows(path)
@@ -263,7 +259,7 @@ def test_shared_parse_equals_one_process_parse(big_losses, forks):
 
 
 def test_shared_parse_of_a_csv_dataset(big_csv, forks):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path, want = big_csv
     assert [a.tobytes() for a in load_csv_dataset(path)] == want
@@ -275,7 +271,7 @@ def test_shared_parse_of_a_csv_dataset(big_csv, forks):
 # child's; the error names the first bad line, as a read in one process does
 @pytest.mark.parametrize("where", ["parent", "child", "both"])
 def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path = copy_of(tmp_path, big_losses[0])
     last = line_count(path) - 1
@@ -290,7 +286,7 @@ def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where)
 
 
 def test_a_bad_csv_line_in_a_child_share(tmp_path, big_csv, forks):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path = copy_of(tmp_path, big_csv[0])
     lineno = line_count(path) - 2
@@ -303,7 +299,7 @@ def test_a_bad_csv_line_in_a_child_share(tmp_path, big_csv, forks):
 
 
 def test_a_non_finite_loss_in_a_child_share(tmp_path, big_losses, forks):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path = copy_of(tmp_path, big_losses[0])
     lineno = line_count(path) - 1
@@ -316,7 +312,7 @@ def test_a_non_finite_loss_in_a_child_share(tmp_path, big_losses, forks):
 
 
 def test_a_child_that_dies_is_read_again_here(monkeypatch, big_losses, forks):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path, want = big_losses
     parent, real = os.getpid(), np.loadtxt
@@ -406,7 +402,7 @@ def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
 
 
 def test_a_failed_fork_parses_here(big_losses, no_fork):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path, want = big_losses
     assert read_losses_rows(path).tobytes() == want
@@ -425,7 +421,7 @@ def parse_in_worker(path):
 
 
 def test_no_shared_parse_inside_a_pool_worker(big_losses):
-    if not parse_fans_out():
+    if not fans_out():
         pytest.skip("this process may not fork")
     path, want = big_losses
     with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
