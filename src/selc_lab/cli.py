@@ -108,6 +108,7 @@ def _summary_lines(summary) -> list:
             agg = sub.get("last_epoch_test_acc")
             lines.append(f"  alpha {key}: " + ("no completed trials" if not agg else
                                               f"test acc {agg['mean']:.6g} +/- {agg['stddev']:.6g}"))
+            lines.extend("    " + line for line in _trial_lines(sub))
         if summary.get("test_acc_spread") is not None:
             lines.append(f"spread: {summary['test_acc_spread']:.6g}")
         return lines
@@ -120,6 +121,14 @@ def _summary_lines(summary) -> list:
         agg = summary.get(name)
         if agg:
             lines.append(f"{label}: {agg['mean']:.6g} +/- {agg['stddev']:.6g}")
+    return lines + _trial_lines(summary) + [f"trial {seed} failed: {err}"
+                                            for seed, err in summary["failed"].items()]
+
+
+def _trial_lines(summary) -> list:
+    """A line per trial of one alpha's summary that set an activation
+    epoch, with what its warm phase found, if it had one."""
+    lines = []
     warm = [summary.get(key, {}) for key in WARM_FIELDS]
     for seed, epoch in summary.get("activation_epochs", {}).items():
         estimate, fired, clamped = (values.get(seed) for values in warm)
@@ -127,7 +136,6 @@ def _summary_lines(summary) -> list:
             lines.append(f"trial {seed}: activation epoch {epoch}" + (
                 "" if estimate is None else f", turning point estimate {estimate}, "
                 f"detector fired {_yes(fired)}, activation clamped {_yes(clamped)}"))
-    lines.extend(f"trial {seed} failed: {err}" for seed, err in summary["failed"].items())
     return lines
 
 

@@ -360,6 +360,10 @@ def test_run_summary_readable_by_inspect_after_sweep(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "run")]) == 0
     out = capsys.readouterr().out
     assert "alpha sweep: 0.5, 0.9" in out
+    # each alpha's trials, indented under it
+    lines = out.splitlines()
+    under = [lines[i + 1] for i, line in enumerate(lines) if line.startswith("  alpha ")]
+    assert under == ["    trial 1: activation epoch 1"] * 2
 
 
 def csv_run(tmp_path):
