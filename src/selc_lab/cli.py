@@ -9,8 +9,6 @@ import json
 import os
 import sys
 
-import yaml
-
 from .config import load_config
 from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
@@ -165,6 +163,8 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_make_blobs(args) -> int:
+    import yaml  # only run and make-blobs read YAML
+
     with open(args.spec) as fh:
         try:
             raw = yaml.safe_load(fh)

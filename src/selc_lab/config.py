@@ -12,8 +12,6 @@ stays on the config for the run. Fields annotated ``int``, ``float`` or
 import os
 from dataclasses import dataclass, field
 
-import yaml
-
 from .data import BlobSpec, _blob_centers, check_field_types, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
@@ -250,6 +248,9 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    # imported only here, so that commands that read no config do not load it
+    import yaml
+
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)

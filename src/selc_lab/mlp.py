@@ -72,7 +72,7 @@ class Gradients:
     biases: list
 
 
-def init_mlp(layer_dims, rng: np.random.Generator, activation: str = "tanh") -> MlpModel:
+def init_mlp(layer_dims, rng: "np.random.Generator", activation: str = "tanh") -> MlpModel:
     """Build a model with per-layer uniform init in +-sqrt(6/(fan_in+fan_out))."""
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):

@@ -16,7 +16,9 @@ def _label_word(label) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def stream(root_seed: int, *labels) -> np.random.Generator:
+# the annotation is a string, so that importing this module does not load
+# numpy.random; the first call does
+def stream(root_seed: int, *labels) -> "np.random.Generator":
     """Return the generator for ``(root_seed, *labels)``.
 
     The same arguments always yield the same stream, independent of any

@@ -76,8 +76,10 @@ def read_rows(path, fh, columns, delimiter=None) -> np.ndarray:
     past its header, as a 1-D structured array of dtype ``columns``
     (``(name, float, (width,))`` for ``width`` floats), parsed by
     ``np.loadtxt``: in shares (``_parse_shares``) or else in one call. If
-    a share or that call fails, or a float is not finite, a rescan with
-    Python's ``int``/``float`` names the bad line."""
+    a share or that call raises, or a float is not finite, a rescan with
+    Python's ``int``/``float`` names the bad line. Only if a share's
+    process died or could not be forked, or the rescan after a share
+    raised names no line, does the one call parse the file again."""
     dtype = np.dtype(columns)
     rows = _parse_shares(path, fh, dtype, delimiter)
     if rows is None:
@@ -87,9 +89,11 @@ def read_rows(path, fh, columns, delimiter=None) -> np.ndarray:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
         except ValueError as exc:
-            raise _first_bad_line(path, dtype, delimiter, exc) from exc
+            raise (_first_bad_line(path, dtype, delimiter)
+                   or FormatError(f"{path}: {exc}")) from exc
     if not all(np.isfinite(rows[f]).all() for f in dtype.names if dtype[f].base.kind == "f"):
-        raise _first_bad_line(path, dtype, delimiter, "floats must be finite")
+        raise (_first_bad_line(path, dtype, delimiter)
+               or FormatError(f"{path}: floats must be finite"))
     return rows
 
 
@@ -100,8 +104,10 @@ def _parse_shares(path, fh, dtype, delimiter):
     whole lines; its process hands ``np.loadtxt`` the file's path with
     ``skiprows`` and ``max_rows`` set to the share's lines, which reads in
     blocks, not line by line as from ``fh``, and writes the rows to their
-    place in the mapping. If a share raises or returns fewer rows than it
-    has lines, the answer is None.
+    place in the mapping. If a share raises ``ValueError`` or returns
+    fewer rows than it has lines, the rescan's ``FormatError`` is raised
+    here; if the rescan names no line, or a share's process died or could
+    not be forked, the answer is None.
 
     ``max_rows`` does not count a line that ``np.loadtxt`` skips, so there
     are no shares in a file that is not ``plain`` or whose delimiter is
@@ -121,19 +127,32 @@ def _parse_shares(path, fh, dtype, delimiter):
     # imported only here, so that a small file does not load it
     import mmap
 
-    rows = np.frombuffer(mmap.mmap(-1, total * dtype.itemsize), dtype)
+    buffer = mmap.mmap(-1, total * dtype.itemsize + workers)
+    rows = np.frombuffer(buffer, dtype, total)
+    # raised[j]: share j's rows did not parse
+    raised = np.frombuffer(buffer, np.bool_, workers, total * dtype.itemsize)
     # an absolute path, which np.loadtxt cannot take for a URL
     source = os.path.abspath(path)
 
     def parse(j):
         skip, stop = bounds[j], bounds[j + 1]
-        got = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1,
-                         skiprows=skip, max_rows=stop - skip)
-        if got.size != stop - skip:
-            raise ValueError(f"{stop - skip - got.size} rows missing")
+        try:
+            got = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1,
+                             skiprows=skip, max_rows=stop - skip)
+            if got.size != stop - skip:
+                raise ValueError(f"{stop - skip - got.size} rows missing")
+        except ValueError:
+            raised[j] = True
+            raise
         rows[skip - 1:stop - 1] = got
 
-    return rows if run_shares(workers, parse) else None
+    if run_shares(workers, parse):
+        return rows
+    if raised.any():
+        bad = _first_bad_line(path, dtype, delimiter)
+        if bad is not None:
+            raise bad
+    return None
 
 
 def line_of_row(path, row: int, delimiter) -> int:
@@ -161,8 +180,9 @@ def _first_stray_line(path) -> FormatError:
     return FormatError(f"{path}: only printable ASCII, tab, CR and LF may appear")
 
 
-def _first_bad_line(path, dtype, delimiter, why) -> FormatError:
-    # Python's int and float, held to np.loadtxt: no 1_000, no ints past 64 bits
+def _first_bad_line(path, dtype, delimiter):
+    # the FormatError of the first line that Python's int and float, held to
+    # np.loadtxt (no 1_000, no ints past 64 bits), reject; None if none does
     kinds = [(name, int if dtype[name].base.kind == "i" else float)
              for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
     for lineno, fields in _split_rows(path, delimiter):
@@ -177,4 +197,4 @@ def _first_bad_line(path, dtype, delimiter, why) -> FormatError:
                 return FormatError(f"{path}:{lineno}: {name} must be finite, got {token.strip()}")
             if "_" in token or kind is int and not -2**63 <= value < 2**63:
                 return FormatError(f"{path}:{lineno}: {name} is not a 64-bit decimal: {token!r}")
-    return FormatError(f"{path}: {why}")
+    return None

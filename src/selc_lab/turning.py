@@ -233,7 +233,7 @@ class MetricSeries:
         n = self.epochs.size
         if not (self.m1.size == self.m2.size == self.m3.size == n):
             raise ParameterError("metric series lengths differ")
-        if n > 1 and np.any(np.diff(self.epochs) <= 0):
+        if n > 1 and np.any(self.epochs[1:] <= self.epochs[:-1]):
             raise ParameterError("epochs must be strictly increasing")
 
     def values(self, metric_choice: str) -> np.ndarray:
@@ -366,7 +366,8 @@ def save_loss_snapshots(losses, path) -> None:
 
 def load_loss_snapshots(path):
     """(epochs, losses) of a losses CSV: the ascending int64 epoch numbers
-    and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``.
+    and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``,
+    a view of the parsed rows with no second copy of the losses.
     Lines may come in any order. Every epoch must hold the sample ids
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix."""
@@ -378,11 +379,10 @@ def load_loss_snapshots(path):
     if epochs.size == 0:
         return epochs, np.empty((0, 0))
     # what save_loss_snapshots writes is already in (epoch, sample_id) order
-    step = np.diff(epochs)
-    if (step < 0).any() or ((step == 0) & (np.diff(ids) <= 0)).any():
+    if _out_of_order(epochs, ids):
         order = np.lexsort((ids, epochs))
         epochs, ids, losses = epochs[order], ids[order], losses[order]
-    starts = np.r_[0, np.flatnonzero(np.diff(epochs)) + 1]
+    starts = np.r_[0, np.flatnonzero(epochs[1:] != epochs[:-1]) + 1]
     sizes = np.diff(np.r_[starts, epochs.size])
     n = int(sizes[0])
     uneven = np.flatnonzero(sizes != n)
@@ -396,7 +396,19 @@ def load_loss_snapshots(path):
     if misnumbered.size:
         raise FormatError(f"{path}: epoch {epochs[starts[misnumbered[0]]]} sample ids "
                           f"are not 0..{n - 1}")
-    return epochs[starts], np.ascontiguousarray(losses).reshape(-1, n)
+    return epochs[starts], losses.reshape(-1, n)
+
+
+def _out_of_order(epochs, ids) -> bool:
+    # whether a row does not come after the one before it in (epoch,
+    # sample_id) order. Neighbours are compared, not subtracted: an int64
+    # difference can wrap, and the comparisons keep at most two bytes per
+    # row alive, where the differences kept eight each.
+    if (epochs[1:] < epochs[:-1]).any():
+        return True
+    behind = ids[1:] <= ids[:-1]
+    behind &= epochs[1:] == epochs[:-1]
+    return bool(behind.any())
 
 
 def save_metric_series(series: MetricSeries, path) -> None:

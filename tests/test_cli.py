@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import selc_lab
 from selc_lab.cli import main
 from selc_lab.data import load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
@@ -251,6 +254,28 @@ def test_detect_verb_bad_losses_name_the_file(tmp_path, capsys, edit, where):
 def test_detect_verb_bad_metric_flag(tmp_path, capsys):
     path = make_losses_csv(tmp_path)
     assert main(["detect-turning-point", str(path), "--metric", "m9"]) == 1
+
+
+# the modules that load after importing the CLI, the exit status of a
+# detect-turning-point run, and the modules loaded after it
+DEFERRED_IMPORTS = """
+import json, sys
+import selc_lab.cli
+def loaded():
+    return [name for name in ("numpy.random", "yaml") if name in sys.modules]
+after_import = loaded()
+status = selc_lab.cli.main(["detect-turning-point", sys.argv[1]])
+print(json.dumps([after_import, status, loaded()]))
+"""
+
+
+def test_detect_verb_loads_neither_numpy_random_nor_yaml(tmp_path):
+    path = make_losses_csv(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selc_lab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", DEFERRED_IMPORTS, str(path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [[], 0, []]
 
 
 def test_inspect_verb(tmp_path, capsys):

@@ -285,6 +285,49 @@ def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where)
     assert_no_child_left()
 
 
+def counting_loadtxt(monkeypatch, raise_in_child=False):
+    """The sources this process hands ``np.loadtxt``; with
+    ``raise_in_child``, every call in a forked child raises ValueError."""
+    parent, real, sources = os.getpid(), np.loadtxt, []
+
+    def counting(source, *args, **kwargs):
+        if raise_in_child and os.getpid() != parent:
+            raise ValueError("a child's share raised")
+        sources.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return sources
+
+
+def test_a_bad_line_is_named_without_a_parse_in_one_process(monkeypatch, tmp_path, big_losses,
+                                                             forks):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    path = copy_of(tmp_path, big_losses[0])
+    lineno = line_count(path) - 1
+    edit_line(path, lineno, b"0,1,1.5x")
+    sources = counting_loadtxt(monkeypatch)
+    with pytest.raises(FormatError) as exc:
+        load_loss_snapshots(path)
+    assert str(exc.value) == f"{path}:{lineno}: could not convert string to float: '1.5x'"
+    # this process parsed its own share, from the path, and nothing more
+    assert sources == [os.path.abspath(path)]
+    assert_no_child_left()
+
+
+def test_a_share_that_raises_on_good_rows_is_parsed_again_here(monkeypatch, big_losses, forks):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    path, want = big_losses
+    sources = counting_loadtxt(monkeypatch, raise_in_child=True)
+    assert read_losses_rows(path).tobytes() == want
+    # the rescan named no line, so one call parsed the file from its handle
+    assert len(sources) == 2 and not isinstance(sources[1], str)
+    assert forks
+    assert_no_child_left()
+
+
 def test_a_bad_csv_line_in_a_child_share(tmp_path, big_csv, forks):
     if not fans_out():
         pytest.skip("this process may not fork")
