@@ -402,8 +402,7 @@ def load_loss_snapshots(path):
 def _out_of_order(epochs, ids) -> bool:
     # whether a row does not come after the one before it in (epoch,
     # sample_id) order. Neighbours are compared, not subtracted: an int64
-    # difference can wrap, and the comparisons keep at most two bytes per
-    # row alive, where the differences kept eight each.
+    # difference can wrap, and a comparison takes one byte per row.
     if (epochs[1:] < epochs[:-1]).any():
         return True
     behind = ids[1:] <= ids[:-1]
