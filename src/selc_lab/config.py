@@ -175,8 +175,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if method.name == "bootstrap":
         _require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
     if method.name in ("selc", "option1", "selc_plus"):
+        sweep_dirs = {}  # a sweep writes the trials of alpha a to alpha_{a:g}
         for a in alpha_values(method):
             _require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
+            name = f"alpha_{a:g}"
+            if name in sweep_dirs:
+                raise ParameterError(f"method.alpha must be values whose sweep directories "
+                                     f"differ, but {sweep_dirs[name]!r} and {a!r} both write {name}")
+            sweep_dirs[name] = a
         ae = method.activation_epoch
         if ae != AUTO:
             _require(isinstance(ae, int) and not isinstance(ae, bool) and ae >= 0,

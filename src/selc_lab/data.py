@@ -1,8 +1,8 @@
 """Dataset containers, synthetic blob generation, and IDX/CSV ingestion.
 
-True labels live only on :class:`NoisyDataset`; the training loop receives a
-:class:`TrainView`, which physically lacks them. Evaluation code takes the
-full dataset.
+The training loop receives a :class:`TrainView`, which physically lacks
+the true labels; the experiment harness keeps those apart and hands them
+only to the diagnostics.
 """
 
 import os
@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
-from .noise import TransitionMatrix, inject_noise
 from .rng import stream
 from .tables import line_of_row, open_text, read_rows
 
@@ -26,50 +25,7 @@ class TrainView:
 
     features: np.ndarray
     noisy_labels: np.ndarray
-    ids: np.ndarray
     num_classes: int
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass
-class NoisyDataset:
-    features: np.ndarray
-    noisy_labels: np.ndarray
-    true_labels: np.ndarray
-    ids: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        n = self.features.shape[0]
-        if not (len(self.noisy_labels) == len(self.true_labels) == len(self.ids) == n):
-            raise DimensionError("features, labels, and ids must agree in length")
-        if len(np.unique(self.ids)) != n:
-            raise ParameterError("sample ids must be unique")
-
-    def train_view(self) -> TrainView:
-        return TrainView(
-            features=self.features,
-            noisy_labels=self.noisy_labels,
-            ids=self.ids,
-            num_classes=self.num_classes,
-        )
-
-
-def make_noisy_dataset(features, clean_labels, tm: TransitionMatrix, seed: int) -> NoisyDataset:
-    """Corrupt clean labels through the transition matrix and bundle the result."""
-    features = np.asarray(features, dtype=np.float64)
-    clean = np.asarray(clean_labels, dtype=np.int64)
-    noisy = inject_noise(clean, tm, seed)
-    return NoisyDataset(
-        features=features,
-        noisy_labels=noisy,
-        true_labels=clean,
-        ids=np.arange(features.shape[0]),
-        num_classes=tm.num_classes,
-    )
 
 
 def _is_int(value) -> bool:
@@ -86,9 +42,9 @@ _FIELD_TYPES = {
     int | None: (lambda v: v is None or _is_int(v), "an integer"),
     list[int]: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     float: (_is_number, "a number"),
-    float | list[float]: (lambda v: _is_number(v) or (isinstance(v, list)
+    float | list[float]: (lambda v: _is_number(v) or (isinstance(v, list) and len(v) > 0
                                                       and all(map(_is_number, v))),
-                          "a number or a list of numbers"),
+                          "a number or a nonempty list of numbers"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -268,14 +224,13 @@ def load_csv_dataset(path):
         header = fh.readline().strip()
         if not header.startswith("label,"):
             raise FormatError(f"{path}: expected header starting with 'label,', got {header!r}")
-        rows = read_rows(path, fh, [("label", int), ("feature", float, (header.count(","),))],
-                         ",")
+        rows = read_rows(path, fh, [("label", int), ("feature", float, (header.count(","),))])
     if rows.size == 0:
         raise FormatError(f"{path}: no data rows")
     labels = np.ascontiguousarray(rows["label"])
     if labels.min() < 0:
         row = int(np.argmax(labels < 0))
-        raise FormatError(f"{path}:{line_of_row(path, row, ',')}: negative label {labels[row]}")
+        raise FormatError(f"{path}:{line_of_row(path, row)}: negative label {labels[row]}")
     return np.ascontiguousarray(rows["feature"]), labels
 
 

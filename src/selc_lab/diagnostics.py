@@ -35,15 +35,16 @@ def _target_matrix(targets) -> np.ndarray:
 
 
 def correction_accuracy(targets, true_labels) -> float:
-    """Fraction of samples whose target argmax hits the true class.
+    """Fraction of samples whose corrected label hits the true class: the
+    target argmax of an EnsembleState or (n, c) matrix, or a label vector.
 
     Argmax ties go to the lowest class index, here and everywhere else.
     """
-    t = _target_matrix(targets)
+    corrected = _as_hard_labels(getattr(targets, "targets", targets))
     y = np.asarray(true_labels, dtype=np.int64)
-    if t.shape[0] != y.shape[0]:
-        raise DimensionError(f"{t.shape[0]} targets vs {y.shape[0]} true labels")
-    return float(np.mean(t.argmax(axis=1) == y))
+    if corrected.shape != y.shape:
+        raise DimensionError(f"{corrected.shape[0]} targets vs {y.shape[0]} true labels")
+    return float(np.mean(corrected == y))
 
 
 @dataclass
@@ -53,20 +54,17 @@ class MemorizationStats:
     Clean samples (given label == true label) divide into correct/incorrect.
     Mislabeled samples divide into correct (true class), memorized (the
     wrong given label), and other. Each group's fractions sum to 1 when the
-    group is nonempty; an empty group reports zeros and drops its flag.
+    group is nonempty; an empty group reports zeros.
     """
 
-    epoch: int
     clean_correct_frac: float
     clean_incorrect_frac: float
     mislabeled_correct_frac: float
     mislabeled_memorized_frac: float
     mislabeled_other_frac: float
-    has_clean: bool
-    has_mislabeled: bool
 
 
-def memorization_stats(predictions, noisy_labels, true_labels, epoch: int) -> MemorizationStats:
+def memorization_stats(predictions, noisy_labels, true_labels) -> MemorizationStats:
     pred = _as_hard_labels(predictions)
     noisy = np.asarray(noisy_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
@@ -75,29 +73,24 @@ def memorization_stats(predictions, noisy_labels, true_labels, epoch: int) -> Me
             f"misaligned inputs: {pred.shape} predictions, {noisy.shape} noisy, {true.shape} true"
         )
     clean = noisy == true
-    n_clean = int(clean.sum())
-    n_bad = int((~clean).sum())
-    if n_clean:
+    if clean.any():
         clean_correct = float(np.mean(pred[clean] == true[clean]))
         clean_incorrect = 1.0 - clean_correct
     else:
         clean_correct = clean_incorrect = 0.0
-    if n_bad:
-        bad = ~clean
+    bad = ~clean
+    if bad.any():
         correct = float(np.mean(pred[bad] == true[bad]))
         memorized = float(np.mean(pred[bad] == noisy[bad]))
         other = 1.0 - correct - memorized
     else:
         correct = memorized = other = 0.0
     return MemorizationStats(
-        epoch=epoch,
         clean_correct_frac=clean_correct,
         clean_incorrect_frac=clean_incorrect,
         mislabeled_correct_frac=correct,
         mislabeled_memorized_frac=memorized,
         mislabeled_other_frac=other,
-        has_clean=n_clean > 0,
-        has_mislabeled=n_bad > 0,
     )
 
 

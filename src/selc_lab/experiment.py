@@ -42,6 +42,7 @@ from .data import BlobSpec, TrainView, generate_blobs, load_dataset_files
 from .diagnostics import (
     append_metrics_ledger,
     confusion_of_corrections,
+    correction_accuracy,
     memorization_stats,
     write_confusion_csv,
 )
@@ -267,7 +268,7 @@ def _train_job(run: _Run, k: int) -> _Trained:
     os.makedirs(trial_dir, exist_ok=True)
     train_x, train_y, test_x, test_y, num_classes = run.data
     view = TrainView(features=train_x, noisy_labels=inject_noise(train_y, run.transition, seed),
-                     ids=np.arange(train_x.shape[0]), num_classes=num_classes)
+                     num_classes=num_classes)
     trajectory.noisy[:] = view.noisy_labels
 
     activation_epoch = None
@@ -331,8 +332,8 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
     for row, m1, m2, m3, predicted, target in zip(rows, series.m1, series.m2, series.m3,
                                                   trajectory.predicted, trajectory.target):
         row["m1"], row["m2"], row["m3"] = m1, m2, m3
-        row["correction_acc"] = float(np.mean(target == true_labels))
-        mem = memorization_stats(predicted, trajectory.noisy, true_labels, row["epoch"])
+        row["correction_acc"] = correction_accuracy(target, true_labels)
+        mem = memorization_stats(predicted, trajectory.noisy, true_labels)
         for name in LEDGER_METRICS[1:]:  # the memorization fractions
             row[name] = getattr(mem, name)
 

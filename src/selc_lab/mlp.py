@@ -55,14 +55,6 @@ class MlpModel:
     def num_parameters(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-        )
-
 
 @dataclass
 class Gradients:

@@ -17,7 +17,6 @@ class TransitionMatrix:
 
     num_classes: int
     q: np.ndarray
-    nominal_eta: float
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -54,7 +53,7 @@ def build_symmetric_q(num_classes: int, eta: float, exclude_true_class: bool = F
     else:
         q = np.full((num_classes, num_classes), eta / num_classes)
         np.fill_diagonal(q, 1.0 - eta + eta / num_classes)
-    return TransitionMatrix(num_classes=num_classes, q=q, nominal_eta=eta)
+    return TransitionMatrix(num_classes=num_classes, q=q)
 
 
 def build_asymmetric_q(num_classes: int, eta: float, mapping) -> TransitionMatrix:
@@ -76,7 +75,7 @@ def build_asymmetric_q(num_classes: int, eta: float, mapping) -> TransitionMatri
         seen.add(src)
         q[src, src] = 1.0 - eta
         q[src, dst] = eta
-    return TransitionMatrix(num_classes=num_classes, q=q, nominal_eta=eta)
+    return TransitionMatrix(num_classes=num_classes, q=q)
 
 
 def inject_noise(clean_labels, tm: TransitionMatrix, seed: int) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""The one reader of delimited numeric text: CSV datasets, target
-checkpoints, losses and metric series. Each such file is a header line,
-which its loader checks, then one row per line; empty lines are skipped.
-Only printable ASCII, tab, CR and LF may appear in it.
+"""The one reader of comma-separated numeric text: CSV datasets and
+losses. Each such file is a header line, which its loader checks, then one
+row per line; empty lines are skipped. Only printable ASCII, tab, CR and
+LF may appear in it.
 
 A large file is parsed in shares by this process and forked children
 (``read_rows``); the scan of its bytes that ``open_text`` makes anyway
@@ -71,33 +71,33 @@ def open_text(path):
     return fh
 
 
-def read_rows(path, fh, columns, delimiter=None) -> np.ndarray:
-    """The rows left in ``fh``, opened on ``path`` by ``open_text`` and read
-    past its header, as a 1-D structured array of dtype ``columns``
-    (``(name, float, (width,))`` for ``width`` floats), parsed by
-    ``np.loadtxt``: in shares (``_parse_shares``) or else in one call. If
+def read_rows(path, fh, columns) -> np.ndarray:
+    """The comma-separated rows left in ``fh``, opened on ``path`` by
+    ``open_text`` and read past its header, as a 1-D structured array of
+    dtype ``columns`` (``(name, float, (width,))`` for ``width`` floats),
+    parsed by ``np.loadtxt``: in shares (``_parse_shares``) or in one call. If
     a share or that call raises, or a float is not finite, a rescan with
     Python's ``int``/``float`` names the bad line. Only if a share's
     process died or could not be forked, or the rescan after a share
     raised names no line, does the one call parse the file again."""
     dtype = np.dtype(columns)
-    rows = _parse_shares(path, fh, dtype, delimiter)
+    rows = _parse_shares(path, fh, dtype)
     if rows is None:
         try:
             with warnings.catch_warnings():
                 # a header-only file has zero rows, it is not malformed
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
-            raise (_first_bad_line(path, dtype, delimiter)
+            raise (_first_bad_line(path, dtype)
                    or FormatError(f"{path}: {exc}")) from exc
     if not all(np.isfinite(rows[f]).all() for f in dtype.names if dtype[f].base.kind == "f"):
-        raise (_first_bad_line(path, dtype, delimiter)
+        raise (_first_bad_line(path, dtype)
                or FormatError(f"{path}: floats must be finite"))
     return rows
 
 
-def _parse_shares(path, fh, dtype, delimiter):
+def _parse_shares(path, fh, dtype):
     """The rows after the header of ``fh`` parsed in shares, one per
     process that ``fork_workers`` allows, as a view of an anonymous shared
     mapping; or None if one process must parse them. Share j is a run of
@@ -110,12 +110,10 @@ def _parse_shares(path, fh, dtype, delimiter):
     not be forked, the answer is None.
 
     ``max_rows`` does not count a line that ``np.loadtxt`` skips, so there
-    are no shares in a file that is not ``plain`` or whose delimiter is
-    whitespace (a line of blanks is skipped), nor under
+    are no shares in a file that is not ``plain``, nor under
     ``FAN_OUT_MIN_BYTES`` or with ``fh`` not at the second line."""
     lines = fh.lines
-    if (delimiter is None or not lines.plain or lines.size < FAN_OUT_MIN_BYTES
-            or fh.tell() != lines.head):
+    if not lines.plain or lines.size < FAN_OUT_MIN_BYTES or fh.tell() != lines.head:
         return None
     total = lines.count - 1
     workers = fork_workers(total)
@@ -137,7 +135,7 @@ def _parse_shares(path, fh, dtype, delimiter):
     def parse(j):
         skip, stop = bounds[j], bounds[j + 1]
         try:
-            got = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1,
+            got = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
                              skiprows=skip, max_rows=stop - skip)
             if got.size != stop - skip:
                 raise ValueError(f"{stop - skip - got.size} rows missing")
@@ -149,23 +147,23 @@ def _parse_shares(path, fh, dtype, delimiter):
     if run_shares(workers, parse):
         return rows
     if raised.any():
-        bad = _first_bad_line(path, dtype, delimiter)
+        bad = _first_bad_line(path, dtype)
         if bad is not None:
             raise bad
     return None
 
 
-def line_of_row(path, row: int, delimiter) -> int:
+def line_of_row(path, row: int) -> int:
     """The line number in ``path`` of row ``row`` (from 0) of ``read_rows``."""
-    return next(islice(_split_rows(path, delimiter), row, None))[0]
+    return next(islice(_split_rows(path), row, None))[0]
 
 
-def _split_rows(path, delimiter):
+def _split_rows(path):
     # (line number, fields) of each row as np.loadtxt splits it
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(delimiter)
-            if lineno > 1 and fields not in ([], [""]):
+            fields = line.rstrip("\n").split(",")
+            if lineno > 1 and fields != [""]:
                 yield lineno, fields
 
 
@@ -180,12 +178,12 @@ def _first_stray_line(path) -> FormatError:
     return FormatError(f"{path}: only printable ASCII, tab, CR and LF may appear")
 
 
-def _first_bad_line(path, dtype, delimiter):
+def _first_bad_line(path, dtype):
     # the FormatError of the first line that Python's int and float, held to
     # np.loadtxt (no 1_000, no ints past 64 bits), reject; None if none does
     kinds = [(name, int if dtype[name].base.kind == "i" else float)
              for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
-    for lineno, fields in _split_rows(path, delimiter):
+    for lineno, fields in _split_rows(path):
         if len(fields) != len(kinds):
             return FormatError(f"{path}:{lineno}: expected {len(kinds)} fields, got {len(fields)}")
         for (name, kind), token in zip(kinds, fields):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, MissingPredictionError, ParameterError
+from .errors import DimensionError, MissingPredictionError, ParameterError
 from .mlp import one_hot, soft_ce_loss
-from .tables import open_text, read_rows
 
 MODE_ENSEMBLE_ONLY = "option1_ensemble_only"
 MODE_SELC = "option2_selc"
@@ -40,10 +39,6 @@ class PredictionSnapshot:
         if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
             worst = float(np.abs(rows - 1.0).max())
             raise ParameterError(f"snapshot rows must sum to 1 within {ROW_SUM_TOL} (worst off by {worst:.3g})")
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
 
 
 @dataclass
@@ -70,10 +65,6 @@ class EnsembleState:
         else:
             targets = np.zeros((labels.shape[0], num_classes))
         return cls(targets=targets, alpha=alpha, epoch_k=0, mode=mode)
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
 
 
 def update_targets(state: EnsembleState, snapshot: PredictionSnapshot) -> EnsembleState:
@@ -148,31 +139,11 @@ def bootstrap_target(noisy_onehot, probs, beta: float):
 def save_state(state: EnsembleState, path) -> None:
     """Text checkpoint: header (alpha, epoch_k, mode) then one id + row per line.
 
-    Floats are written with repr, so a load returns bit-identical values.
+    Floats are written with repr, so a text parse of the rows returns
+    bit-identical values. No command reads it back.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{state.alpha!r} {state.epoch_k} {state.mode}\n")
         for i, row in enumerate(state.targets):
             fh.write(str(i) + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
-
-def load_state(path) -> EnsembleState:
-    with open_text(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise FormatError(f"{path}:1: expected 'alpha epoch_k mode', got {len(header)} fields")
-        try:
-            alpha, epoch_k, mode = float(header[0]), int(header[1]), header[2]
-        except ValueError as exc:
-            raise FormatError(f"{path}:1: {exc}") from exc
-        start = fh.tell()  # the first row sets the width: an id, then the targets
-        width = len(next((line.split() for line in fh if line.split()), [None]))
-        fh.seek(start)
-        rows = read_rows(path, fh, [("id", int), ("target", float, (width - 1,))])
-    if not np.array_equal(np.sort(rows["id"]), np.arange(rows.size)):
-        raise ParameterError(f"checkpoint {path} does not cover ids 0..N-1 exactly")
-    try:
-        return EnsembleState(targets=rows["target"][np.argsort(rows["id"])], alpha=alpha,
-                             epoch_k=epoch_k, mode=mode)
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -374,7 +374,7 @@ def load_loss_snapshots(path):
     with open_text(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
-        rows = read_rows(path, fh, [("epoch", int), ("sample_id", int), ("loss", float)], ",")
+        rows = read_rows(path, fh, [("epoch", int), ("sample_id", int), ("loss", float)])
     epochs, ids, losses = rows["epoch"], rows["sample_id"], rows["loss"]
     if epochs.size == 0:
         return epochs, np.empty((0, 0))
@@ -418,13 +418,3 @@ def save_metric_series(series: MetricSeries, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_metric_series(path) -> MetricSeries:
-    with open_text(path) as fh:
-        if fh.readline().rstrip("\n") != SERIES_HEADER:
-            raise FormatError(f"{path}: expected header '{SERIES_HEADER}'")
-        rows = read_rows(path, fh, [("epoch", int), *((m, float) for m in METRIC_NAMES)], ",")
-    try:
-        return MetricSeries(rows["epoch"], *(rows[m] for m in METRIC_NAMES))
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -5,8 +5,8 @@ import selc_lab  # noqa: F401  # isort: skip
 import numpy as np
 import pytest
 
-from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
-from selc_lab.noise import build_symmetric_q
+from selc_lab.data import BlobSpec, TrainView, generate_blobs
+from selc_lab.noise import build_symmetric_q, inject_noise
 
 
 @pytest.fixture
@@ -16,12 +16,12 @@ def rng():
 
 @pytest.fixture
 def small_noisy_view():
-    """A 300-sample 3-class blob set with 40% symmetric noise injected."""
+    """A 300-sample 3-class blob set with 40% symmetric noise injected: the
+    training view and the true labels."""
     spec = BlobSpec(n=300, dim=8, num_classes=3, cluster_std=0.4, seed=5)
     x, y = generate_blobs(spec, split="train")
-    tm = build_symmetric_q(3, 0.4)
-    ds = make_noisy_dataset(x, y, tm, seed=11)
-    return ds
+    noisy = inject_noise(y, build_symmetric_q(3, 0.4), seed=11)
+    return TrainView(features=x, noisy_labels=noisy, num_classes=3), y
 
 
 def _criterion_key(nodeid: str):

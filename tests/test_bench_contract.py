@@ -19,9 +19,9 @@ import pytest
 
 import selc_lab
 
-from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
+from selc_lab.data import BlobSpec, TrainView, generate_blobs
 from selc_lab.mlp import init_mlp, make_optimizer
-from selc_lab.noise import build_symmetric_q
+from selc_lab.noise import build_symmetric_q, inject_noise
 from selc_lab.rng import stream
 from selc_lab.targets import save_state
 from selc_lab.training import METHOD_SELC, SelcRunConfig, run_selc_plus, run_training
@@ -77,7 +77,8 @@ def test_gmm_fit_reports_em_iterations():
 def tiny_view():
     spec = BlobSpec(n=48, dim=3, num_classes=3, cluster_std=0.3, seed=0)
     x, y = generate_blobs(spec)
-    return make_noisy_dataset(x, y, build_symmetric_q(3, 0.2), seed=1).train_view()
+    return TrainView(features=x, noisy_labels=inject_noise(y, build_symmetric_q(3, 0.2), seed=1),
+                     num_classes=3)
 
 
 def fresh(view):

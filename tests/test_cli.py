@@ -14,7 +14,6 @@ from selc_lab.rng import stream
 from selc_lab.turning import (
     compute_metric_series,
     load_loss_snapshots,
-    load_metric_series,
     save_loss_snapshots,
 )
 
@@ -94,6 +93,9 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     ({"optimizer": {"lr": True}}, "optimizer.lr"),
     ({"noise": {"exclude_true_class": "no"}}, "noise.exclude_true_class"),
     ({"dataset": {"cluster_std": "wide"}}, "dataset.cluster_std"),
+    # no alpha to run, and two alphas that would share alpha_0.9/ in a sweep
+    ({"method": {"alpha": []}}, "method.alpha"),
+    ({"method": {"alpha": [0.9, 0.9000001]}}, "method.alpha"),
 ])
 def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
     cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
@@ -207,8 +209,8 @@ def test_detect_verb_series_out_and_metric(tmp_path, capsys):
     series_path = tmp_path / "series.csv"
     assert main(["detect-turning-point", str(path), "--metric", "m2",
                  "--smooth", "--series-out", str(series_path)]) == 0
-    series = load_metric_series(series_path)
-    assert list(series.epochs) == [0, 1, 2, 3, 4]
+    series = np.loadtxt(series_path, delimiter=",", skiprows=1)
+    assert list(series[:, 0]) == [0, 1, 2, 3, 4]
 
 
 def test_detect_verb_reloads_written_losses_bit_for_bit(tmp_path, capsys):
@@ -221,10 +223,11 @@ def test_detect_verb_reloads_written_losses_bit_for_bit(tmp_path, capsys):
     assert np.array_equal(back, losses)
     series_path = tmp_path / "series.csv"
     assert main(["detect-turning-point", str(path), "--series-out", str(series_path)]) == 0
-    reloaded = load_metric_series(series_path)
+    reloaded = np.loadtxt(series_path, delimiter=",", skiprows=1)
     direct = compute_metric_series(np.arange(6), losses)
-    for name in ("epochs", "m1", "m2", "m3"):
-        assert np.array_equal(getattr(reloaded, name), getattr(direct, name)), name
+    assert np.array_equal(reloaded[:, 0], direct.epochs)
+    for j, name in enumerate(("m1", "m2", "m3"), start=1):
+        assert reloaded[:, j].tobytes() == getattr(direct, name).tobytes(), name
 
 
 def test_detect_verb_bad_csv(tmp_path, capsys):

@@ -153,6 +153,15 @@ def test_validation_catches_bad_values():
             config_from_dict(minimal_dict(**overrides))
 
 
+def test_alphas_that_share_a_sweep_directory_are_named():
+    data = minimal_dict(method={"name": "selc", "alpha": [0.7, 0.9, 0.9000001]})
+    with pytest.raises(ParameterError, match=r"but 0\.9 and 0\.9000001 both write alpha_0\.9$"):
+        config_from_dict(data)
+    # only a sweep writes alpha directories
+    assert alpha_values(config_from_dict(minimal_dict(
+        method={"name": "ce", "alpha": [0.9, 0.9000001]})).method) == [0.9, 0.9000001]
+
+
 def test_auto_activation_epoch_accepted():
     cfg = config_from_dict(minimal_dict(method={"name": "selc", "activation_epoch": AUTO}))
     assert cfg.method.activation_epoch == AUTO

@@ -3,17 +3,14 @@ import pytest
 
 from selc_lab.data import (
     BlobSpec,
-    NoisyDataset,
     TrainView,
     generate_blobs,
     load_csv_dataset,
     load_idx,
-    make_noisy_dataset,
     save_csv_dataset,
     write_idx,
 )
 from selc_lab.errors import DimensionError, FormatError, ParameterError
-from selc_lab.noise import build_symmetric_q
 from selc_lab.rng import stream
 
 
@@ -80,32 +77,8 @@ def test_blobs_impossible_packing_raises():
         generate_blobs(spec)
 
 
-def test_noisy_dataset_validation():
-    feats = np.zeros((4, 2))
-    labels = np.array([0, 1, 0, 1])
-    with pytest.raises(DimensionError):
-        NoisyDataset(feats, labels[:3], labels, np.arange(4), 2)
-    with pytest.raises(ParameterError):
-        NoisyDataset(feats, labels, labels, np.zeros(4, dtype=int), 2)
-    ds = NoisyDataset(feats, labels, labels, np.arange(4), 2)
-    assert ds.train_view().n == 4
-
-
 def test_train_view_has_no_true_labels():
     assert "true_labels" not in TrainView.__dataclass_fields__
-
-
-def test_make_noisy_dataset_wires_injection():
-    rng = stream(5, "mk")
-    feats = rng.standard_normal((50, 3))
-    labels = rng.integers(0, 3, size=50)
-    ds = make_noisy_dataset(feats, labels, build_symmetric_q(3, 0.4), seed=2)
-    assert np.array_equal(ds.true_labels, labels)
-    assert np.array_equal(ds.ids, np.arange(50))
-    assert ds.num_classes == 3
-    assert np.any(ds.noisy_labels != labels)
-    again = make_noisy_dataset(feats, labels, build_symmetric_q(3, 0.4), seed=2)
-    assert np.array_equal(ds.noisy_labels, again.noisy_labels)
 
 
 def test_idx_roundtrip(tmp_path):

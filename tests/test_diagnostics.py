@@ -39,6 +39,16 @@ def test_correction_accuracy_accepts_ensemble_state():
     assert correction_accuracy(state, true) == pytest.approx(2.0 / 3.0)
 
 
+def test_correction_accuracy_accepts_hard_labels():
+    # the argmax labels score as the targets they came from, in any int type
+    targets = stream(4, "hard").dirichlet(np.ones(3), size=50)
+    true = stream(5, "hard").integers(0, 3, size=50)
+    hard = targets.argmax(axis=1).astype(np.uint8)
+    assert correction_accuracy(hard, true) == correction_accuracy(targets, true)
+    with pytest.raises(DimensionError):
+        correction_accuracy(hard[:49], true)
+
+
 def test_uncorrected_onehot_equals_one_minus_noise_rate():
     rng = stream(9, "agree")
     true = rng.integers(0, 5, size=400)
@@ -55,21 +65,19 @@ def test_correction_accuracy_misaligned():
 def test_memorization_perfect_predictor():
     true = np.array([0, 1, 2, 0, 1, 2])
     noisy = np.array([0, 1, 2, 1, 2, 0])  # second half mislabeled
-    stats = memorization_stats(true, noisy, true, epoch=4)
-    assert stats.epoch == 4
+    stats = memorization_stats(true, noisy, true)
     assert stats.clean_correct_frac == 1.0
     assert stats.clean_incorrect_frac == 0.0
     assert stats.mislabeled_correct_frac == 1.0
     assert stats.mislabeled_memorized_frac == 0.0
     assert stats.mislabeled_other_frac == 0.0
-    assert stats.has_clean and stats.has_mislabeled
 
 
 def test_memorization_pure_memorizer():
     # predicting the given label memorizes every mislabeled sample
     true = np.array([0, 1, 2, 0])
     noisy = np.array([0, 2, 1, 0])
-    stats = memorization_stats(noisy, noisy, true, epoch=0)
+    stats = memorization_stats(noisy, noisy, true)
     assert stats.clean_correct_frac == 1.0
     assert stats.mislabeled_memorized_frac == 1.0
     assert stats.mislabeled_correct_frac == 0.0
@@ -80,7 +88,7 @@ def test_memorization_hand_enumerated():
     true = np.array([0] * 12 + [1] * 8)
     noisy = np.array([0] * 12 + [2] * 8)
     pred = np.array([0] * 9 + [1] * 3 + [1, 1, 2, 2, 2, 2, 0, 0])
-    stats = memorization_stats(pred, noisy, true, epoch=1)
+    stats = memorization_stats(pred, noisy, true)
     assert stats.clean_correct_frac == pytest.approx(9 / 12)
     assert stats.clean_incorrect_frac == pytest.approx(3 / 12)
     assert stats.mislabeled_correct_frac == pytest.approx(2 / 8)
@@ -95,37 +103,39 @@ def test_memorization_group_fractions_sum_to_one(rng):
         true = rng.integers(0, c, size=n)
         noisy = rng.integers(0, c, size=n)
         pred = rng.integers(0, c, size=n)
-        stats = memorization_stats(pred, noisy, true, epoch=0)
-        if stats.has_clean:
+        stats = memorization_stats(pred, noisy, true)
+        if (noisy == true).any():
             assert stats.clean_correct_frac + stats.clean_incorrect_frac == pytest.approx(1.0)
-        if stats.has_mislabeled:
+        if (noisy != true).any():
             total = (stats.mislabeled_correct_frac + stats.mislabeled_memorized_frac
                      + stats.mislabeled_other_frac)
             assert total == pytest.approx(1.0)
 
 
 def test_memorization_empty_groups_flagged():
+    # an empty group reports zeros
     true = np.array([0, 1])
-    stats = memorization_stats(true, true, true, epoch=0)
-    assert stats.has_clean and not stats.has_mislabeled
-    assert stats.mislabeled_correct_frac == 0.0
+    stats = memorization_stats(true, true, true)
+    assert stats.clean_correct_frac == 1.0
+    assert (stats.mislabeled_correct_frac, stats.mislabeled_memorized_frac,
+            stats.mislabeled_other_frac) == (0.0, 0.0, 0.0)
     flipped = np.array([1, 0])
-    stats = memorization_stats(true, flipped, true, epoch=0)
-    assert stats.has_mislabeled and not stats.has_clean
-    assert stats.clean_correct_frac == 0.0
+    stats = memorization_stats(true, flipped, true)
+    assert stats.mislabeled_correct_frac == 1.0
+    assert (stats.clean_correct_frac, stats.clean_incorrect_frac) == (0.0, 0.0)
 
 
 def test_memorization_accepts_probability_matrix():
     probs = np.array([[0.8, 0.2], [0.3, 0.7]])
     true = np.array([0, 1])
-    stats = memorization_stats(probs, true, true, epoch=0)
+    stats = memorization_stats(probs, true, true)
     assert stats.clean_correct_frac == 1.0
 
 
 def test_memorization_misaligned():
     with pytest.raises(DimensionError):
         memorization_stats(np.zeros(3, dtype=int), np.zeros(4, dtype=int),
-                           np.zeros(3, dtype=int), epoch=0)
+                           np.zeros(3, dtype=int))
 
 
 def test_confusion_identity_when_targets_match_truth():
@@ -173,5 +183,5 @@ def test_write_confusion_csv(tmp_path):
 
 
 def test_stats_dataclass_fields():
-    stats = MemorizationStats(0, 1.0, 0.0, 0.0, 0.0, 0.0, True, False)
+    stats = MemorizationStats(1.0, 0.0, 0.0, 0.0, 0.0)
     assert stats.clean_correct_frac == 1.0

@@ -21,7 +21,6 @@ from selc_lab.experiment import (
 )
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
 from selc_lab.noise import build_symmetric_q, inject_noise
-from selc_lab.targets import load_state
 from selc_lab.training import METHOD_CE, TURNING_POINT_OFFSET, SelcRunConfig, run_training
 from selc_lab.turning import (
     OnlineTurningPointDetector,
@@ -86,9 +85,13 @@ def test_trial_artifacts_and_summary(tmp_path):
         confusion = open(os.path.join(trial, "confusion_epoch_2.csv")).read().splitlines()
         total = sum(int(v) for line in confusion for v in line.split(","))
         assert total == 60
-        state = load_state(os.path.join(trial, "targets_final.txt"))
-        assert state.epoch_k == 2  # activation at 1 of 3 epochs
-        assert state.targets.shape == (60, 3)
+        checkpoint = os.path.join(trial, "targets_final.txt")
+        with open(checkpoint) as fh:
+            assert fh.readline() == "0.9 2 option2_selc\n"  # activation at 1 of 3 epochs
+        rows = np.loadtxt(checkpoint, skiprows=1)
+        assert rows.shape == (60, 4)
+        assert np.array_equal(rows[:, 0], np.arange(60))
+        assert np.allclose(rows[:, 1:].sum(axis=1), 1.0)
 
     on_disk = json.load(open(os.path.join(out, "summary.json")))
     assert on_disk["completed"] == [1, 2]
@@ -104,7 +107,7 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
 
     train_x, train_y, test_x, test_y, num_classes = experiment._build_clean_data(cfg)
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
-    view = TrainView(train_x, noisy, np.arange(noisy.size), num_classes)
+    view = TrainView(train_x, noisy, num_classes)
     model, opt = experiment._build_model(cfg, view, 1, "init")
     noisy_onehot = one_hot(noisy, num_classes)
     rows, losses = [], []
@@ -115,7 +118,7 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
         m1, m2, m3 = separation_metrics(normalize_losses(per_sample))
         test_acc = float(np.mean(predict_proba(model, test_x).argmax(axis=1) == test_y))
         targets = event.state.targets if event.state is not None else noisy_onehot
-        mem = memorization_stats(event.snapshot.probs, noisy, train_y, event.epoch)
+        mem = memorization_stats(event.snapshot.probs, noisy, train_y)
         rows.append([event.epoch, event.lr, event.train_loss, event.train_acc, test_acc,
                      m1, m2, m3, correction_accuracy(targets, train_y),
                      mem.clean_correct_frac, mem.clean_incorrect_frac,
@@ -163,7 +166,7 @@ def ce_m1_series(cfg):
     starts it: same data, noise, init and shuffle streams."""
     train_x, train_y, _, _, num_classes = experiment._build_clean_data(cfg)
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
-    view = TrainView(train_x, noisy, np.arange(noisy.size), num_classes)
+    view = TrainView(train_x, noisy, num_classes)
     noisy_onehot = one_hot(noisy, num_classes)
     m1 = []
 

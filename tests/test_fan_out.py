@@ -18,7 +18,6 @@ from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
 from selc_lab.tables import FAN_OUT_MIN_BYTES
-from selc_lab.targets import MODE_SELC, EnsembleState, load_state, save_state
 from selc_lab.turning import (
     FAN_OUT_MIN_ELEMENTS,
     compute_metric_series,
@@ -195,7 +194,7 @@ BIG_EPOCHS, BIG_N = 40, 2500
 def read_losses_rows(path):
     with tables.open_text(path) as fh:
         fh.readline()
-        return tables.read_rows(path, fh, LOSSES, ",")
+        return tables.read_rows(path, fh, LOSSES)
 
 
 def one_process(load, path):
@@ -408,16 +407,6 @@ def test_no_shared_parse_unless_every_lf_ends_a_row(tmp_path, big_losses, no_for
     path = tmp_path / "losses.csv"
     path.write_bytes(edit(big_losses[0].read_bytes()))
     read_losses_rows(path)
-    assert no_fork == []
-
-
-def test_no_shared_parse_of_a_whitespace_separated_file(tmp_path, no_fork):
-    # np.loadtxt skips a line of blanks there, so max_rows could overrun a share
-    path = tmp_path / "targets.txt"
-    targets = stream(9, "fan_out_targets").dirichlet(np.ones(4), size=30_000)
-    save_state(EnsembleState(targets=targets, alpha=0.9, epoch_k=3, mode=MODE_SELC), path)
-    assert os.path.getsize(path) >= FAN_OUT_MIN_BYTES
-    assert load_state(path).targets.tobytes() == targets.tobytes()
     assert no_fork == []
 
 

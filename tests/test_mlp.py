@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_backward_bit_identical_to_reference(activation, rows, mass):
 def test_sgd_steps_bit_identical_to_per_layer_reference(activation):
     rng = stream(50, "sgd-ref", activation)
     model = init_mlp([16, 64, 64, 4], rng, activation=activation)
-    ref = model.copy()
+    ref = copy.deepcopy(model)
     ref_vel = [np.zeros_like(a) for a in ref.weights + ref.biases]
     opt = make_optimizer(model, base_lr=0.05, momentum=0.9, weight_decay=1e-3,
                          milestones=(20, 40), decay_factor=10.0)

@@ -86,7 +86,7 @@ def test_all_rows_stochastic():
 def test_transition_matrix_validation():
     bad = np.array([[0.5, 0.4], [0.0, 1.0]])
     with pytest.raises(ParameterError):
-        TransitionMatrix(num_classes=2, q=bad, nominal_eta=0.1)
+        TransitionMatrix(num_classes=2, q=bad)
 
 
 def test_inject_identity_is_noop():

@@ -1,4 +1,5 @@
-"""Properties of the delimited-text reader, through each loader that uses it.
+"""Properties of the comma-separated-text reader, through each loader that
+uses it.
 
 A valid file with one field corrupted, dropped or added must fail with a
 ``FormatError`` that starts ``<file>:<line>:`` for the edited line; no
@@ -15,14 +16,7 @@ from hypothesis import strategies as st
 from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.errors import FormatError
 from selc_lab.rng import stream
-from selc_lab.targets import MODE_SELC, EnsembleState, load_state, save_state
-from selc_lab.turning import (
-    MetricSeries,
-    load_loss_snapshots,
-    load_metric_series,
-    save_loss_snapshots,
-    save_metric_series,
-)
+from selc_lab.turning import load_loss_snapshots, save_loss_snapshots
 
 # Python's int() and float() read these; np.loadtxt does not, or reads a
 # non-finite float
@@ -44,23 +38,10 @@ def write_csv(path):
     save_csv_dataset(path, rng.standard_normal((5, 3)), np.array([0, 1, 2, 0, 1]))
 
 
-def write_checkpoint(path):
-    probs = stream(3, "tables").dirichlet(np.ones(3), size=5)
-    save_state(EnsembleState(targets=probs, alpha=0.9, epoch_k=2, mode=MODE_SELC), path)
-
-
-def write_series(path):
-    m = stream(4, "tables").uniform(size=(3, 5))
-    save_metric_series(MetricSeries(epochs=np.arange(5), m1=m[0], m2=m[1], m3=m[2]), path)
-
-
-# name -> (writer, loader, delimiter, field kinds, first line whose width
-# is checked: a checkpoint's first row sets the width)
+# name -> (writer, loader, field kinds)
 FORMATS = {
-    "losses": (write_losses, load_loss_snapshots, ",", (int, int, float), 2),
-    "csv": (write_csv, load_csv_dataset, ",", (int, float, float, float), 2),
-    "checkpoint": (write_checkpoint, load_state, " ", (int, float, float, float), 3),
-    "series": (write_series, load_metric_series, ",", (int, float, float, float), 2),
+    "losses": (write_losses, load_loss_snapshots, (int, int, float)),
+    "csv": (write_csv, load_csv_dataset, (int, float, float, float)),
 }
 
 
@@ -88,13 +69,13 @@ def assert_names_line(load, path, lineno):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_one_bad_field_names_its_line(tmp_path, name, data):
-    write, load, delimiter, kinds, first_checked = FORMATS[name]
+    write, load, kinds = FORMATS[name]
     path = tmp_path / f"{name}.txt"
     write(path)
     lines = path.read_text().splitlines()
     edit = data.draw(st.sampled_from(["corrupt", "drop", "add"]))
-    lineno = data.draw(st.integers(2 if edit == "corrupt" else first_checked, len(lines)))
-    fields = lines[lineno - 1].split(delimiter)
+    lineno = data.draw(st.integers(2, len(lines)))
+    fields = lines[lineno - 1].split(",")
     j = data.draw(st.integers(0, len(fields) - 1))
     if edit == "corrupt":
         fields[j] = data.draw(bad_token(kinds[j]))
@@ -102,7 +83,7 @@ def test_one_bad_field_names_its_line(tmp_path, name, data):
         del fields[j]
     else:
         fields.insert(j, "0")
-    lines[lineno - 1] = delimiter.join(fields)
+    lines[lineno - 1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_names_line(load, path, lineno)
 
@@ -110,16 +91,16 @@ def test_one_bad_field_names_its_line(tmp_path, name, data):
 @pytest.mark.parametrize("kind", [int, float], ids=["int", "float"])
 @pytest.mark.parametrize("name", FORMATS)
 def test_python_only_spellings_name_their_line(tmp_path, name, kind):
-    write, load, delimiter, kinds, _ = FORMATS[name]
+    write, load, kinds = FORMATS[name]
     path = tmp_path / f"{name}.txt"
     write(path)
     lines = path.read_text().splitlines()
     j = kinds.index(kind)
     for token in PYTHON_ONLY[kind]:
         edited = list(lines)
-        fields = edited[2].split(delimiter)
+        fields = edited[2].split(",")
         fields[j] = token
-        edited[2] = delimiter.join(fields)
+        edited[2] = ",".join(fields)
         path.write_text("\n".join(edited) + "\n", encoding="utf-8")
         assert_names_line(load, path, 3)
 
@@ -133,20 +114,20 @@ STRAY = ["ᅰ", "\x1c", "\x1f", "\x00", "\x7f", "\x0b", "é"]
 @pytest.mark.parametrize("field", [0, -1], ids=["int", "float"])
 @pytest.mark.parametrize("name", FORMATS)
 def test_stray_characters_name_their_line(tmp_path, name, field, stray):
-    write, load, delimiter, _, _ = FORMATS[name]
+    write, load, _ = FORMATS[name]
     path = tmp_path / f"{name}.txt"
     write(path)
     lines = path.read_text().splitlines()
-    fields = lines[2].split(delimiter)
+    fields = lines[2].split(",")
     fields[field] = fields[field][:1] + stray + fields[field][1:]
-    lines[2] = delimiter.join(fields)
+    lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_names_line(load, path, 3)
 
 
 @pytest.mark.parametrize("name", FORMATS)
 def test_bad_utf8_names_its_line(tmp_path, name):
-    write, load, _, _, _ = FORMATS[name]
+    write, load, _ = FORMATS[name]
     path = tmp_path / f"{name}.txt"
     write(path)
     lines = path.read_bytes().split(b"\n")

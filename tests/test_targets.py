@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selc_lab.errors import FormatError, MissingPredictionError, ParameterError
+from selc_lab.errors import MissingPredictionError, ParameterError
 from selc_lab.mlp import one_hot, soft_ce_loss, softmax
 from selc_lab.rng import stream
 from selc_lab.targets import (
@@ -14,7 +14,6 @@ from selc_lab.targets import (
     bootstrap_target,
     closed_form_target,
     ensemble_prediction,
-    load_state,
     save_state,
     selc_loss,
     update_targets,
@@ -179,37 +178,9 @@ def test_state_checkpoint_roundtrip(tmp_path):
         update_targets(state, PredictionSnapshot(random_probs(rng, 6, 3)))
     path = tmp_path / "state.txt"
     save_state(state, path)
-    back = load_state(path)
-    assert back.alpha == state.alpha
-    assert back.epoch_k == state.epoch_k
-    assert back.mode == state.mode
-    assert np.array_equal(back.targets, state.targets)
+    with open(path) as fh:
+        assert fh.readline().split() == [repr(state.alpha), str(state.epoch_k), state.mode]
+    rows = np.loadtxt(path, skiprows=1)
+    assert np.array_equal(rows[:, 0], np.arange(6))
+    assert rows[:, 1:].tobytes() == state.targets.tobytes()
 
-
-@pytest.mark.parametrize("text, line, reason", [
-    ("0.9 x selc\n0 1.0 0.0\n", 1, "invalid literal for int()"),
-    ("abc 2 selc\n0 1.0 0.0\n", 1, "could not convert string to float"),
-    ("0.9 2\n0 1.0 0.0\n", 1, "got 2 fields"),
-    ("0.9 2 selc\n0 1.0 0.0\n1 1.0\n", 3, "expected 3 fields, got 2"),
-    ("0.9 2 selc\n0 1.0 0.0\n\n1.0 0.0 1.0\n", 4, "invalid literal for int()"),
-    ("0.9 2 selc\n0 1.0 0.0\n1 0.5 x\n", 3, "could not convert string to float"),
-    ("0.9 2 selc\n0 1.0 0.0\n1 nan 1.0\n", 3, "target must be finite, got nan"),
-])
-def test_state_load_names_file_and_line(tmp_path, text, line, reason):
-    path = tmp_path / "state.txt"
-    path.write_text(text)
-    with pytest.raises(FormatError, match=reason) as info:
-        load_state(path)
-    assert str(info.value).startswith(f"{path}:{line}: ")
-
-
-@pytest.mark.parametrize("header, reason", [
-    ("nan 2 option2_selc", "alpha must be in [0, 1), got nan"),
-    ("0.9 2 selc", "mode must be one of"),
-])
-def test_state_load_names_file_when_the_state_rejects_it(tmp_path, header, reason):
-    path = tmp_path / "state.txt"
-    path.write_text(f"{header}\n0 1.0 0.0\n1 0.0 1.0\n")
-    with pytest.raises(FormatError) as info:
-        load_state(path)
-    assert str(info.value).startswith(f"{path}: ") and reason in str(info.value)

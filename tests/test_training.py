@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from selc_lab.data import BlobSpec, generate_blobs, make_noisy_dataset
+from selc_lab.data import BlobSpec, TrainView, generate_blobs
 from selc_lab.errors import DimensionError, ParameterError, TrainingDivergenceError
 from selc_lab.mlp import init_mlp, make_optimizer, one_hot, predict_proba
-from selc_lab.noise import build_symmetric_q
 from selc_lab.rng import stream
 from selc_lab.targets import MODE_ENSEMBLE_ONLY
 from selc_lab.training import (
@@ -27,8 +26,7 @@ def fresh_model(view, hidden=(32,), seed=7, activation="tanh"):
 
 def clean_view(n=240, dim=6, c=3, seed=2):
     feats, labels = generate_blobs(BlobSpec(n=n, dim=dim, num_classes=c, cluster_std=0.3, seed=seed))
-    ds = make_noisy_dataset(feats, labels, build_symmetric_q(c, 0.0), seed=1)
-    return ds.train_view(), labels
+    return TrainView(features=feats, noisy_labels=labels, num_classes=c), labels
 
 
 def weights_equal(a, b):
@@ -116,7 +114,7 @@ def test_bootstrap_beta_one_matches_ce_bitwise():
 
 
 def test_correcting_epoch_count_and_mode(small_noisy_view):
-    view = small_noisy_view.train_view()
+    view, _ = small_noisy_view
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05)
     cfg = SelcRunConfig(total_epochs=8, activation_epoch=5)
@@ -129,7 +127,7 @@ def test_correcting_epoch_count_and_mode(small_noisy_view):
 
 
 def test_option1_targets_stay_substochastic(small_noisy_view):
-    view = small_noisy_view.train_view()
+    view, _ = small_noisy_view
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05)
     cfg = SelcRunConfig(total_epochs=6, activation_epoch=2)
@@ -141,15 +139,14 @@ def test_option1_targets_stay_substochastic(small_noisy_view):
 
 
 def test_correction_recovers_true_labels(small_noisy_view):
-    ds = small_noisy_view
-    view = ds.train_view()
+    view, true_labels = small_noisy_view
     model = fresh_model(view, hidden=(32,))
     opt = make_optimizer(model, base_lr=0.1, weight_decay=0.0)
     cfg = SelcRunConfig(total_epochs=30, activation_epoch=10, alpha=0.9)
     _, state, _ = run_training(view, model, opt, cfg, METHOD_SELC, 32, seed=6)
     corrected = state.targets.argmax(axis=1)
-    noisy_agree = float(np.mean(ds.noisy_labels == ds.true_labels))
-    corrected_agree = float(np.mean(corrected == ds.true_labels))
+    noisy_agree = float(np.mean(view.noisy_labels == true_labels))
+    corrected_agree = float(np.mean(corrected == true_labels))
     assert corrected_agree > noisy_agree + 0.1
 
 
@@ -159,7 +156,7 @@ def test_epoch_hook_sees_events_and_can_stop():
 
     def hook(event):
         seen.append((event.epoch, event.lr))
-        assert event.snapshot.probs.shape == (view.n, view.num_classes)
+        assert event.snapshot.probs.shape == (len(view.features), view.num_classes)
         assert event.state is None
         return event.epoch == 2
 
@@ -175,7 +172,7 @@ def test_epoch_hook_sees_events_and_can_stop():
 
 
 def test_method_and_batch_validation(small_noisy_view):
-    view = small_noisy_view.train_view()
+    view, _ = small_noisy_view
     model = fresh_model(view)
     opt = make_optimizer(model)
     cfg = SelcRunConfig(total_epochs=1)
@@ -186,7 +183,7 @@ def test_method_and_batch_validation(small_noisy_view):
 
 
 def test_divergence_is_reported(small_noisy_view):
-    view = small_noisy_view.train_view()
+    view, _ = small_noisy_view
     model = fresh_model(view, activation="relu")
     opt = make_optimizer(model, base_lr=1e9, weight_decay=0.0)
     cfg = SelcRunConfig(total_epochs=10)
@@ -196,7 +193,7 @@ def test_divergence_is_reported(small_noisy_view):
 
 
 def test_train_view_carries_no_true_labels(small_noisy_view):
-    view = small_noisy_view.train_view()
+    view, _ = small_noisy_view
     assert not hasattr(view, "true_labels")
 
 
