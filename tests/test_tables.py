@@ -1,5 +1,5 @@
 """Properties of the comma-separated-text reader, through each loader that
-uses it.
+uses it and directly on the ``--series-out`` table.
 
 A valid file with one field corrupted, dropped or added must fail with a
 ``FormatError`` that starts ``<file>:<line>:`` for the edited line; no
@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.errors import FormatError
 from selc_lab.rng import stream
-from selc_lab.turning import load_loss_snapshots, save_loss_snapshots
+from selc_lab.tables import open_text, read_rows
+from selc_lab.turning import (
+    METRIC_NAMES,
+    MetricSeries,
+    load_loss_snapshots,
+    save_loss_snapshots,
+    save_metric_series,
+)
 
 # Python's int() and float() read these; np.loadtxt does not, or reads a
 # non-finite float
@@ -38,10 +45,24 @@ def write_csv(path):
     save_csv_dataset(path, rng.standard_normal((5, 3)), np.array([0, 1, 2, 0, 1]))
 
 
+def write_series(path):
+    m = stream(4, "tables").uniform(size=(3, 5))
+    save_metric_series(MetricSeries(epochs=np.arange(5), m1=m[0], m2=m[1], m3=m[2]), path)
+
+
+def read_series(path):
+    # no command reads a series back; its table of scalar columns goes to
+    # read_rows as is
+    with open_text(path) as fh:
+        fh.readline()
+        return read_rows(path, fh, [("epoch", int), *((m, float) for m in METRIC_NAMES)])
+
+
 # name -> (writer, loader, field kinds)
 FORMATS = {
     "losses": (write_losses, load_loss_snapshots, (int, int, float)),
     "csv": (write_csv, load_csv_dataset, (int, float, float, float)),
+    "series": (write_series, read_series, (int, float, float, float)),
 }
 
 
