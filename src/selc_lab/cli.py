@@ -200,8 +200,9 @@ def main(argv=None) -> int:
     except (ParameterError, FormatError, FileNotFoundError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (RuntimeError, OSError, ValueError, MemoryError, json.JSONDecodeError) as exc:
+        # a bare MemoryError has no message
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,7 @@ from .data import BlobSpec, _blob_centers, check_field_types, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import build_asymmetric_q, load_mapping
+from .rng import check_seed
 from .turning import MIN_SAMPLES
 
 DATASET_KINDS = ("blobs", "idx", "csv")
@@ -111,6 +112,9 @@ def _require(cond, message):
 def validate_config(cfg: ExperimentConfig) -> None:
     ds, noise, model, opt, method = cfg.dataset, cfg.noise, cfg.model, cfg.optimizer, cfg.method
     check_field_types(cfg)
+    check_seed(ds.seed, "dataset.seed")
+    for seed in cfg.trials:
+        check_seed(seed, "trials")
     _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")

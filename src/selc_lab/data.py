@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
-from .rng import stream
+from .rng import check_seed, stream
 from .tables import line_of_row, open_text, read_rows
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -78,6 +78,7 @@ class BlobSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        check_seed(self.seed, "seed")
         if self.num_classes < 2:
             raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
         if self.n < self.num_classes:

@@ -8,12 +8,13 @@ targets checkpoint for the correcting methods. One ``summary.json`` sits at
 the run root. Reruns with the same config are byte-identical: no
 timestamps, fixed column orders, 6 significant digits, LF endings.
 
-Every trial is two jobs. The train job runs the warm phase, the main run
-and the SELC+ retrain; the main run's epoch hook only records a trajectory
-(per-sample losses, prediction and target argmaxes, test accuracy). The
-diagnose job computes every diagnostic and writes every artifact from
-that trajectory; diagnostics never feed back into training, since SELC's
-correction reads only the previous epoch's predictions.
+Every trial is two jobs. The train job runs the trial's one main run,
+whose first epochs are the warm phase of an auto activation, rewound to
+the activation epoch, and the SELC+ retrain; the main run's epoch hook
+records a trajectory (per-sample losses, prediction and target argmaxes,
+test accuracy). The diagnose job computes every diagnostic and writes
+every artifact from that trajectory; diagnostics never feed back into
+training: correction reads only the previous epoch's predictions.
 
 A run with more than one trial sends its jobs to forked worker processes,
 one per usable core, when ``selc_lab.fork_workers`` allows: every train
@@ -32,6 +33,7 @@ Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +59,6 @@ from .noise import (
 from .rng import stream
 from .targets import EnsembleState, save_state
 from .training import (
-    METHOD_CE,
     TURNING_POINT_OFFSET,
     SelcRunConfig,
     default_activation_epoch,
@@ -226,42 +227,18 @@ def _write_csv(path, columns, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _estimate_activation_epoch(view, cfg: ExperimentConfig, seed: int, detector=None) -> int:
-    """CE warm phase with the online separation detector: ``detector`` if
-    given, which holds the raw estimate afterwards, and whether it fired.
-
-    The warm model uses the same init and shuffle streams as the main run,
-    so the main run's pre-activation epochs replay this phase exactly.
-    """
-    method = cfg.method
-    detector = detector or OnlineTurningPointDetector(patience=method.detector_patience)
-    noisy_onehot = one_hot(view.noisy_labels, view.num_classes)
-    metric = METRIC_NAMES.index(method.metric_choice)
-
-    def hook(event):
-        per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
-        return detector.observe(event.epoch,
-                                separation_metrics(normalize_losses(per_sample))[metric])
-
-    model, opt = _build_model(cfg, view, seed, "init")
-    warm_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs)
-    run_training(view, model, opt, warm_cfg, METHOD_CE,
-                 cfg.optimizer.batch_size, seed, epoch_hook=hook)
-    # fired or not, the running maximum is the earliest argmax so far
-    return default_activation_epoch(detector.estimate)
-
-
 def _epoch_row(event, model, test_x, test_y) -> dict:
     """An epoch's training record and the model's test accuracy."""
-    test_probs = predict_proba(model, test_x)
+    test_acc = float(np.mean(predict_proba(model, test_x).argmax(axis=1) == test_y))
     return {"epoch": event.epoch, "lr": event.lr, "train_loss": event.train_loss,
-            "train_acc": event.train_acc,
-            "test_acc": float(np.mean(test_probs.argmax(axis=1) == test_y))}
+            "train_acc": event.train_acc, "test_acc": test_acc}
 
 
 def _train_job(run: _Run, k: int) -> _Trained:
-    """Train job ``k``: the warm phase, the main run, which records its
-    trajectory, and, for ``selc_plus``, the retrain."""
+    """Train job ``k``: the main run, which records its trajectory, and,
+    for ``selc_plus``, the retrain. An ``auto`` activation's warm phase is
+    the run's start, the detector reading each epoch's losses; when it fires
+    or the run ends, the run resumes at the activation epoch, rewound."""
     cfg, method = run.cfg, run.cfg.method
     alpha, seed, trial_dir = run.jobs[k]
     trajectory = run.trajectories[k]
@@ -271,25 +248,14 @@ def _train_job(run: _Run, k: int) -> _Trained:
                      num_classes=num_classes)
     trajectory.noisy[:] = view.noisy_labels
 
-    activation_epoch = None
-    warm = dict.fromkeys(WARM_FIELDS)
-    if method.name in ("selc", "option1", "selc_plus"):
-        if method.activation_epoch == AUTO:
-            detector = OnlineTurningPointDetector(patience=method.detector_patience)
-            activation_epoch = _estimate_activation_epoch(view, cfg, seed, detector)
-            warm = dict(zip(WARM_FIELDS, (
-                detector.estimate, detector.fired,
-                activation_epoch != detector.estimate - TURNING_POINT_OFFSET)))
-        else:
-            activation_epoch = int(method.activation_epoch)
-
-    run_cfg = SelcRunConfig(
-        total_epochs=cfg.optimizer.epochs,
-        activation_epoch=activation_epoch if activation_epoch is not None else 0,
-        alpha=alpha,
-        bootstrap_beta=method.beta,
-        mixup_beta_param=method.mixup_beta_param,
-    )
+    correcting = method.name in ("selc", "option1", "selc_plus")
+    auto = correcting and method.activation_epoch == AUTO
+    # the warm phase trains every epoch that the detector does not cut
+    activation_epoch = ((cfg.optimizer.epochs if auto else int(method.activation_epoch))
+                        if correcting else None)
+    run_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs, activation_epoch=activation_epoch or 0,
+                            alpha=alpha, bootstrap_beta=method.beta,
+                            mixup_beta_param=method.mixup_beta_param)
     model, opt = _build_model(cfg, view, seed, "init")
     noisy_onehot = one_hot(view.noisy_labels, num_classes)
     rows = []
@@ -303,8 +269,38 @@ def _train_job(run: _Run, k: int) -> _Trained:
         rows.append(_epoch_row(event, model, test_x, test_y))
 
     train_method = "selc" if method.name == "selc_plus" else method.name
-    _, state, _ = run_training(view, model, opt, run_cfg, train_method,
-                               cfg.optimizer.batch_size, seed, epoch_hook=record)
+    warm = dict.fromkeys(WARM_FIELDS)
+    if auto:
+        detector = OnlineTurningPointDetector(patience=method.detector_patience)
+        metric = METRIC_NAMES.index(method.metric_choice)
+        # (params, velocity) at the end of each of the last epochs; a new
+        # maximum at epoch t pins the oldest, the end of epoch max(t - 11, 0),
+        # where activation epoch max(t - 10, 1) starts
+        ends = deque(maxlen=TURNING_POINT_OFFSET + 2)
+        pinned = None
+
+        def warm_hook(event):
+            nonlocal pinned
+            record(event)
+            ends.append((opt.params.copy(), opt.velocity.copy()))
+            losses = normalize_losses(trajectory.losses[event.epoch])
+            fired = detector.observe(event.epoch, separation_metrics(losses)[metric])
+            if detector.estimate == event.epoch:
+                pinned = ends[0]
+            return fired
+
+        run_training(view, model, opt, run_cfg, train_method,
+                     cfg.optimizer.batch_size, seed, epoch_hook=warm_hook)
+        # fired or not, the running maximum is the earliest argmax so far
+        activation_epoch = default_activation_epoch(detector.estimate)
+        opt.params[:], opt.velocity[:] = pinned
+        del rows[activation_epoch:]
+        run_cfg = replace(run_cfg, activation_epoch=activation_epoch)
+        warm = dict(zip(WARM_FIELDS, (detector.estimate, detector.fired,
+                                      activation_epoch != detector.estimate - TURNING_POINT_OFFSET)))
+
+    _, state, _ = run_training(view, model, opt, run_cfg, train_method, cfg.optimizer.batch_size,
+                               seed, epoch_hook=record, first_epoch=activation_epoch if auto else 0)
 
     plus_rows = None
     if method.name == "selc_plus":
@@ -437,12 +433,10 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     data = _build_clean_data(cfg)
     train_x, num_classes = data[0], data[4]
 
-    def trajectory():
-        return _Trajectory(cfg.optimizer.epochs, train_x.shape[0], num_classes)
-
+    shape = (cfg.optimizer.epochs, train_x.shape[0], num_classes)
     # trials in this process run one at a time and can share one trajectory
-    trajectories = ([trajectory() for _ in jobs] if workers > 1
-                    else [trajectory()] * len(jobs))
+    trajectories = ([_Trajectory(*shape) for _ in jobs] if workers > 1
+                    else [_Trajectory(*shape)] * len(jobs))
     run = _Run(cfg, data, _build_transition(cfg, num_classes), jobs, trajectories)
     if workers < 2:
         return [_run_trial(run, k) for k in range(len(jobs))]

@@ -127,7 +127,8 @@ def _train_step(model: MlpModel, opt: OptimizerState, x, t, epoch: int) -> float
 
 
 def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
-                method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None):
+                method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None,
+                first_epoch: int = 0):
     """The epoch loop behind every method and the SELC+ retrain; trains the
     model in place and returns (state, records).
 
@@ -147,12 +148,12 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
 
     snapshot = None
     records = []
-    for epoch in range(cfg.total_epochs):
+    for epoch in range(first_epoch, cfg.total_epochs):
         lr = lr_at(opt, epoch)
         correcting = state is not None and epoch >= cfg.activation_epoch
         if correcting:
             if snapshot is None:
-                # activation at epoch 0: fall back to the untrained model
+                # activation at the first epoch: the model as it starts
                 snapshot = PredictionSnapshot(predict_proba(model, features))
             update_targets(state, snapshot)
         epoch_targets = state.targets if correcting else targets
@@ -184,18 +185,22 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
 
 
 def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
-                 method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None = None):
-    """Train the model in place; returns (model, state, records).
+                 method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None = None,
+                 first_epoch: int = 0):
+    """Train the model in place from epoch ``first_epoch`` on; returns
+    (model, state, records).
 
     ``state`` is the final targets state for the correcting methods and
     None otherwise. Batch order reshuffles every epoch from a per-epoch
-    stream of ``seed``, and the last partial batch is kept.
+    stream of ``seed``, and the last partial batch is kept. Schedule and
+    shuffles depend on the epoch alone, so a run resumed at ``first_epoch``
+    from where the epoch before ended goes on as one run would.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     targets = one_hot(view.noisy_labels, view.num_classes)
     state, records = _run_epochs(view.features, targets, model, opt, cfg, method,
-                                 batch_size, seed, epoch_hook)
+                                 batch_size, seed, epoch_hook, first_epoch)
     return model, state, records
 
 

@@ -380,8 +380,12 @@ def load_loss_snapshots(path):
         return epochs, np.empty((0, 0))
     # what save_loss_snapshots writes is already in (epoch, sample_id) order
     if _out_of_order(epochs, ids):
+        # sorted in place, one column at a time, and the order dropped
+        # before the checks below make their temporaries
         order = np.lexsort((ids, epochs))
-        epochs, ids, losses = epochs[order], ids[order], losses[order]
+        for column in (epochs, ids, losses):
+            column[:] = column[order]
+        del order
     starts = np.r_[0, np.flatnonzero(epochs[1:] != epochs[:-1]) + 1]
     sizes = np.diff(np.r_[starts, epochs.size])
     n = int(sizes[0])

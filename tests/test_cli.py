@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import selc_lab
+import selc_lab.cli as cli
 from selc_lab.cli import main
 from selc_lab.data import load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
@@ -96,6 +97,11 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     # no alpha to run, and two alphas that would share alpha_0.9/ in a sweep
     ({"method": {"alpha": []}}, "method.alpha"),
     ({"method": {"alpha": [0.9, 0.9000001]}}, "method.alpha"),
+    # seeds that would share the streams of 1 and 0
+    ({"trials": [1, 2**64 + 1]}, "trials"),
+    ({"trials": [1, 1 - 2**64]}, "trials"),
+    ({"dataset": {"seed": 2**64}}, "dataset.seed"),
+    ({"dataset": {"seed": -2**63 - 1}}, "dataset.seed"),
 ])
 def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
     cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
@@ -363,7 +369,9 @@ def test_make_blobs_rejects_unknown_keys(tmp_path, capsys):
     ({"dim": True}, "dim must be an integer, got True"),
     ({"test_n": 1}, "test split of size 1 cannot balance 2 classes"),
     ({"cluster_std": "wide"}, "cluster_std must be a number, got 'wide'"),
-], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small", "str_cluster_std"])
+    ({"seed": 2**64}, "seed must be in [-2**63, 2**63), got 18446744073709551616"),
+], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small", "str_cluster_std",
+        "seed_past_64_bits"])
 def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,
@@ -372,6 +380,32 @@ def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"blobs.yaml: {message}" in err
     assert not os.path.exists(tmp_path / "d")
+
+
+def array_memory_error():
+    """numpy's error for an allocation that failed, made without allocating."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((2**40,), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("callee, error, message", [
+    ("run_experiment", MemoryError(), "MemoryError"),
+    ("compute_metric_series", array_memory_error(), "Unable to allocate 8.00 TiB"),
+], ids=["run_bare", "detect_numpy"])
+def test_memory_error_is_one_runtime_error_line(tmp_path, capsys, monkeypatch, callee, error,
+                                                message):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    argv = (["run", str(write_tiny_config(tmp_path))] if callee == "run_experiment"
+            else ["detect-turning-point", str(make_losses_csv(tmp_path))])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {message}") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_one(capsys):

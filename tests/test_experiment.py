@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -177,22 +178,23 @@ def ce_m1_series(cfg):
     model, opt = experiment._build_model(cfg, view, 1, "init")
     run_training(view, model, opt, SelcRunConfig(total_epochs=cfg.optimizer.epochs), METHOD_CE,
                  16, 1, epoch_hook=observe)
-    return view, m1
+    return m1
 
 
-def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path, monkeypatch):
+def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path):
     """A detector whose patience outlasts the warm phase never fires; its
     running maximum is then the estimate, the earliest argmax of m1 over a
     CE run of the same model."""
     epochs = 12
     cfg = warm_config(tmp_path, epochs, epochs + 1)
-    view, m1 = ce_m1_series(cfg)
+    m1 = ce_m1_series(cfg)
     expected = int(np.argmax(m1))
     assert 0 < expected < epochs - 1  # a peak inside the run, not at either end
 
-    # the estimate before the floor of default_activation_epoch
-    monkeypatch.setattr(experiment, "default_activation_epoch", lambda estimate: estimate)
-    assert experiment._estimate_activation_epoch(view, cfg, 1) == expected
+    summary = run_experiment(cfg)
+    assert summary["detector_fired"] == {"1": False}
+    with open(os.path.join(cfg.out_dir, "summary.json")) as fh:
+        assert json.load(fh)["turning_point_estimate"] == {"1": expected}
 
 
 @pytest.mark.parametrize("patience, fired", [(2, True), (13, False)])
@@ -202,7 +204,7 @@ def test_summary_records_the_warm_phase(tmp_path, patience, fired):
     patience rule on the m1 series of a CE run of the same model."""
     cfg = warm_config(tmp_path, 12, patience)
     detector = OnlineTurningPointDetector(patience)
-    for epoch, value in enumerate(ce_m1_series(cfg)[1]):
+    for epoch, value in enumerate(ce_m1_series(cfg)):
         detector.observe(epoch, value)
     assert detector.fired is fired
     summary = run_experiment(cfg)
@@ -211,6 +213,62 @@ def test_summary_records_the_warm_phase(tmp_path, patience, fired):
     assert summary["detector_fired"] == {"1": fired}
     assert summary["activation_clamped"] == {"1": estimate - TURNING_POINT_OFFSET < 1}
     assert summary["activation_epochs"] == {"1": max(estimate - TURNING_POINT_OFFSET, 1)}
+
+
+# a scripted detector metric that peaks at epoch PEAK, late enough that the
+# ring of end-of-epoch states is full when the peak pins its oldest entry
+PEAK, PATIENCE, EPOCHS = 13, 2, 20
+
+
+def scripted_warm_phase(tmp_path, monkeypatch, out_dir):
+    """An ``auto`` trial whose detector reads the scripted metric -|e - PEAK|
+    at epoch e, so it resolves to activation epoch PEAK - 10 and fires at
+    epoch PEAK + PATIENCE; returns its config."""
+    epochs = itertools.count()
+
+    def scripted(losses):
+        value = -abs(next(epochs) - PEAK)
+        return value, value, value
+
+    monkeypatch.setattr(experiment, "separation_metrics", scripted)
+    return tiny_config(tmp_path, optimizer={"epochs": EPOCHS}, trials=[1], out_dir=out_dir,
+                       method={"activation_epoch": "auto", "detector_patience": PATIENCE})
+
+
+def test_auto_trial_matches_a_run_fixed_at_its_activation_epoch(tmp_path, monkeypatch):
+    cfg = scripted_warm_phase(tmp_path, monkeypatch, "auto")
+    summary = run_experiment(cfg)
+    activation = PEAK - TURNING_POINT_OFFSET
+    assert activation > 1
+    assert summary["turning_point_estimate"] == {"1": PEAK}
+    assert summary["detector_fired"] == {"1": True}
+    assert summary["activation_epochs"] == {"1": activation}
+
+    fixed = tiny_config(tmp_path, optimizer={"epochs": EPOCHS}, trials=[1], out_dir="fixed",
+                        method={"activation_epoch": activation})
+    run_experiment(fixed)
+    auto_tree = read_tree(os.path.join(cfg.out_dir, "trial_1"))
+    assert len(auto_tree) == 5
+    assert read_tree(os.path.join(fixed.out_dir, "trial_1")) == auto_tree
+
+
+def test_auto_trial_trains_its_warm_epochs_once(tmp_path, monkeypatch):
+    """The warm phase trains epochs 0..f, f the epoch the detector fires
+    at; the run resumes at activation epoch a, so the trial trains
+    f + 1 + E - a epochs, not f + 1 + E."""
+    cfg = scripted_warm_phase(tmp_path, monkeypatch, "run")
+    trained = []
+    real = experiment.run_training
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        trained.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(experiment, "run_training", counting)
+    run_experiment(cfg)
+    fired_at, activation = PEAK + PATIENCE, PEAK - TURNING_POINT_OFFSET
+    assert sum(trained) == fired_at + 1 + EPOCHS - activation
 
 
 def test_empty_trials_marker(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from selc_lab.rng import stream
+from selc_lab.errors import ParameterError
+from selc_lab.rng import check_seed, stream
 
 
 def test_same_labels_same_sequence():
@@ -36,3 +38,15 @@ def test_label_types_distinguished():
     a = stream(7, 1).random(4)
     b = stream(7, "1").random(4)
     assert not np.array_equal(a, b)
+
+
+def test_seeds_outside_int64_are_rejected_by_name():
+    # the seeds at both ends of the range keep streams of their own
+    ends = (-2**63, -1, 0, 2**63 - 1)
+    for seed in ends:
+        check_seed(seed, "trials")
+    draws = {stream(seed, "noise").random(4).tobytes() for seed in ends}
+    assert len(draws) == len(ends)
+    for seed in (-2**63 - 1, 2**63, 2**64 + 1):
+        with pytest.raises(ParameterError, match=f"^trials must be in .*, got {seed}$"):
+            check_seed(seed, "trials")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,32 @@ def test_correcting_epoch_count_and_mode(small_noisy_view):
     noisy = one_hot(view.noisy_labels, view.num_classes)
     floor = (0.9 ** 3) * noisy
     assert np.all(state.targets + 1e-12 >= floor)
+
+
+def test_resumed_run_matches_one_run_bitwise(small_noisy_view):
+    """A run stopped after epoch 2 and resumed at epoch 3, with the same
+    model and optimizer and correction active from there, trains what one
+    run activating at epoch 3 trains, across a learning-rate milestone."""
+    view, _ = small_noisy_view
+    runs = []
+    for stop in (None, 2):
+        model = fresh_model(view)
+        opt = make_optimizer(model, base_lr=0.05, milestones=[5])
+        cfg = SelcRunConfig(total_epochs=7, activation_epoch=3)
+        records = []
+        if stop is not None:
+            _, _, records = run_training(view, model, opt, replace(cfg, activation_epoch=7),
+                                         METHOD_SELC, 64, seed=1,
+                                         epoch_hook=lambda event: event.epoch == stop)
+        _, state, rest = run_training(view, model, opt, cfg, METHOD_SELC, 64, seed=1,
+                                      first_epoch=len(records))
+        runs.append((model, state, [(r.epoch, r.lr, r.train_loss, r.train_acc)
+                                    for r in records + rest]))
+    assert [epoch for epoch, *_ in runs[1][2]] == list(range(7))
+    assert weights_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1].targets, runs[1][1].targets)
+    assert runs[0][1].epoch_k == runs[1][1].epoch_k == 4
+    assert runs[0][2] == runs[1][2]
 
 
 def test_option1_targets_stay_substochastic(small_noisy_view):
