@@ -2,26 +2,28 @@
 
 Relative paths inside a config (IDX/CSV datasets, noise mapping files,
 the output directory) resolve against the directory containing the config
-file, so a config plus its data folder can move as a unit. CSV and IDX
-datasets and noise mapping files are parsed on load, so a malformed one is
-a config error rather than a failure in every trial; the parsed dataset
-stays on the config for the run. Fields annotated ``int``, ``float`` or
-``bool`` take values of that type only; an integer is a float too.
+file, so a config plus its data folder can move as a unit. Loading builds
+what every trial of a run reads: the dataset of any kind (blobs generated,
+CSV and IDX files parsed) and the noise model (a mapping file read once).
+So a malformed input is a config error rather than a failure in every
+trial, and both stay on the config, as ``data`` and ``transition``, for
+the run. Fields annotated ``int``, ``float`` or ``bool`` take values of
+that type only; an integer is a float too.
 """
 
 import os
 from dataclasses import dataclass, field
 
-from .data import BlobSpec, _blob_centers, check_field_types, load_dataset_files
+from .data import BlobSpec, check_field_types, generate_blobs, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
-from .noise import build_asymmetric_q, load_mapping
+from .noise import TransitionMatrix, build_asymmetric_q, build_symmetric_q, load_mapping
 from .rng import check_seed
-from .turning import MIN_SAMPLES
+from .training import METHODS
+from .turning import METRIC_NAMES, MIN_SAMPLES
 
 DATASET_KINDS = ("blobs", "idx", "csv")
 NOISE_KINDS = ("none", "symmetric", "asymmetric")
-METHOD_NAMES = ("ce", "bootstrap", "selc", "option1", "selc_plus")
 AUTO = "auto"
 
 
@@ -92,9 +94,11 @@ class ExperimentConfig:
     method: MethodSpecConfig
     trials: list[int]
     out_dir: str
-    # a CSV or IDX dataset's (train_x, train_y, test_x, test_y, num_classes),
-    # parsed once by validate_config; a run's forked workers inherit it
-    dataset_files: tuple | None = field(default=None, repr=False, compare=False)
+    # the run's inputs, built once by validate_config for every trial; a
+    # run's forked workers inherit them: the dataset's (train_x, train_y,
+    # test_x, test_y, num_classes) and the noise model
+    data: tuple | None = field(default=None, repr=False, compare=False)
+    transition: TransitionMatrix | None = field(default=None, repr=False, compare=False)
 
 
 def alpha_values(method: MethodSpecConfig) -> list:
@@ -125,12 +129,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
         _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")
         _require(ds.cluster_std > 0, f"dataset.cluster_std must be positive, got {ds.cluster_std}")
-        try:
-            _blob_centers(BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-                                   cluster_std=ds.cluster_std, seed=ds.seed))
+        spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
+                        cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
+        try:  # the splits are checked above; what fails here is placing the centers
+            splits = [generate_blobs(spec, split=split) for split in ("train", "test")]
         except ParameterError as exc:
             raise ParameterError(f"dataset.cluster_std: {exc}") from exc
-        num_classes = ds.num_classes
+        cfg.data = (*splits[0], *splits[1], ds.num_classes)
     else:
         names = (("train_images", "train_labels", "test_images", "test_labels")
                  if ds.kind == "idx" else ("train_csv", "test_csv"))
@@ -138,11 +143,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             path = getattr(ds, name)
             _require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
             _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
-        cfg.dataset_files = load_dataset_files(ds)
-        train_y, num_classes = cfg.dataset_files[1], cfg.dataset_files[4]
-        _require(train_y.size >= MIN_SAMPLES,
+        cfg.data = load_dataset_files(ds)
+        _require(cfg.data[1].size >= MIN_SAMPLES,
                  f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
-                 f"got {train_y.size}")
+                 f"got {cfg.data[1].size}")
+    num_classes = cfg.data[4]
 
     _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
@@ -153,9 +158,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"noise.mapping_file: no such file: {noise.mapping_file}")
         mapping = load_mapping(noise.mapping_file)
         try:
-            build_asymmetric_q(num_classes, noise.eta, mapping)
+            cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
         except ParameterError as exc:
             raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
+    else:
+        eta = noise.eta if noise.kind == "symmetric" else 0.0
+        cfg.transition = build_symmetric_q(num_classes, eta, exclude_true_class=noise.exclude_true_class)
 
     _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
     _require(all(h >= 1 for h in model.hidden_dims),
@@ -174,11 +182,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(ms == sorted(ms) and len(set(ms)) == len(ms),
              f"optimizer.milestones must be strictly increasing, got {ms}")
 
-    _require(method.name in METHOD_NAMES,
-             f"method.name must be one of {METHOD_NAMES}, got {method.name!r}")
+    _require(method.name in METHODS,
+             f"method.name must be one of {tuple(METHODS)}, got {method.name!r}")
     if method.name == "bootstrap":
         _require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
-    if method.name in ("selc", "option1", "selc_plus"):
+    if METHODS[method.name] is not None:
         sweep_dirs = {}  # a sweep writes the trials of alpha a to alpha_{a:g}
         for a in alpha_values(method):
             _require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
@@ -193,7 +201,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                      f"method.activation_epoch must be 'auto' or an int >= 0, got {ae!r}")
         _require(method.detector_patience >= 1,
                  f"method.detector_patience must be >= 1, got {method.detector_patience}")
-        _require(method.metric_choice in ("m1", "m2", "m3"),
+        _require(method.metric_choice in METRIC_NAMES,
                  f"method.metric_choice must be m1, m2 or m3, got {method.metric_choice!r}")
     if method.name == "selc_plus":
         _require(method.mixup_beta_param > 0,

@@ -108,13 +108,11 @@ def confusion_of_corrections(targets, true_labels) -> np.ndarray:
 
 
 def append_metrics_ledger(path, rows) -> None:
-    """Append (epoch, metric_name, value) rows in one write, starting an
-    empty or missing file with the header."""
+    """Write the ledger file: the header, then the (epoch, metric_name,
+    value) rows, in one write that replaces what the file held."""
     text = "".join(f"{epoch},{name},{value:.6g}\n" for epoch, name, value in rows)
-    with open(path, "a", newline="") as fh:
-        if fh.tell() == 0:
-            text = "epoch,metric_name,value\n" + text
-        fh.write(text)
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,metric_name,value\n" + text)
 
 
 def write_confusion_csv(counts: np.ndarray, path) -> None:

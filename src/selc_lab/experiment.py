@@ -1,5 +1,6 @@
-"""Run orchestration: dataset build, noise injection, training per method,
-per-epoch diagnostics, and deterministic result emission.
+"""Run orchestration: noise injection, training per method, per-epoch
+diagnostics, and deterministic result emission. The dataset and the noise
+model come built from config load (``cfg.data``, ``cfg.transition``).
 
 Outputs per trial directory: ``epochs.csv`` (one row per epoch),
 ``metrics.csv`` (long-form diagnostics ledger), ``losses.csv`` (per-sample
@@ -25,8 +26,9 @@ fork; only the epoch rows and the final targets pass through the pool's
 pipe. In one process the same two jobs run one after the other, with the
 same outputs; there the diagnose job's mixture fits fan out over the
 cores (``turning.compute_metric_series``), which they never do inside a
-pool worker. CSV data is parsed at config load, before any worker
-exists, and a large file's parse fans out too (``tables.read_rows``).
+pool worker. The data of every dataset kind is built at config load,
+before any worker exists, and a large CSV file's parse fans out too
+(``tables.read_rows``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import fork_workers
 from .config import AUTO, ExperimentConfig, alpha_values
-from .data import BlobSpec, TrainView, generate_blobs, load_dataset_files
+from .data import TrainView
 from .diagnostics import (
     append_metrics_ledger,
     confusion_of_corrections,
@@ -49,16 +51,11 @@ from .diagnostics import (
     write_confusion_csv,
 )
 from .mlp import init_mlp, make_optimizer, one_hot, predict_proba, soft_ce_loss
-from .noise import (
-    TransitionMatrix,
-    build_asymmetric_q,
-    build_symmetric_q,
-    inject_noise,
-    load_mapping,
-)
+from .noise import inject_noise
 from .rng import stream
 from .targets import EnsembleState, save_state
 from .training import (
+    METHODS,
     TURNING_POINT_OFFSET,
     SelcRunConfig,
     default_activation_epoch,
@@ -67,7 +64,6 @@ from .training import (
 )
 from .turning import (
     METRIC_NAMES,
-    OnlineTurningPointDetector,
     compute_metric_series,
     normalize_losses,
     save_loss_snapshots,
@@ -86,9 +82,10 @@ LEDGER_METRICS = (
     "correction_acc", "clean_correct_frac", "clean_incorrect_frac",
     "mislabeled_correct_frac", "mislabeled_memorized_frac", "mislabeled_other_frac",
 )
-# what summary.json records of each trial's warm phase: the detector's raw
-# turning point, whether it fired, and whether the activation epoch was
-# clamped to 1; all null for a fixed activation epoch or no correction
+# what summary.json records of each trial's warm phase: the raw turning
+# point (the earliest argmax of the warm epochs' metric), whether the
+# patience rule fired, and whether the activation epoch was clamped to 1;
+# all null for a fixed activation epoch or no correction
 WARM_FIELDS = ("turning_point_estimate", "detector_fired", "activation_clamped")
 
 
@@ -117,29 +114,6 @@ def _write_json(data, path) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(_round6(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _build_clean_data(cfg: ExperimentConfig):
-    """Returns (train_features, train_labels, test_features, test_labels, C)."""
-    ds = cfg.dataset
-    if ds.kind == "blobs":
-        spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-                        cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
-        train_x, train_y = generate_blobs(spec, split="train")
-        test_x, test_y = generate_blobs(spec, split="test")
-        return train_x, train_y, test_x, test_y, ds.num_classes
-    return cfg.dataset_files or load_dataset_files(ds)
-
-
-def _build_transition(cfg: ExperimentConfig, num_classes: int) -> TransitionMatrix:
-    noise = cfg.noise
-    if noise.kind == "none":
-        return build_symmetric_q(num_classes, 0.0)
-    if noise.kind == "symmetric":
-        return build_symmetric_q(num_classes, noise.eta,
-                                 exclude_true_class=noise.exclude_true_class)
-    mapping = load_mapping(noise.mapping_file)
-    return build_asymmetric_q(num_classes, noise.eta, mapping)
 
 
 @dataclass
@@ -182,13 +156,11 @@ class _Trajectory:
 
 @dataclass
 class _Run:
-    """What every job of a run reads: the config, the data (train_x,
-    train_y, test_x, test_y, num_classes) and noise model built once for
-    all trials, and each job's (alpha, seed, trial_dir) and trajectory."""
+    """What every job of a run reads: the config, with the data and noise
+    model built at its load, and each job's (alpha, seed, trial_dir) and
+    trajectory."""
 
     cfg: ExperimentConfig
-    data: tuple
-    transition: TransitionMatrix
     jobs: list
     trajectories: list
 
@@ -237,20 +209,22 @@ def _epoch_row(event, model, test_x, test_y) -> dict:
 def _train_job(run: _Run, k: int) -> _Trained:
     """Train job ``k``: the main run, which records its trajectory, and,
     for ``selc_plus``, the retrain. An ``auto`` activation's warm phase is
-    the run's start, the detector reading each epoch's losses; when it fires
-    or the run ends, the run resumes at the activation epoch, rewound."""
+    the run's start, which estimates the turning point as the earliest
+    argmax of its epochs' separation metric. Once ``detector_patience``
+    epochs pass without a new maximum, or the run ends, the run resumes at
+    the activation epoch, rewound."""
     cfg, method = run.cfg, run.cfg.method
     alpha, seed, trial_dir = run.jobs[k]
     trajectory = run.trajectories[k]
     os.makedirs(trial_dir, exist_ok=True)
-    train_x, train_y, test_x, test_y, num_classes = run.data
-    view = TrainView(features=train_x, noisy_labels=inject_noise(train_y, run.transition, seed),
+    train_x, train_y, test_x, test_y, num_classes = cfg.data
+    view = TrainView(features=train_x, noisy_labels=inject_noise(train_y, cfg.transition, seed),
                      num_classes=num_classes)
     trajectory.noisy[:] = view.noisy_labels
 
-    correcting = method.name in ("selc", "option1", "selc_plus")
+    correcting = METHODS[method.name] is not None
     auto = correcting and method.activation_epoch == AUTO
-    # the warm phase trains every epoch that the detector does not cut
+    # the warm phase trains every epoch that the patience rule does not cut
     activation_epoch = ((cfg.optimizer.epochs if auto else int(method.activation_epoch))
                         if correcting else None)
     run_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs, activation_epoch=activation_epoch or 0,
@@ -268,38 +242,41 @@ def _train_job(run: _Run, k: int) -> _Trained:
                                     else event.state.targets.argmax(axis=1))
         rows.append(_epoch_row(event, model, test_x, test_y))
 
-    train_method = "selc" if method.name == "selc_plus" else method.name
     warm = dict.fromkeys(WARM_FIELDS)
     if auto:
-        detector = OnlineTurningPointDetector(patience=method.detector_patience)
         metric = METRIC_NAMES.index(method.metric_choice)
+        values = []  # the metric of each warm epoch
         # (params, velocity) at the end of each of the last epochs; a new
         # maximum at epoch t pins the oldest, the end of epoch max(t - 11, 0),
         # where activation epoch max(t - 10, 1) starts
         ends = deque(maxlen=TURNING_POINT_OFFSET + 2)
         pinned = None
 
+        def fired():
+            # detector_patience epochs have passed since the earliest argmax
+            return len(values) - 1 - int(np.argmax(values)) >= method.detector_patience
+
         def warm_hook(event):
             nonlocal pinned
             record(event)
             ends.append((opt.params.copy(), opt.velocity.copy()))
             losses = normalize_losses(trajectory.losses[event.epoch])
-            fired = detector.observe(event.epoch, separation_metrics(losses)[metric])
-            if detector.estimate == event.epoch:
+            values.append(separation_metrics(losses)[metric])
+            if np.argmax(values) == event.epoch:
                 pinned = ends[0]
-            return fired
+            return fired()
 
-        run_training(view, model, opt, run_cfg, train_method,
+        run_training(view, model, opt, run_cfg, method.name,
                      cfg.optimizer.batch_size, seed, epoch_hook=warm_hook)
-        # fired or not, the running maximum is the earliest argmax so far
-        activation_epoch = default_activation_epoch(detector.estimate)
+        estimate = int(np.argmax(values))
+        activation_epoch = default_activation_epoch(estimate)
         opt.params[:], opt.velocity[:] = pinned
         del rows[activation_epoch:]
         run_cfg = replace(run_cfg, activation_epoch=activation_epoch)
-        warm = dict(zip(WARM_FIELDS, (detector.estimate, detector.fired,
-                                      activation_epoch != detector.estimate - TURNING_POINT_OFFSET)))
+        warm = dict(zip(WARM_FIELDS, (estimate, fired(),
+                                      activation_epoch != estimate - TURNING_POINT_OFFSET)))
 
-    _, state, _ = run_training(view, model, opt, run_cfg, train_method, cfg.optimizer.batch_size,
+    _, state, _ = run_training(view, model, opt, run_cfg, method.name, cfg.optimizer.batch_size,
                                seed, epoch_hook=record, first_epoch=activation_epoch if auto else 0)
 
     plus_rows = None
@@ -322,7 +299,7 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
     every artifact of the trial."""
     _, seed, trial_dir = run.jobs[k]
     trajectory = run.trajectories[k]
-    true_labels, num_classes = run.data[1], run.data[4]
+    true_labels, num_classes = run.cfg.data[1], run.cfg.data[4]
     rows = trained.rows
     series = compute_metric_series(np.arange(len(trajectory.losses)), trajectory.losses)
     for row, m1, m2, m3, predicted, target in zip(rows, series.m1, series.m2, series.m3,
@@ -335,11 +312,8 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
 
     _write_csv(os.path.join(trial_dir, "epochs.csv"), EPOCH_COLUMNS, rows)
     save_loss_snapshots(trajectory.losses, os.path.join(trial_dir, "losses.csv"))
-    ledger_path = os.path.join(trial_dir, "metrics.csv")
-    if os.path.exists(ledger_path):
-        os.remove(ledger_path)
-    append_metrics_ledger(ledger_path, [(row["epoch"], name, row[name])
-                                        for row in rows for name in LEDGER_METRICS])
+    append_metrics_ledger(os.path.join(trial_dir, "metrics.csv"),
+                          [(row["epoch"], name, row[name]) for row in rows for name in LEDGER_METRICS])
     last = rows[-1]
     final_targets = (trained.state.targets if trained.state is not None
                      else one_hot(trajectory.noisy, num_classes))
@@ -430,14 +404,11 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     if not jobs:
         return []
     workers = fork_workers(len(jobs))
-    data = _build_clean_data(cfg)
-    train_x, num_classes = data[0], data[4]
-
-    shape = (cfg.optimizer.epochs, train_x.shape[0], num_classes)
+    shape = (cfg.optimizer.epochs, cfg.data[0].shape[0], cfg.data[4])
     # trials in this process run one at a time and can share one trajectory
     trajectories = ([_Trajectory(*shape) for _ in jobs] if workers > 1
                     else [_Trajectory(*shape)] * len(jobs))
-    run = _Run(cfg, data, _build_transition(cfg, num_classes), jobs, trajectories)
+    run = _Run(cfg, jobs, trajectories)
     if workers < 2:
         return [_run_trial(run, k) for k in range(len(jobs))]
     # imported only here: at module level they would lengthen the start-up
@@ -504,8 +475,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     out_dir = os.environ.get("SELC_OUT_DIR") or cfg.out_dir
     alphas = alpha_values(cfg.method)
-    uses_alpha = cfg.method.name in ("selc", "option1", "selc_plus")
-    sweep = uses_alpha and len(alphas) > 1
+    sweep = METHODS[cfg.method.name] is not None and len(alphas) > 1
     if not sweep:
         alphas = alphas[:1]
     alpha_dirs = [os.path.join(out_dir, f"alpha_{a:g}") if sweep else out_dir for a in alphas]

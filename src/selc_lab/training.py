@@ -28,14 +28,11 @@ from .targets import (
     update_targets,
 )
 
-METHOD_CE = "ce"
-METHOD_BOOTSTRAP = "bootstrap"
-METHOD_SELC = "selc"
-METHOD_OPTION1 = "option1"
-METHODS = (METHOD_CE, METHOD_BOOTSTRAP, METHOD_SELC, METHOD_OPTION1)
-
-# Methods whose targets evolve during the run.
-_CORRECTING = (METHOD_SELC, METHOD_OPTION1)
+# every method a config may name -> the mode of the targets it corrects,
+# or None for a method that corrects nothing; selc_plus trains as selc
+# before its retrain
+METHODS = {"ce": None, "bootstrap": None, "selc": MODE_SELC,
+           "option1": MODE_ENSEMBLE_ONLY, "selc_plus": MODE_SELC}
 # The SELC+ retrain's mixup on fixed soft targets; not in METHODS, so
 # run_training never takes it.
 _METHOD_MIXUP = "mixup"
@@ -92,7 +89,8 @@ class EpochEvent:
 
     ``snapshot`` holds evaluation-mode predictions over the full training
     set for the just-finished epoch; ``state`` is the live targets state
-    (None for methods without one). Hooks must treat both as read-only.
+    once correction is active (None before it, and for methods without
+    one). Hooks must treat both as read-only.
     A truthy return value stops the run after the current epoch.
     """
 
@@ -142,9 +140,8 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
     # for one-hot targets, exactly the noisy labels
     labels = targets.argmax(axis=1)
     state = None
-    if method in _CORRECTING:
-        mode = MODE_SELC if method == METHOD_SELC else MODE_ENSEMBLE_ONLY
-        state = EnsembleState.initial(labels, targets.shape[1], cfg.alpha, mode)
+    if METHODS.get(method) is not None:
+        state = EnsembleState.initial(labels, targets.shape[1], cfg.alpha, METHODS[method])
 
     snapshot = None
     records = []
@@ -163,7 +160,7 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
         for batch_ids in _batches(order, batch_size):
             x = features[batch_ids]
             t = epoch_targets[batch_ids]
-            if method == METHOD_BOOTSTRAP:
+            if method == "bootstrap":
                 t = bootstrap_target(t, predict_proba(model, x), cfg.bootstrap_beta)
             elif mix_rng is not None:
                 lam = float(mix_rng.beta(cfg.mixup_beta_param, cfg.mixup_beta_param))
@@ -177,7 +174,7 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
         if epoch_hook is not None:
             stop = epoch_hook(EpochEvent(
                 epoch=epoch, lr=lr, train_loss=record.train_loss,
-                train_acc=train_acc, snapshot=snapshot, state=state,
+                train_acc=train_acc, snapshot=snapshot, state=state if correcting else None,
             ))
             if stop:
                 break
@@ -197,7 +194,7 @@ def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: Sel
     from where the epoch before ended goes on as one run would.
     """
     if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+        raise ParameterError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     targets = one_hot(view.noisy_labels, view.num_classes)
     state, records = _run_epochs(view.features, targets, model, opt, cfg, method,
                                  batch_size, seed, epoch_hook, first_epoch)

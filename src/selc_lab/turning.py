@@ -308,43 +308,6 @@ def estimate_turning_point(series: MetricSeries, metric_choice: str = "m1",
     return int(series.epochs[int(np.argmax(values))])
 
 
-class OnlineTurningPointDetector:
-    """Live argmax tracker with a patience rule.
-
-    Feed one metric value per epoch; the detector fires once no new maximum
-    has appeared for ``patience`` consecutive epochs. The estimate is the
-    epoch of the running maximum. The offline argmax over the full series
-    is the reference; this exists so a warm run can stop early.
-    """
-
-    def __init__(self, patience: int = 10):
-        if patience < 1:
-            raise ParameterError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best_epoch = None
-        self.best_value = -np.inf
-        self.stale = 0
-        self.fired = False
-
-    def observe(self, epoch: int, value: float) -> bool:
-        """Record one epoch's metric; returns True once fired."""
-        if self.fired:
-            return True
-        if value > self.best_value:
-            self.best_value = float(value)
-            self.best_epoch = int(epoch)
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                self.fired = True
-        return self.fired
-
-    @property
-    def estimate(self):
-        return self.best_epoch
-
-
 def save_loss_snapshots(losses, path) -> None:
     """CSV rows (epoch, sample_id, loss) of an (epochs, n) loss matrix whose
     row e holds epoch e; floats via repr for exact reload.

@@ -2,6 +2,8 @@
 # BLAS default take effect, and with it the worker processes for trials
 import selc_lab  # noqa: F401  # isort: skip
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,20 @@ def small_noisy_view():
     x, y = generate_blobs(spec, split="train")
     noisy = inject_noise(y, build_symmetric_q(3, 0.4), seed=11)
     return TrainView(features=x, noisy_labels=noisy, num_classes=3), y
+
+
+@pytest.fixture
+def replace_everywhere(monkeypatch):
+    """``replace(real, stand_in)`` puts ``stand_in`` wherever a loaded
+    selc_lab module holds the function ``real``, whatever name it was
+    imported under; undone after the test."""
+    def replace(real, stand_in):
+        for name, module in list(sys.modules.items()):
+            if name == "selc_lab" or name.startswith("selc_lab."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, stand_in)
+    return replace
 
 
 def _criterion_key(nodeid: str):

@@ -24,7 +24,7 @@ from selc_lab.mlp import init_mlp, make_optimizer
 from selc_lab.noise import build_symmetric_q, inject_noise
 from selc_lab.rng import stream
 from selc_lab.targets import save_state
-from selc_lab.training import METHOD_SELC, SelcRunConfig, run_selc_plus, run_training
+from selc_lab.training import SelcRunConfig, run_selc_plus, run_training
 from selc_lab.turning import GmmFit, save_loss_snapshots
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -90,7 +90,7 @@ def test_training_entry_points_return_one_record_per_epoch(tiny_view):
     cfg = SelcRunConfig(total_epochs=2, activation_epoch=1)
     hooked = []
     model, opt = fresh(tiny_view)
-    result = run_training(tiny_view, model, opt, cfg, METHOD_SELC, 16, seed=0,
+    result = run_training(tiny_view, model, opt, cfg, "selc", 16, seed=0,
                           epoch_hook=hooked.append)
     assert len(result) == 3 and result[0] is model
     assert [r.epoch for r in result[2]] == [0, 1]

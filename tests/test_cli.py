@@ -10,7 +10,7 @@ import yaml
 import selc_lab
 import selc_lab.cli as cli
 from selc_lab.cli import main
-from selc_lab.data import load_csv_dataset, save_csv_dataset, write_idx
+from selc_lab.data import generate_blobs, load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
 from selc_lab.turning import (
     compute_metric_series,
@@ -406,6 +406,18 @@ def test_memory_error_is_one_runtime_error_line(tmp_path, capsys, monkeypatch, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"runtime error: {message}") and err.count("\n") == 1
+
+
+def test_memory_error_in_the_data_build_leaves_no_out_dir(tmp_path, capsys,
+                                                         replace_everywhere):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    replace_everywhere(generate_blobs, exhausted)
+    assert main(["run", str(write_tiny_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: MemoryError\n"
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_usage_errors_exit_one(capsys):

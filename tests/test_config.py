@@ -153,6 +153,13 @@ def test_validation_catches_bad_values():
             config_from_dict(minimal_dict(**overrides))
 
 
+def test_unknown_method_name_lists_every_method():
+    with pytest.raises(ParameterError) as err:
+        config_from_dict(minimal_dict(method={"name": "mixup"}))
+    assert str(err.value) == ("method.name must be one of ('ce', 'bootstrap', 'selc', "
+                              "'option1', 'selc_plus'), got 'mixup'")
+
+
 def test_alphas_that_share_a_sweep_directory_are_named():
     data = minimal_dict(method={"name": "selc", "alpha": [0.7, 0.9, 0.9000001]})
     with pytest.raises(ParameterError, match=r"but 0\.9 and 0\.9000001 both write alpha_0\.9$"):

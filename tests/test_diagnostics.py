@@ -168,10 +168,11 @@ def test_confusion_tracks_transition_matrix():
 def test_metrics_ledger_appends_with_single_header(tmp_path):
     path = tmp_path / "metrics.csv"
     append_metrics_ledger(path, [(0, "test_acc", 0.912345678)])
+    assert path.read_text() == "epoch,metric_name,value\n0,test_acc,0.912346\n"
+    # a second call replaces the file
     append_metrics_ledger(path, [(1, "test_acc", 0.5), (1, "m1", 2)])
     lines = path.read_text().splitlines()
-    assert lines == ["epoch,metric_name,value", "0,test_acc,0.912346",
-                     "1,test_acc,0.5", "1,m1,2"]
+    assert lines == ["epoch,metric_name,value", "1,test_acc,0.5", "1,m1,2"]
 
 
 def test_write_confusion_csv(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -12,6 +13,7 @@ import yaml
 import selc_lab
 import selc_lab.data as data
 import selc_lab.experiment as experiment
+import selc_lab.noise as noise
 from selc_lab.config import config_from_dict
 from selc_lab.data import BlobSpec, TrainView, generate_blobs, save_csv_dataset
 from selc_lab.diagnostics import correction_accuracy, memorization_stats
@@ -22,9 +24,8 @@ from selc_lab.experiment import (
 )
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
 from selc_lab.noise import build_symmetric_q, inject_noise
-from selc_lab.training import METHOD_CE, TURNING_POINT_OFFSET, SelcRunConfig, run_training
+from selc_lab.training import METHODS, TURNING_POINT_OFFSET, SelcRunConfig, run_training
 from selc_lab.turning import (
-    OnlineTurningPointDetector,
     fit_gmm2,
     load_loss_snapshots,
     metric_m1,
@@ -106,7 +107,7 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
                       optimizer={"epochs": 4}, trials=[1])
     run_experiment(cfg)
 
-    train_x, train_y, test_x, test_y, num_classes = experiment._build_clean_data(cfg)
+    train_x, train_y, test_x, test_y, num_classes = cfg.data
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
     view = TrainView(train_x, noisy, num_classes)
     model, opt = experiment._build_model(cfg, view, 1, "init")
@@ -165,7 +166,7 @@ def warm_config(tmp_path, epochs, patience):
 def ce_m1_series(cfg):
     """m1 of each epoch of a CE run of trial 1's model, as the warm phase
     starts it: same data, noise, init and shuffle streams."""
-    train_x, train_y, _, _, num_classes = experiment._build_clean_data(cfg)
+    train_x, train_y, _, _, num_classes = cfg.data
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
     view = TrainView(train_x, noisy, num_classes)
     noisy_onehot = one_hot(noisy, num_classes)
@@ -176,15 +177,14 @@ def ce_m1_series(cfg):
         m1.append(metric_m1(fit_gmm2(normalize_losses(per_sample))))
 
     model, opt = experiment._build_model(cfg, view, 1, "init")
-    run_training(view, model, opt, SelcRunConfig(total_epochs=cfg.optimizer.epochs), METHOD_CE,
+    run_training(view, model, opt, SelcRunConfig(total_epochs=cfg.optimizer.epochs), "ce",
                  16, 1, epoch_hook=observe)
     return m1
 
 
 def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path):
-    """A detector whose patience outlasts the warm phase never fires; its
-    running maximum is then the estimate, the earliest argmax of m1 over a
-    CE run of the same model."""
+    """A patience that outlasts the warm phase never fires; the estimate is
+    then the earliest argmax of m1 over a CE run of the same model."""
     epochs = 12
     cfg = warm_config(tmp_path, epochs, epochs + 1)
     m1 = ce_m1_series(cfg)
@@ -199,31 +199,33 @@ def test_warm_phase_without_firing_estimates_the_m1_argmax(tmp_path):
 
 @pytest.mark.parametrize("patience, fired", [(2, True), (13, False)])
 def test_summary_records_the_warm_phase(tmp_path, patience, fired):
-    """summary.json holds the detector's raw turning point, whether it
+    """summary.json holds the raw turning point, whether the patience rule
     fired and whether the activation epoch was clamped: the outcome of the
-    patience rule on the m1 series of a CE run of the same model."""
+    rule on the m1 series of a CE run of the same model. The rule stops the
+    warm phase at the first epoch that lies ``patience`` epochs past the
+    earliest argmax of the series so far."""
     cfg = warm_config(tmp_path, 12, patience)
-    detector = OnlineTurningPointDetector(patience)
-    for epoch, value in enumerate(ce_m1_series(cfg)):
-        detector.observe(epoch, value)
-    assert detector.fired is fired
+    m1 = ce_m1_series(cfg)
+    stops = [e for e in range(len(m1)) if e - int(np.argmax(m1[:e + 1])) >= patience]
+    assert bool(stops) is fired
+    estimate = int(np.argmax(m1[:stops[0] + 1] if stops else m1))
     summary = run_experiment(cfg)
-    estimate = detector.estimate
     assert summary["turning_point_estimate"] == {"1": estimate}
     assert summary["detector_fired"] == {"1": fired}
     assert summary["activation_clamped"] == {"1": estimate - TURNING_POINT_OFFSET < 1}
     assert summary["activation_epochs"] == {"1": max(estimate - TURNING_POINT_OFFSET, 1)}
 
 
-# a scripted detector metric that peaks at epoch PEAK, late enough that the
+# a scripted warm-phase metric that peaks at epoch PEAK, late enough that the
 # ring of end-of-epoch states is full when the peak pins its oldest entry
 PEAK, PATIENCE, EPOCHS = 13, 2, 20
 
 
 def scripted_warm_phase(tmp_path, monkeypatch, out_dir):
-    """An ``auto`` trial whose detector reads the scripted metric -|e - PEAK|
-    at epoch e, so it resolves to activation epoch PEAK - 10 and fires at
-    epoch PEAK + PATIENCE; returns its config."""
+    """An ``auto`` trial whose warm phase reads the scripted metric
+    -|e - PEAK| at epoch e, so it resolves to activation epoch PEAK - 10
+    and the patience rule fires at epoch PEAK + PATIENCE; returns its
+    config."""
     epochs = itertools.count()
 
     def scripted(losses):
@@ -253,8 +255,8 @@ def test_auto_trial_matches_a_run_fixed_at_its_activation_epoch(tmp_path, monkey
 
 
 def test_auto_trial_trains_its_warm_epochs_once(tmp_path, monkeypatch):
-    """The warm phase trains epochs 0..f, f the epoch the detector fires
-    at; the run resumes at activation epoch a, so the trial trains
+    """The warm phase trains epochs 0..f, f the epoch the patience rule
+    fires at; the run resumes at activation epoch a, so the trial trains
     f + 1 + E - a epochs, not f + 1 + E."""
     cfg = scripted_warm_phase(tmp_path, monkeypatch, "run")
     trained = []
@@ -351,6 +353,55 @@ def test_csv_files_parsed_once_per_run(tmp_path, monkeypatch):
     summary = run_experiment(cfg)
     assert summary["completed"] == [1, 2, 3]
     assert sorted(parses.read_text().split()) == ["test.csv", "train.csv"]
+
+
+def test_mapping_file_read_once_per_run(tmp_path, replace_everywhere):
+    (tmp_path / "pairs.txt").write_text("0 1\n2,3\n")
+    reads = tmp_path / "reads.log"
+    real = noise.load_mapping
+
+    def counting(path):
+        # appended to a file, so reads in worker processes count too
+        with open(reads, "a") as fh:
+            fh.write(os.path.basename(path) + "\n")
+        return real(path)
+
+    replace_everywhere(real, counting)
+    cfg = tiny_config(tmp_path, dataset={"num_classes": 4}, trials=[1, 2, 3],
+                      noise={"kind": "asymmetric", "mapping_file": "pairs.txt"})
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 2, 3]
+    assert reads.read_text().split() == ["pairs.txt"]
+
+
+def test_option1_rows_before_activation_score_the_noisy_labels(tmp_path):
+    """Until correction starts, a trial's targets are its noisy labels, for
+    option1 too, whose ensemble-only targets start at all zeros."""
+    cfg = tiny_config(tmp_path, method={"name": "option1", "activation_epoch": 2}, trials=[1])
+    run_experiment(cfg)
+    train_y = cfg.data[1]
+    noisy = inject_noise(train_y, cfg.transition, 1)
+    with open(os.path.join(cfg.out_dir, "trial_1", "epochs.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    expected = experiment._fmt(np.mean(noisy == train_y))
+    assert [row["correction_acc"] for row in rows[:2]] == [expected] * 2
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_method_in_the_table_runs(tmp_path, name):
+    """A method with a targets mode writes its final targets in that mode;
+    only selc_plus retrains."""
+    cfg = tiny_config(tmp_path, method={"name": name, "activation_epoch": 1, "plus_epochs": 2},
+                      optimizer={"epochs": 2}, trials=[1])
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1]
+    trial = os.path.join(cfg.out_dir, "trial_1")
+    targets = os.path.join(trial, "targets_final.txt")
+    assert os.path.exists(targets) is (METHODS[name] is not None)
+    if METHODS[name] is not None:
+        with open(targets) as fh:
+            assert fh.readline().split()[-1] == METHODS[name]
+    assert os.path.exists(os.path.join(trial, "plus_epochs.csv")) is (name == "selc_plus")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,10 +9,6 @@ from selc_lab.mlp import init_mlp, make_optimizer, one_hot, predict_proba
 from selc_lab.rng import stream
 from selc_lab.targets import MODE_ENSEMBLE_ONLY
 from selc_lab.training import (
-    METHOD_BOOTSTRAP,
-    METHOD_CE,
-    METHOD_OPTION1,
-    METHOD_SELC,
     SelcRunConfig,
     default_activation_epoch,
     mixup_batch,
@@ -61,7 +57,7 @@ def test_ce_learns_clean_blobs():
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.1, weight_decay=0.0)
     cfg = SelcRunConfig(total_epochs=25, activation_epoch=25)
-    model, state, records = run_training(view, model, opt, cfg, METHOD_CE, 32, seed=3)
+    model, state, records = run_training(view, model, opt, cfg, "ce", 32, seed=3)
     assert state is None
     assert len(records) == 25
     assert records[-1].train_acc >= 0.99
@@ -76,7 +72,7 @@ def test_run_is_deterministic_per_seed():
         model = fresh_model(view)
         opt = make_optimizer(model, base_lr=0.05)
         cfg = SelcRunConfig(total_epochs=4, activation_epoch=1)
-        model, _, records = run_training(view, model, opt, cfg, METHOD_SELC, 32, seed=9)
+        model, _, records = run_training(view, model, opt, cfg, "selc", 32, seed=9)
         out.append((model, [r.train_loss for r in records]))
     assert weights_equal(out[0][0], out[1][0])
     assert out[0][1] == out[1][1]
@@ -84,35 +80,35 @@ def test_run_is_deterministic_per_seed():
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05)
     cfg = SelcRunConfig(total_epochs=4, activation_epoch=1)
-    model, _, _ = run_training(view, model, opt, cfg, METHOD_SELC, 32, seed=10)
+    model, _, _ = run_training(view, model, opt, cfg, "selc", 32, seed=10)
     assert not weights_equal(out[0][0], model)
 
 
 def test_never_activating_matches_plain_ce_bitwise():
     view, _ = clean_view(n=120)
     runs = {}
-    for method, activation in ((METHOD_CE, 0), (METHOD_SELC, 6)):
+    for method, activation in (("ce", 0), ("selc", 6)):
         model = fresh_model(view)
         opt = make_optimizer(model, base_lr=0.05)
         cfg = SelcRunConfig(total_epochs=6, activation_epoch=activation)
         model, state, records = run_training(view, model, opt, cfg, method, 32, seed=4)
         runs[method] = (model, state, [(r.train_loss, r.train_acc) for r in records])
-    assert weights_equal(runs[METHOD_CE][0], runs[METHOD_SELC][0])
-    assert runs[METHOD_CE][2] == runs[METHOD_SELC][2]
+    assert weights_equal(runs["ce"][0], runs["selc"][0])
+    assert runs["ce"][2] == runs["selc"][2]
     # the state exists but was never updated
-    assert runs[METHOD_SELC][1].epoch_k == 0
+    assert runs["selc"][1].epoch_k == 0
 
 
 def test_bootstrap_beta_one_matches_ce_bitwise():
     view, _ = clean_view(n=120)
     out = {}
-    for method in (METHOD_CE, METHOD_BOOTSTRAP):
+    for method in ("ce", "bootstrap"):
         model = fresh_model(view)
         opt = make_optimizer(model, base_lr=0.05)
         cfg = SelcRunConfig(total_epochs=3, bootstrap_beta=1.0)
         model, _, _ = run_training(view, model, opt, cfg, method, 32, seed=4)
         out[method] = model
-    assert weights_equal(out[METHOD_CE], out[METHOD_BOOTSTRAP])
+    assert weights_equal(out["ce"], out["bootstrap"])
 
 
 def test_correcting_epoch_count_and_mode(small_noisy_view):
@@ -120,7 +116,7 @@ def test_correcting_epoch_count_and_mode(small_noisy_view):
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05)
     cfg = SelcRunConfig(total_epochs=8, activation_epoch=5)
-    _, state, _ = run_training(view, model, opt, cfg, METHOD_SELC, 64, seed=1)
+    _, state, _ = run_training(view, model, opt, cfg, "selc", 64, seed=1)
     assert state.epoch_k == 3
     # supervision weight on the original labels is alpha**k exactly
     noisy = one_hot(view.noisy_labels, view.num_classes)
@@ -141,9 +137,9 @@ def test_resumed_run_matches_one_run_bitwise(small_noisy_view):
         records = []
         if stop is not None:
             _, _, records = run_training(view, model, opt, replace(cfg, activation_epoch=7),
-                                         METHOD_SELC, 64, seed=1,
+                                         "selc", 64, seed=1,
                                          epoch_hook=lambda event: event.epoch == stop)
-        _, state, rest = run_training(view, model, opt, cfg, METHOD_SELC, 64, seed=1,
+        _, state, rest = run_training(view, model, opt, cfg, "selc", 64, seed=1,
                                       first_epoch=len(records))
         runs.append((model, state, [(r.epoch, r.lr, r.train_loss, r.train_acc)
                                     for r in records + rest]))
@@ -159,7 +155,7 @@ def test_option1_targets_stay_substochastic(small_noisy_view):
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05)
     cfg = SelcRunConfig(total_epochs=6, activation_epoch=2)
-    _, state, _ = run_training(view, model, opt, cfg, METHOD_OPTION1, 64, seed=1)
+    _, state, _ = run_training(view, model, opt, cfg, "option1", 64, seed=1)
     assert state.mode == MODE_ENSEMBLE_ONLY
     assert state.epoch_k == 4
     mass = 1.0 - 0.9 ** 4
@@ -171,7 +167,7 @@ def test_correction_recovers_true_labels(small_noisy_view):
     model = fresh_model(view, hidden=(32,))
     opt = make_optimizer(model, base_lr=0.1, weight_decay=0.0)
     cfg = SelcRunConfig(total_epochs=30, activation_epoch=10, alpha=0.9)
-    _, state, _ = run_training(view, model, opt, cfg, METHOD_SELC, 32, seed=6)
+    _, state, _ = run_training(view, model, opt, cfg, "selc", 32, seed=6)
     corrected = state.targets.argmax(axis=1)
     noisy_agree = float(np.mean(view.noisy_labels == true_labels))
     corrected_agree = float(np.mean(corrected == true_labels))
@@ -191,7 +187,7 @@ def test_epoch_hook_sees_events_and_can_stop():
     model = fresh_model(view)
     opt = make_optimizer(model, base_lr=0.05, milestones=[2], decay_factor=10.0)
     cfg = SelcRunConfig(total_epochs=50, activation_epoch=50)
-    _, _, records = run_training(view, model, opt, cfg, METHOD_CE, 32, seed=2, epoch_hook=hook)
+    _, _, records = run_training(view, model, opt, cfg, "ce", 32, seed=2, epoch_hook=hook)
     assert [e for e, _ in seen] == [0, 1, 2]
     assert len(records) == 3
     # lr schedule is visible through the hook
@@ -207,7 +203,7 @@ def test_method_and_batch_validation(small_noisy_view):
     with pytest.raises(ParameterError):
         run_training(view, model, opt, cfg, "fancy", 32, seed=0)
     with pytest.raises(ParameterError):
-        run_training(view, model, opt, cfg, METHOD_CE, 0, seed=0)
+        run_training(view, model, opt, cfg, "ce", 0, seed=0)
 
 
 def test_divergence_is_reported(small_noisy_view):
@@ -217,7 +213,7 @@ def test_divergence_is_reported(small_noisy_view):
     cfg = SelcRunConfig(total_epochs=10)
     # overflow on the way to the nonfinite loss is the point here
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergenceError):
-        run_training(view, model, opt, cfg, METHOD_CE, 32, seed=0)
+        run_training(view, model, opt, cfg, "ce", 32, seed=0)
 
 
 def test_train_view_carries_no_true_labels(small_noisy_view):
@@ -262,7 +258,7 @@ def test_selc_plus_learns_clean_targets():
 
     base = fresh_model(view, seed=21)
     opt = make_optimizer(base, base_lr=0.1, weight_decay=0.0)
-    base, _, _ = run_training(view, base, opt, cfg, METHOD_CE, 32, seed=8)
+    base, _, _ = run_training(view, base, opt, cfg, "ce", 32, seed=8)
     base_acc = float(np.mean(predict_proba(base, view.features).argmax(axis=1) == labels))
     # mixup jitters the fit but should land within a point of plain CE here
     assert acc >= base_acc - 0.01

@@ -16,7 +16,6 @@ from selc_lab.turning import (
     VARIANCE_FLOOR,
     GmmFit,
     MetricSeries,
-    OnlineTurningPointDetector,
     compute_metric_series,
     estimate_turning_point,
     fit_gmm2,
@@ -310,45 +309,6 @@ def test_default_metric_is_m1():
     series = MetricSeries(epochs=[0, 1], m1=[1.0, 0.5], m2=[0.1, 9.0], m3=[0.0, 0.0])
     assert estimate_turning_point(series) == 0
     assert estimate_turning_point(series, metric_choice="m2") == 1
-
-
-def test_detector_patience_rule():
-    det = OnlineTurningPointDetector(patience=3)
-    values = [1.0, 2.0, 3.0, 2.9, 2.8, 2.7]
-    fired_at = None
-    for epoch, v in enumerate(values):
-        if det.observe(epoch, v) and fired_at is None:
-            fired_at = epoch
-    assert fired_at == 5
-    assert det.estimate == 2
-    assert det.best_value == 3.0
-    # once fired the detector is inert
-    assert det.observe(6, 100.0) is True
-    assert det.estimate == 2
-
-
-def test_detector_never_fires_on_rising_series():
-    det = OnlineTurningPointDetector(patience=2)
-    for epoch in range(50):
-        assert det.observe(epoch, float(epoch)) is False
-    assert det.estimate == 49
-
-
-def test_detector_agrees_with_offline_argmax():
-    gaps = [0.05, 0.12, 0.2, 0.3, 0.22, 0.12, 0.06, 0.05, 0.05, 0.05]
-    losses = np.array([bimodal_losses(1.0, g, 0.03, 50) for g in gaps])
-    series = compute_metric_series(np.arange(len(gaps)), losses)
-    det = OnlineTurningPointDetector(patience=4)
-    for epoch, value in zip(series.epochs, series.m1):
-        if det.observe(int(epoch), float(value)):
-            break
-    assert det.fired
-    assert det.estimate == estimate_turning_point(series, "m1")
-
-
-def test_detector_validation():
-    with pytest.raises(ParameterError):
-        OnlineTurningPointDetector(patience=0)
 
 
 def test_loss_snapshot_roundtrip_is_exact(tmp_path):
