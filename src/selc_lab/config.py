@@ -184,12 +184,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     _require(method.name in METHODS,
              f"method.name must be one of {tuple(METHODS)}, got {method.name!r}")
-    if method.name == "bootstrap":
-        _require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
+    # every method's SelcRunConfig takes all three
+    for a in alpha_values(method):
+        _require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
+    _require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
+    _require(method.mixup_beta_param > 0,
+             f"method.mixup_beta_param must be positive, got {method.mixup_beta_param}")
     if METHODS[method.name] is not None:
         sweep_dirs = {}  # a sweep writes the trials of alpha a to alpha_{a:g}
         for a in alpha_values(method):
-            _require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
             name = f"alpha_{a:g}"
             if name in sweep_dirs:
                 raise ParameterError(f"method.alpha must be values whose sweep directories "
@@ -203,12 +206,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"method.detector_patience must be >= 1, got {method.detector_patience}")
         _require(method.metric_choice in METRIC_NAMES,
                  f"method.metric_choice must be m1, m2 or m3, got {method.metric_choice!r}")
-    if method.name == "selc_plus":
-        _require(method.mixup_beta_param > 0,
-                 f"method.mixup_beta_param must be positive, got {method.mixup_beta_param}")
-        if method.plus_epochs is not None:
-            _require(method.plus_epochs >= 1,
-                     f"method.plus_epochs must be >= 1, got {method.plus_epochs}")
+    if method.name == "selc_plus" and method.plus_epochs is not None:
+        _require(method.plus_epochs >= 1,
+                 f"method.plus_epochs must be >= 1, got {method.plus_epochs}")
 
     _require(len(set(cfg.trials)) == len(cfg.trials), f"trial seeds must be unique, got {cfg.trials}")
     _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")

@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-SUM_TOL = 1e-9
-
 
 def _as_hard_labels(values) -> np.ndarray:
     """Accept a label vector or a row-stochastic score matrix."""

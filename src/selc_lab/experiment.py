@@ -11,23 +11,25 @@ timestamps, fixed column orders, 6 significant digits, LF endings.
 
 Every trial is two jobs. The train job runs the trial's one main run,
 whose first epochs are the warm phase of an auto activation, rewound to
-the activation epoch, and the SELC+ retrain; the main run's epoch hook
-records a trajectory (per-sample losses, prediction and target argmaxes,
-test accuracy). The diagnose job computes every diagnostic and writes
-every artifact from that trajectory; diagnostics never feed back into
-training: correction reads only the previous epoch's predictions.
+the activation epoch, and the SELC+ retrain. The main run's epoch hook
+writes the epoch's per-sample losses into the trial's shared loss matrix
+and its row of every diagnostic but the separation metrics. The diagnose
+job fits the separation metrics to the loss matrix and writes every
+artifact. Diagnostics never feed back into training: correction reads
+only the previous epoch's predictions.
 
 A run with more than one trial sends its jobs to forked worker processes,
 one per usable core, when ``selc_lab.fork_workers`` allows: every train
 job first, and each diagnose job as soon as its train job completes, so
 diagnoses run beside the trials still training. The data and each
-trial's trajectory, an anonymous shared mapping, exist before the workers
-fork; only the epoch rows and the final targets pass through the pool's
-pipe. In one process the same two jobs run one after the other, with the
-same outputs; there the diagnose job's mixture fits fan out over the
-cores (``turning.compute_metric_series``), which they never do inside a
-pool worker. The data of every dataset kind is built at config load,
-before any worker exists, and a large CSV file's parse fans out too
+trial's loss matrix, an anonymous shared mapping, exist before the
+workers fork; only the epoch rows, the final targets and their
+confusion counts pass through the pool's pipe. In one process the same
+two jobs run one after the other, with the same outputs; there the
+diagnose job's mixture fits fan out over the cores
+(``turning.compute_metric_series``), which they never do inside a pool
+worker. The data of every dataset kind is built at config load, before
+any worker exists, and a large CSV file's parse fans out too
 (``tables.read_rows``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
@@ -118,63 +120,51 @@ def _write_json(data, path) -> None:
 
 @dataclass
 class _TrialResult:
+    """A completed trial as ``summary.json`` records it: the ``WARM_FIELDS``
+    of its warm phase and the last epoch rows of its main run and, for
+    ``selc_plus``, of its retrain."""
+
     seed: int
     activation_epoch: int | None
-    last_test_acc: float
-    last_correction_acc: float
-    last_memorized_frac: float
     warm: dict
-    plus_last_test_acc: float | None = None
+    last: dict
+    plus_last: dict | None
 
 
-class _Trajectory:
-    """One trial's per-epoch main-run record, in an anonymous shared mapping.
+def _shared_losses(epochs: int, n: int) -> np.ndarray:
+    """An (epochs, n) float64 matrix in an anonymous shared mapping.
+    Allocated before the workers fork, so a trial's train job and diagnose
+    job see the same pages whichever workers run them."""
+    # imported only here, so that commands that train nothing do not load it
+    import mmap
 
-    ``losses[e]`` holds epoch e's per-sample losses against the noisy
-    labels; ``predicted[e]`` and ``target[e]`` the argmax of the
-    training-set prediction and of the targets; ``noisy`` the injected
-    labels. Labels take the smallest unsigned type that holds every class.
-    Allocated before the workers fork, so a train job and a diagnose job
-    see the same pages whichever workers run them.
-    """
-
-    def __init__(self, epochs: int, n: int, num_classes: int):
-        # imported only here, so that commands that train nothing do not
-        # load it
-        import mmap
-
-        label = np.min_scalar_type(num_classes - 1)
-        floats = epochs * n * 8
-        # the arrays keep the mapping alive
-        buffer = mmap.mmap(-1, floats + (2 * epochs + 1) * n * label.itemsize)
-        self.losses = np.frombuffer(buffer, np.float64, epochs * n).reshape(epochs, n)
-        labels = np.frombuffer(buffer, label, (2 * epochs + 1) * n, floats).reshape(-1, n)
-        self.predicted = labels[:epochs]
-        self.target = labels[epochs:-1]
-        self.noisy = labels[-1]
+    # the array keeps the mapping alive
+    return np.frombuffer(mmap.mmap(-1, epochs * n * 8), np.float64).reshape(epochs, n)
 
 
 @dataclass
 class _Run:
     """What every job of a run reads: the config, with the data and noise
     model built at its load, and each job's (alpha, seed, trial_dir) and
-    trajectory."""
+    shared loss matrix."""
 
     cfg: ExperimentConfig
     jobs: list
-    trajectories: list
+    losses: list
 
 
 @dataclass
 class _Trained:
-    """A train job's result: the ``WARM_FIELDS`` of its warm phase, rows of
-    (epoch, lr, train_loss, train_acc, test_acc) for the main run and the
-    retrain, and the final targets."""
+    """A train job's result: the ``WARM_FIELDS`` of its warm phase, the main
+    run's epoch rows, all but the separation metrics, the retrain's rows of
+    (epoch, lr, train_loss, train_acc, test_acc), the final targets and
+    their confusion counts against the true labels."""
 
     activation_epoch: int | None
     warm: dict
     rows: list
     state: EnsembleState | None
+    confusion: np.ndarray
     plus_rows: list | None
 
 
@@ -207,20 +197,20 @@ def _epoch_row(event, model, test_x, test_y) -> dict:
 
 
 def _train_job(run: _Run, k: int) -> _Trained:
-    """Train job ``k``: the main run, which records its trajectory, and,
-    for ``selc_plus``, the retrain. An ``auto`` activation's warm phase is
-    the run's start, which estimates the turning point as the earliest
-    argmax of its epochs' separation metric. Once ``detector_patience``
-    epochs pass without a new maximum, or the run ends, the run resumes at
-    the activation epoch, rewound."""
+    """Train job ``k``: the main run and, for ``selc_plus``, the retrain.
+    The main run's epoch hook writes the epoch's losses into the shared
+    matrix and its row, all but the separation metrics. An ``auto``
+    activation's warm phase is the run's start, which estimates the
+    turning point as the earliest argmax of its epochs' separation metric.
+    Once ``detector_patience`` epochs pass without a new maximum, or the
+    run ends, the run resumes at the activation epoch, rewound."""
     cfg, method = run.cfg, run.cfg.method
     alpha, seed, trial_dir = run.jobs[k]
-    trajectory = run.trajectories[k]
+    losses = run.losses[k]
     os.makedirs(trial_dir, exist_ok=True)
     train_x, train_y, test_x, test_y, num_classes = cfg.data
     view = TrainView(features=train_x, noisy_labels=inject_noise(train_y, cfg.transition, seed),
                      num_classes=num_classes)
-    trajectory.noisy[:] = view.noisy_labels
 
     correcting = METHODS[method.name] is not None
     auto = correcting and method.activation_epoch == AUTO
@@ -235,12 +225,13 @@ def _train_job(run: _Run, k: int) -> _Trained:
     rows = []
 
     def record(event):
-        epoch, probs = event.epoch, event.snapshot.probs
-        trajectory.losses[epoch] = soft_ce_loss(noisy_onehot, probs)[0]
-        trajectory.predicted[epoch] = probs.argmax(axis=1)
-        trajectory.target[epoch] = (view.noisy_labels if event.state is None
-                                    else event.state.targets.argmax(axis=1))
-        rows.append(_epoch_row(event, model, test_x, test_y))
+        probs = event.snapshot.probs
+        losses[event.epoch] = soft_ce_loss(noisy_onehot, probs)[0]
+        row = _epoch_row(event, model, test_x, test_y)
+        row["correction_acc"] = correction_accuracy(
+            view.noisy_labels if event.state is None else event.state, train_y)
+        row.update(vars(memorization_stats(probs, view.noisy_labels, train_y)))
+        rows.append(row)
 
     warm = dict.fromkeys(WARM_FIELDS)
     if auto:
@@ -260,8 +251,7 @@ def _train_job(run: _Run, k: int) -> _Trained:
             nonlocal pinned
             record(event)
             ends.append((opt.params.copy(), opt.velocity.copy()))
-            losses = normalize_losses(trajectory.losses[event.epoch])
-            values.append(separation_metrics(losses)[metric])
+            values.append(separation_metrics(normalize_losses(losses[event.epoch]))[metric])
             if np.argmax(values) == event.epoch:
                 pinned = ends[0]
             return fired()
@@ -278,6 +268,7 @@ def _train_job(run: _Run, k: int) -> _Trained:
 
     _, state, _ = run_training(view, model, opt, run_cfg, method.name, cfg.optimizer.batch_size,
                                seed, epoch_hook=record, first_epoch=activation_epoch if auto else 0)
+    confusion = confusion_of_corrections(noisy_onehot if state is None else state.targets, train_y)
 
     plus_rows = None
     if method.name == "selc_plus":
@@ -290,70 +281,46 @@ def _train_job(run: _Run, k: int) -> _Trained:
 
         run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
                       cfg.optimizer.batch_size, seed, epoch_hook=record_plus)
-    return _Trained(activation_epoch, warm, rows, state, plus_rows)
+    return _Trained(activation_epoch, warm, rows, state, confusion, plus_rows)
 
 
 def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
-    """Diagnose job ``k``: the per-epoch separation metrics, correction
-    accuracy and memorization stats, computed from the trajectory, and
-    every artifact of the trial."""
+    """Diagnose job ``k``: the per-epoch separation metrics, fitted to the
+    shared loss matrix, and every artifact of the trial."""
     _, seed, trial_dir = run.jobs[k]
-    trajectory = run.trajectories[k]
-    true_labels, num_classes = run.cfg.data[1], run.cfg.data[4]
-    rows = trained.rows
-    series = compute_metric_series(np.arange(len(trajectory.losses)), trajectory.losses)
-    for row, m1, m2, m3, predicted, target in zip(rows, series.m1, series.m2, series.m3,
-                                                  trajectory.predicted, trajectory.target):
-        row["m1"], row["m2"], row["m3"] = m1, m2, m3
-        row["correction_acc"] = correction_accuracy(target, true_labels)
-        mem = memorization_stats(predicted, trajectory.noisy, true_labels)
-        for name in LEDGER_METRICS[1:]:  # the memorization fractions
-            row[name] = getattr(mem, name)
+    losses, rows = run.losses[k], trained.rows
+    series = compute_metric_series(np.arange(len(losses)), losses)
+    for row, *metrics in zip(rows, series.m1, series.m2, series.m3):
+        row.update(zip(METRIC_NAMES, metrics))
 
     _write_csv(os.path.join(trial_dir, "epochs.csv"), EPOCH_COLUMNS, rows)
-    save_loss_snapshots(trajectory.losses, os.path.join(trial_dir, "losses.csv"))
+    save_loss_snapshots(losses, os.path.join(trial_dir, "losses.csv"))
     append_metrics_ledger(os.path.join(trial_dir, "metrics.csv"),
                           [(row["epoch"], name, row[name]) for row in rows for name in LEDGER_METRICS])
     last = rows[-1]
-    final_targets = (trained.state.targets if trained.state is not None
-                     else one_hot(trajectory.noisy, num_classes))
-    confusion = confusion_of_corrections(final_targets, true_labels)
-    write_confusion_csv(confusion, os.path.join(trial_dir, f"confusion_epoch_{last['epoch']}.csv"))
+    write_confusion_csv(trained.confusion,
+                        os.path.join(trial_dir, f"confusion_epoch_{last['epoch']}.csv"))
     if trained.state is not None:
         save_state(trained.state, os.path.join(trial_dir, "targets_final.txt"))
 
-    plus_acc = None
+    plus_last = None
     if trained.plus_rows is not None:
-        plus_acc = trained.plus_rows[-1]["test_acc"]
+        plus_last = trained.plus_rows[-1]
         _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS,
                    trained.plus_rows)
-
-    return _TrialResult(
-        seed=seed,
-        activation_epoch=trained.activation_epoch,
-        last_test_acc=last["test_acc"],
-        last_correction_acc=last["correction_acc"],
-        last_memorized_frac=last["mislabeled_memorized_frac"],
-        warm=trained.warm,
-        plus_last_test_acc=plus_acc,
-    )
+    return _TrialResult(seed, trained.activation_epoch, trained.warm, last, plus_last)
 
 
-def _mean_stddev(values):
-    values = [float(v) for v in values]
-    if not values:
-        return None, None
-    mean = float(np.mean(values))
-    stddev = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return mean, stddev
-
-
-def _aggregate(results, key):
-    per_trial = {str(r.seed): getattr(r, key) for r in results}
-    if any(v is None for v in per_trial.values()):
+def _aggregate(results, column, plus=False):
+    """The ``column`` value of each trial's last main-run row, or with
+    ``plus`` its last retrain row, with their mean and sample stddev; None
+    when no trial completed."""
+    if not results:
         return None
-    mean, stddev = _mean_stddev(per_trial.values())
-    return {"per_trial": per_trial, "mean": mean, "stddev": stddev}
+    per_trial = {str(r.seed): (r.plus_last if plus else r.last)[column] for r in results}
+    values = list(per_trial.values())
+    stddev = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return {"per_trial": per_trial, "mean": float(np.mean(values)), "stddev": stddev}
 
 
 def _outcome(job, *args):
@@ -404,11 +371,11 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     if not jobs:
         return []
     workers = fork_workers(len(jobs))
-    shape = (cfg.optimizer.epochs, cfg.data[0].shape[0], cfg.data[4])
-    # trials in this process run one at a time and can share one trajectory
-    trajectories = ([_Trajectory(*shape) for _ in jobs] if workers > 1
-                    else [_Trajectory(*shape)] * len(jobs))
-    run = _Run(cfg, jobs, trajectories)
+    shape = (cfg.optimizer.epochs, cfg.data[0].shape[0])
+    # trials in this process run one at a time and can share one matrix
+    losses = ([_shared_losses(*shape) for _ in jobs] if workers > 1
+              else [_shared_losses(*shape)] * len(jobs))
+    run = _Run(cfg, jobs, losses)
     if workers < 2:
         return [_run_trial(run, k) for k in range(len(jobs))]
     # imported only here: at module level they would lengthen the start-up
@@ -457,12 +424,12 @@ def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes
         "failed": failures,
         "activation_epochs": {str(r.seed): r.activation_epoch for r in ordered},
         **{key: {str(r.seed): r.warm[key] for r in ordered} for key in WARM_FIELDS},
-        "last_epoch_test_acc": _aggregate(ordered, "last_test_acc") if ordered else None,
-        "last_epoch_correction_acc": _aggregate(ordered, "last_correction_acc") if ordered else None,
-        "last_epoch_memorized_frac": _aggregate(ordered, "last_memorized_frac") if ordered else None,
+        "last_epoch_test_acc": _aggregate(ordered, "test_acc"),
+        "last_epoch_correction_acc": _aggregate(ordered, "correction_acc"),
+        "last_epoch_memorized_frac": _aggregate(ordered, "mislabeled_memorized_frac"),
     }
     if cfg.method.name == "selc_plus" and ordered:
-        summary["plus_last_epoch_test_acc"] = _aggregate(ordered, "plus_last_test_acc")
+        summary["plus_last_epoch_test_acc"] = _aggregate(ordered, "test_acc", plus=True)
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     return summary
 

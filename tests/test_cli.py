@@ -111,6 +111,24 @@ def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides,
     assert not os.path.exists(tmp_path / "run")
 
 
+# every method's training run takes alpha, beta and mixup_beta_param, so a
+# value out of range fails at load whichever method the config names
+@pytest.mark.parametrize("method, field", [
+    ({"name": "selc", "beta": 5}, "method.beta"),
+    ({"name": "selc", "mixup_beta_param": 0}, "method.mixup_beta_param"),
+    ({"name": "ce", "alpha": 1.5}, "method.alpha"),
+    ({"name": "bootstrap", "alpha": 1.5}, "method.alpha"),
+    ({"name": "ce", "mixup_beta_param": -1}, "method.mixup_beta_param"),
+], ids=["selc_beta", "selc_mixup_beta_param", "ce_alpha", "bootstrap_alpha",
+        "ce_mixup_beta_param"])
+def test_run_verb_out_of_range_method_field_is_config_error(tmp_path, capsys, method, field):
+    cfg = write_tiny_config(tmp_path, trials=[1, 2], method=method)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_verb_reports_failed_trials(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, method={"name": "ce"},

@@ -19,7 +19,8 @@ from selc_lab.data import BlobSpec, TrainView, generate_blobs, save_csv_dataset
 from selc_lab.diagnostics import correction_accuracy, memorization_stats
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
-    _mean_stddev,
+    _aggregate,
+    _TrialResult,
     run_experiment,
 )
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
@@ -283,12 +284,18 @@ def test_empty_trials_marker(tmp_path):
 
 
 def test_mean_stddev_examples():
-    mean, stddev = _mean_stddev([90.0, 91.0, 92.0])
-    assert mean == pytest.approx(91.0)
-    assert stddev == pytest.approx(1.0)  # sample stddev, ddof=1
-    mean, stddev = _mean_stddev([0.5])
-    assert mean == 0.5 and stddev == 0.0
-    assert _mean_stddev([]) == (None, None)
+    def aggregate(values):
+        results = [_TrialResult(seed, None, {}, {"test_acc": value}, None)
+                   for seed, value in enumerate(values)]
+        return _aggregate(results, "test_acc")
+
+    agg = aggregate([90.0, 91.0, 92.0])
+    assert agg["per_trial"] == {"0": 90.0, "1": 91.0, "2": 92.0}
+    assert agg["mean"] == pytest.approx(91.0)
+    assert agg["stddev"] == pytest.approx(1.0)  # sample stddev, ddof=1
+    agg = aggregate([0.5])
+    assert agg["mean"] == 0.5 and agg["stddev"] == 0.0
+    assert aggregate([]) is None
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
