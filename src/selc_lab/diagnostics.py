@@ -3,7 +3,8 @@
 True labels enter the codebase exclusively through this module and the
 experiment harness that calls it. Training code paths accept TrainView
 objects that simply do not carry true labels, so side information cannot
-leak into any gradient. Everything here is a pure function.
+leak into any gradient. Everything here is a pure function but the two
+writers, ``append_metrics_ledger`` and ``write_confusion_csv``.
 """
 
 from dataclasses import dataclass
@@ -23,22 +24,13 @@ def _as_hard_labels(values) -> np.ndarray:
     raise DimensionError(f"expected labels or an (n, c) score matrix, got shape {arr.shape}")
 
 
-def _target_matrix(targets) -> np.ndarray:
-    # EnsembleState or a raw (n, c) array
-    arr = getattr(targets, "targets", targets)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"targets must be a 2-D matrix, got shape {arr.shape}")
-    return arr
-
-
 def correction_accuracy(targets, true_labels) -> float:
     """Fraction of samples whose corrected label hits the true class: the
-    target argmax of an EnsembleState or (n, c) matrix, or a label vector.
+    argmax of an (n, c) target matrix, or a label vector.
 
     Argmax ties go to the lowest class index, here and everywhere else.
     """
-    corrected = _as_hard_labels(getattr(targets, "targets", targets))
+    corrected = _as_hard_labels(targets)
     y = np.asarray(true_labels, dtype=np.int64)
     if corrected.shape != y.shape:
         raise DimensionError(f"{corrected.shape[0]} targets vs {y.shape[0]} true labels")
@@ -93,8 +85,11 @@ def memorization_stats(predictions, noisy_labels, true_labels) -> MemorizationSt
 
 
 def confusion_of_corrections(targets, true_labels) -> np.ndarray:
-    """C x C counts, rows = true class, columns = corrected class."""
-    t = _target_matrix(targets)
+    """C x C counts of an (n, C) target matrix, rows = true class,
+    columns = corrected class."""
+    t = np.asarray(targets)
+    if t.ndim != 2:
+        raise DimensionError(f"targets must be a 2-D matrix, got shape {t.shape}")
     y = np.asarray(true_labels, dtype=np.int64)
     if t.shape[0] != y.shape[0]:
         raise DimensionError(f"{t.shape[0]} targets vs {y.shape[0]} true labels")

@@ -225,12 +225,11 @@ def _train_job(run: _Run, k: int) -> _Trained:
     rows = []
 
     def record(event):
-        probs = event.snapshot.probs
-        losses[event.epoch] = soft_ce_loss(noisy_onehot, probs)[0]
+        losses[event.epoch] = soft_ce_loss(noisy_onehot, event.probs)[0]
         row = _epoch_row(event, model, test_x, test_y)
         row["correction_acc"] = correction_accuracy(
-            view.noisy_labels if event.state is None else event.state, train_y)
-        row.update(vars(memorization_stats(probs, view.noisy_labels, train_y)))
+            view.noisy_labels if event.targets is None else event.targets, train_y)
+        row.update(vars(memorization_stats(event.probs, view.noisy_labels, train_y)))
         rows.append(row)
 
     warm = dict.fromkeys(WARM_FIELDS)
@@ -428,7 +427,7 @@ def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes
         "last_epoch_correction_acc": _aggregate(ordered, "correction_acc"),
         "last_epoch_memorized_frac": _aggregate(ordered, "mislabeled_memorized_frac"),
     }
-    if cfg.method.name == "selc_plus" and ordered:
+    if cfg.method.name == "selc_plus":
         summary["plus_last_epoch_test_acc"] = _aggregate(ordered, "test_acc", plus=True)
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     return summary

@@ -22,25 +22,6 @@ MODE_ENSEMBLE_ONLY = "option1_ensemble_only"
 MODE_SELC = "option2_selc"
 MODES = (MODE_ENSEMBLE_ONLY, MODE_SELC)
 
-ROW_SUM_TOL = 1e-9
-
-
-@dataclass
-class PredictionSnapshot:
-    """Row-stochastic predictions for every sample, indexed by sample id."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise DimensionError(f"snapshot must be 2-D, got shape {self.probs.shape}")
-        rows = self.probs.sum(axis=1)
-        if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
-            worst = float(np.abs(rows - 1.0).max())
-            raise ParameterError(f"snapshot rows must sum to 1 within {ROW_SUM_TOL} (worst off by {worst:.3g})")
-
-
 @dataclass
 class EnsembleState:
     """Per-sample soft targets plus the EMA bookkeeping."""
@@ -67,14 +48,15 @@ class EnsembleState:
         return cls(targets=targets, alpha=alpha, epoch_k=0, mode=mode)
 
 
-def update_targets(state: EnsembleState, snapshot: PredictionSnapshot) -> EnsembleState:
-    """Apply one EMA step in place; returns the state for chaining."""
-    if snapshot.probs.shape != state.targets.shape:
+def update_targets(state: EnsembleState, probs: np.ndarray) -> EnsembleState:
+    """Apply one EMA step in place with the (n, C) predictions of every
+    sample; returns the state for chaining."""
+    if probs.shape != state.targets.shape:
         raise MissingPredictionError(
-            f"snapshot shape {snapshot.probs.shape} does not cover targets {state.targets.shape}"
+            f"snapshot shape {probs.shape} does not cover targets {state.targets.shape}"
         )
     state.targets *= state.alpha
-    state.targets += (1.0 - state.alpha) * snapshot.probs
+    state.targets += (1.0 - state.alpha) * probs
     state.epoch_k += 1
     return state
 
@@ -115,13 +97,12 @@ def ensemble_prediction(prediction_history, alpha: float, num_classes: int | Non
     return out
 
 
-def selc_loss(state: EnsembleState, snapshot: PredictionSnapshot):
-    """Soft cross entropy of the current targets against current predictions."""
-    if snapshot.probs.shape != state.targets.shape:
-        raise DimensionError(
-            f"snapshot shape {snapshot.probs.shape} != targets shape {state.targets.shape}"
-        )
-    return soft_ce_loss(state.targets, snapshot.probs)
+def selc_loss(state: EnsembleState, probs: np.ndarray):
+    """Soft cross entropy of the current targets against the (n, C)
+    current predictions."""
+    if probs.shape != state.targets.shape:
+        raise DimensionError(f"snapshot shape {probs.shape} != targets shape {state.targets.shape}")
+    return soft_ce_loss(state.targets, probs)
 
 
 def bootstrap_target(noisy_onehot, probs, beta: float):

@@ -23,7 +23,6 @@ from .targets import (
     MODE_ENSEMBLE_ONLY,
     MODE_SELC,
     EnsembleState,
-    PredictionSnapshot,
     bootstrap_target,
     update_targets,
 )
@@ -76,21 +75,14 @@ def default_activation_epoch(turning_point: int) -> int:
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    lr: float
-    train_loss: float
-    train_acc: float
-
-
-@dataclass
 class EpochEvent:
     """Handed to the epoch hook after each epoch's gradient updates.
 
-    ``snapshot`` holds evaluation-mode predictions over the full training
-    set for the just-finished epoch; ``state`` is the live targets state
-    once correction is active (None before it, and for methods without
-    one). Hooks must treat both as read-only.
+    ``probs`` is the (n, C) matrix of evaluation-mode predictions over the
+    full training set for the just-finished epoch, checked finite;
+    ``targets`` is the live (n, C) target matrix once correction is active
+    (None before it, and for methods without one). Hooks must treat both
+    as read-only.
     A truthy return value stops the run after the current epoch.
     """
 
@@ -98,8 +90,8 @@ class EpochEvent:
     lr: float
     train_loss: float
     train_acc: float
-    snapshot: PredictionSnapshot
-    state: Optional[EnsembleState]
+    probs: np.ndarray
+    targets: Optional[np.ndarray]
 
 
 EpochHook = Callable[[EpochEvent], object]
@@ -124,15 +116,20 @@ def _train_step(model: MlpModel, opt: OptimizerState, x, t, epoch: int) -> float
     return loss_sum
 
 
+# the batch loss, the gradient and the snapshot are each checked
+@np.errstate(over="ignore", invalid="ignore")
 def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
                 method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None,
                 first_epoch: int = 0):
     """The epoch loop behind every method and the SELC+ retrain; trains the
-    model in place and returns (state, records).
+    model in place and returns (state, epochs), the range of the epochs it
+    trained, which is empty when ``first_epoch`` is past the last.
 
     ``targets`` is the (n, C) matrix the batches train against until
     correction activates; ``train_acc`` scores predictions against its
     argmax. A correcting method starts its targets state from that argmax.
+    Nonfinite predictions at the end of an epoch raise
+    ``TrainingDivergenceError``.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
@@ -143,16 +140,16 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
     if METHODS.get(method) is not None:
         state = EnsembleState.initial(labels, targets.shape[1], cfg.alpha, METHODS[method])
 
-    snapshot = None
-    records = []
+    probs = None
+    epoch = first_epoch - 1
     for epoch in range(first_epoch, cfg.total_epochs):
         lr = lr_at(opt, epoch)
         correcting = state is not None and epoch >= cfg.activation_epoch
         if correcting:
-            if snapshot is None:
+            if probs is None:
                 # activation at the first epoch: the model as it starts
-                snapshot = PredictionSnapshot(predict_proba(model, features))
-            update_targets(state, snapshot)
+                probs = predict_proba(model, features)
+            update_targets(state, probs)
         epoch_targets = state.targets if correcting else targets
         order = stream(seed, "shuffle", epoch).permutation(n)
         mix_rng = stream(seed, "mixup", epoch) if method == _METHOD_MIXUP else None
@@ -167,38 +164,36 @@ def _run_epochs(features, targets, model: MlpModel, opt: OptimizerState, cfg: Se
                 partner = mix_rng.permutation(len(batch_ids))
                 x, t = mixup_batch(x, t, x[partner], t[partner], lam)
             loss_sum += _train_step(model, opt, x, t, epoch)
-        snapshot = PredictionSnapshot(predict_proba(model, features))
-        train_acc = float(np.mean(snapshot.probs.argmax(axis=1) == labels))
-        record = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n, train_acc=train_acc)
-        records.append(record)
-        if epoch_hook is not None:
-            stop = epoch_hook(EpochEvent(
-                epoch=epoch, lr=lr, train_loss=record.train_loss,
-                train_acc=train_acc, snapshot=snapshot, state=state if correcting else None,
-            ))
-            if stop:
-                break
-    return state, records
+        probs = predict_proba(model, features)
+        if not np.isfinite(probs).all():
+            raise TrainingDivergenceError(f"nonfinite predictions at epoch {epoch}")
+        if epoch_hook is not None and epoch_hook(EpochEvent(
+                epoch=epoch, lr=lr, train_loss=loss_sum / n,
+                train_acc=float(np.mean(probs.argmax(axis=1) == labels)),
+                probs=probs, targets=state.targets if correcting else None)):
+            break
+    return state, range(first_epoch, epoch + 1)
 
 
 def run_training(view: TrainView, model: MlpModel, opt: OptimizerState, cfg: SelcRunConfig,
                  method: str, batch_size: int, seed: int, epoch_hook: EpochHook | None = None,
                  first_epoch: int = 0):
     """Train the model in place from epoch ``first_epoch`` on; returns
-    (model, state, records).
+    (model, state, epochs).
 
     ``state`` is the final targets state for the correcting methods and
-    None otherwise. Batch order reshuffles every epoch from a per-epoch
-    stream of ``seed``, and the last partial batch is kept. Schedule and
-    shuffles depend on the epoch alone, so a run resumed at ``first_epoch``
-    from where the epoch before ended goes on as one run would.
+    None otherwise; ``epochs`` is the range of the epochs trained. Batch
+    order reshuffles every epoch from a per-epoch stream of ``seed``, and
+    the last partial batch is kept. Schedule and shuffles depend on the
+    epoch alone, so a run resumed at ``first_epoch`` from where the epoch
+    before ended goes on as one run would.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     targets = one_hot(view.noisy_labels, view.num_classes)
-    state, records = _run_epochs(view.features, targets, model, opt, cfg, method,
-                                 batch_size, seed, epoch_hook, first_epoch)
-    return model, state, records
+    state, epochs = _run_epochs(view.features, targets, model, opt, cfg, method,
+                                batch_size, seed, epoch_hook, first_epoch)
+    return model, state, epochs
 
 
 def mixup_batch(x1, t1, x2, t2, lam: float):
@@ -216,12 +211,12 @@ def run_selc_plus(features, corrected_targets, model: MlpModel, opt: OptimizerSt
     This stage sees only features and the corrected soft targets; the
     signature has no label argument on purpose. One lambda ~ Beta(a, a) is
     drawn per batch, and partners come from a within-batch permutation.
-    Returns (model, records).
+    Returns (model, epochs), the range of the epochs trained.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(corrected_targets, dtype=np.float64)
     if features.shape[0] != targets.shape[0]:
         raise DimensionError("features and corrected targets must agree in length")
-    _, records = _run_epochs(features, targets, model, opt, cfg, _METHOD_MIXUP,
-                             batch_size, seed, epoch_hook)
-    return model, records
+    _, epochs = _run_epochs(features, targets, model, opt, cfg, _METHOD_MIXUP,
+                            batch_size, seed, epoch_hook)
+    return model, epochs

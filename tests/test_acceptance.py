@@ -37,7 +37,6 @@ from selc_lab.noise import build_symmetric_q, empirical_noise_rate, inject_noise
 from selc_lab.rng import stream
 from selc_lab.targets import (
     EnsembleState,
-    PredictionSnapshot,
     closed_form_target,
     ensemble_prediction,
     selc_loss,
@@ -122,7 +121,7 @@ def test_criterion_01_closed_form_targets():
         history = softmax(rng.standard_normal((max(k, 1), 1, c)))[:k]
         state = EnsembleState.initial(label, c, alpha=alpha)
         for p in history:
-            update_targets(state, PredictionSnapshot(p))
+            update_targets(state, p)
         expected = closed_form_target(one_hot(label, c)[0], [p[0] for p in history], alpha)
         worst = max(worst, float(np.max(np.abs(state.targets[0] - expected))))
     elapsed = time.perf_counter() - start
@@ -143,9 +142,9 @@ def test_criterion_02_loss_decomposition():
         history = [softmax(rng.standard_normal((2, c))) for _ in range(k)]
         state = EnsembleState.initial(labels, c, alpha=alpha)
         for p in history:
-            update_targets(state, PredictionSnapshot(p))
+            update_targets(state, p)
         probs = softmax(rng.standard_normal((2, c)))
-        per, _ = selc_loss(state, PredictionSnapshot(probs))
+        per, _ = selc_loss(state, probs)
         for i in range(2):
             ens = ensemble_prediction([h[i] for h in history], alpha, num_classes=c)
             expected = alpha ** k * -np.log(probs[i, labels[i]]) + -(ens @ np.log(probs[i]))

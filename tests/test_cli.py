@@ -129,13 +129,36 @@ def test_run_verb_out_of_range_method_field_is_config_error(tmp_path, capsys, me
     assert not os.path.exists(tmp_path / "run")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_verb_reports_failed_trials(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, method={"name": "ce"},
                             model={"activation": "relu"},
                             optimizer={"lr": 1e9, "weight_decay": 0.0, "epochs": 30})
     assert main(["run", str(cfg)]) == 2
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ce", "bootstrap", "selc", "selc_plus"])
+def test_run_verb_reports_a_diverged_model_as_divergence(tmp_path, method):
+    """A model whose predictions overflow fails its trial as diverged, on
+    one stderr line and without numpy warnings, whether or not it corrects
+    its targets."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        "dataset": {"kind": "blobs", "n": 60, "seed": 0}, "model": {"activation": "relu"},
+        "optimizer": {"lr": 1.0e9, "weight_decay": 0.0},
+        "method": {"name": method, "activation_epoch": 1}, "trials": [1],
+        "out_dir": str(tmp_path / "run")}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selc_lab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "selc_lab.cli", "run", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    message = "TrainingDivergenceError: nonfinite predictions at epoch 3"
+    assert done.returncode == 2
+    assert done.stderr == f"trial 1 failed: {message}\n"
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["failed"] == {"1": message}
+    if method == "selc_plus":
+        assert summary["plus_last_epoch_test_acc"] is None
 
 
 def test_run_verb_empty_trials(tmp_path, capsys):

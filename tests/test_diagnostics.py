@@ -13,7 +13,6 @@ from selc_lab.errors import DimensionError
 from selc_lab.mlp import one_hot
 from selc_lab.noise import build_symmetric_q, empirical_noise_rate, inject_noise
 from selc_lab.rng import stream
-from selc_lab.targets import EnsembleState
 
 
 def test_correction_accuracy_examples():
@@ -31,12 +30,6 @@ def test_correction_accuracy_tie_goes_to_lowest_index():
     uniform = np.full((4, 2), 0.5)
     assert correction_accuracy(uniform, np.zeros(4, dtype=int)) == 1.0
     assert correction_accuracy(uniform, np.ones(4, dtype=int)) == 0.0
-
-
-def test_correction_accuracy_accepts_ensemble_state():
-    true = np.array([0, 1, 1])
-    state = EnsembleState.initial(np.array([0, 1, 0]), 2, alpha=0.9)
-    assert correction_accuracy(state, true) == pytest.approx(2.0 / 3.0)
 
 
 def test_correction_accuracy_accepts_hard_labels():

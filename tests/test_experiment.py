@@ -116,12 +116,12 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
     rows, losses = [], []
 
     def observe(event):
-        per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
+        per_sample, _ = soft_ce_loss(noisy_onehot, event.probs)
         losses.append(per_sample)
         m1, m2, m3 = separation_metrics(normalize_losses(per_sample))
         test_acc = float(np.mean(predict_proba(model, test_x).argmax(axis=1) == test_y))
-        targets = event.state.targets if event.state is not None else noisy_onehot
-        mem = memorization_stats(event.snapshot.probs, noisy, train_y)
+        targets = event.targets if event.targets is not None else noisy_onehot
+        mem = memorization_stats(event.probs, noisy, train_y)
         rows.append([event.epoch, event.lr, event.train_loss, event.train_acc, test_acc,
                      m1, m2, m3, correction_accuracy(targets, train_y),
                      mem.clean_correct_frac, mem.clean_incorrect_frac,
@@ -174,7 +174,7 @@ def ce_m1_series(cfg):
     m1 = []
 
     def observe(event):
-        per_sample, _ = soft_ce_loss(noisy_onehot, event.snapshot.probs)
+        per_sample, _ = soft_ce_loss(noisy_onehot, event.probs)
         m1.append(metric_m1(fit_gmm2(normalize_losses(per_sample))))
 
     model, opt = experiment._build_model(cfg, view, 1, "init")
@@ -411,7 +411,6 @@ def test_every_method_in_the_table_runs(tmp_path, name):
     assert os.path.exists(os.path.join(trial, "plus_epochs.csv")) is (name == "selc_plus")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_trial_recorded_not_raised(tmp_path):
     cfg = tiny_config(tmp_path, method={"name": "ce"},
                       model={"activation": "relu"},

@@ -10,7 +10,6 @@ from selc_lab.targets import (
     MODE_ENSEMBLE_ONLY,
     MODE_SELC,
     EnsembleState,
-    PredictionSnapshot,
     bootstrap_target,
     closed_form_target,
     ensemble_prediction,
@@ -38,7 +37,7 @@ def test_initial_state_ensemble_only_is_zero():
 
 def test_update_single_step_arithmetic():
     state = EnsembleState.initial(np.array([0]), 2, alpha=0.9, mode=MODE_SELC)
-    update_targets(state, PredictionSnapshot(np.array([[0.5, 0.5]])))
+    update_targets(state, np.array([[0.5, 0.5]]))
     assert np.allclose(state.targets, [[0.95, 0.05]], atol=1e-12)
     assert state.epoch_k == 1
 
@@ -46,7 +45,7 @@ def test_update_single_step_arithmetic():
 def test_update_alpha_zero_full_replacement():
     state = EnsembleState.initial(np.array([0]), 2, alpha=0.0, mode=MODE_SELC)
     p = np.array([[0.3, 0.7]])
-    update_targets(state, PredictionSnapshot(p))
+    update_targets(state, p)
     assert np.allclose(state.targets, p)
 
 
@@ -56,7 +55,7 @@ def test_constant_prediction_geometric_form():
     labels = np.array([0, 1, 2, 0])
     state = EnsembleState.initial(labels, 3, alpha=0.9, mode=MODE_SELC)
     for _ in range(12):
-        update_targets(state, PredictionSnapshot(p))
+        update_targets(state, p)
     expected = 0.9 ** 12 * one_hot(labels, 3) + (1 - 0.9 ** 12) * p
     assert np.allclose(state.targets, expected, atol=1e-12)
 
@@ -71,7 +70,7 @@ def test_iterative_matches_closed_form(alpha):
         history = [random_probs(rng, 3, c) for _ in range(k)]
         state = EnsembleState.initial(labels, c, alpha=alpha, mode=MODE_SELC)
         for p in history:
-            update_targets(state, PredictionSnapshot(p))
+            update_targets(state, p)
         onehot = one_hot(labels, c)
         for i in range(3):
             expected = closed_form_target(onehot[i], [p[i] for p in history], alpha)
@@ -82,7 +81,7 @@ def test_simplex_preserved_across_updates():
     rng = stream(21, "simplex")
     state = EnsembleState.initial(rng.integers(0, 4, size=10), 4, alpha=0.85, mode=MODE_SELC)
     for _ in range(50):
-        update_targets(state, PredictionSnapshot(random_probs(rng, 10, 4)))
+        update_targets(state, random_probs(rng, 10, 4))
         assert np.allclose(state.targets.sum(axis=1), 1.0, atol=1e-9)
         assert state.targets.min() >= 0.0
 
@@ -114,15 +113,10 @@ def test_ensemble_prediction_mass_identity():
         assert out.sum() == pytest.approx(1 - 0.9 ** k, abs=1e-10)
 
 
-def test_snapshot_validation():
-    with pytest.raises(ParameterError):
-        PredictionSnapshot(np.array([[0.5, 0.6]]))
-
-
 def test_update_rejects_mismatched_snapshot():
     state = EnsembleState.initial(np.array([0, 1]), 2, alpha=0.9, mode=MODE_SELC)
     with pytest.raises(MissingPredictionError):
-        update_targets(state, PredictionSnapshot(np.array([[1.0, 0.0]])))
+        update_targets(state, np.array([[1.0, 0.0]]))
 
 
 def test_selc_loss_reduces_to_ce_at_k0():
@@ -130,7 +124,7 @@ def test_selc_loss_reduces_to_ce_at_k0():
     labels = rng.integers(0, 4, size=8)
     state = EnsembleState.initial(labels, 4, alpha=0.9, mode=MODE_SELC)
     probs = random_probs(rng, 8, 4)
-    per, mean = selc_loss(state, PredictionSnapshot(probs))
+    per, mean = selc_loss(state, probs)
     ce, ce_mean = soft_ce_loss(one_hot(labels, 4), probs)
     assert np.allclose(per, ce, atol=1e-12)
     assert mean == pytest.approx(ce_mean)
@@ -139,8 +133,8 @@ def test_selc_loss_reduces_to_ce_at_k0():
 def test_selc_loss_entropy_at_self_consistency():
     probs = np.array([[0.25, 0.25, 0.25, 0.25]])
     state = EnsembleState.initial(np.array([0]), 4, alpha=0.0, mode=MODE_SELC)
-    update_targets(state, PredictionSnapshot(probs))
-    per, _ = selc_loss(state, PredictionSnapshot(probs))
+    update_targets(state, probs)
+    per, _ = selc_loss(state, probs)
     assert per[0] == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -150,9 +144,9 @@ def test_selc_loss_matches_closed_form_oracle():
     state = EnsembleState.initial(labels, 3, alpha=0.8, mode=MODE_SELC)
     history = [random_probs(rng, 5, 3) for _ in range(7)]
     for p in history:
-        update_targets(state, PredictionSnapshot(p))
+        update_targets(state, p)
     probs = random_probs(rng, 5, 3)
-    per, _ = selc_loss(state, PredictionSnapshot(probs))
+    per, _ = selc_loss(state, probs)
     onehot = one_hot(labels, 3)
     for i in range(5):
         t = closed_form_target(onehot[i], [p[i] for p in history], 0.8)
@@ -175,7 +169,7 @@ def test_state_checkpoint_roundtrip(tmp_path):
     labels = rng.integers(0, 3, size=6)
     state = EnsembleState.initial(labels, 3, alpha=0.9, mode=MODE_SELC)
     for _ in range(4):
-        update_targets(state, PredictionSnapshot(random_probs(rng, 6, 3)))
+        update_targets(state, random_probs(rng, 6, 3))
     path = tmp_path / "state.txt"
     save_state(state, path)
     with open(path) as fh:
