@@ -16,7 +16,7 @@ after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
 share its work; ``experiment._run_jobs``, ``turning.compute_metric_series``
-and ``tables.read_rows`` all ask it. ``run_shares`` is the one place the
+and ``tables.share_workers`` all ask it. ``run_shares`` is the one place the
 last two fork, run a share in each child and reap them.
 """
 

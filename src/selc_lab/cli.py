@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import load_config, read_yaml
 from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
 from .experiment import WARM_FIELDS, run_experiment
@@ -163,13 +163,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_make_blobs(args) -> int:
-    import yaml  # only run and make-blobs read YAML
-
-    with open(args.spec) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ParameterError(f"{args.spec}: not valid YAML: {exc}") from exc
+    raw = read_yaml(args.spec)
     if not isinstance(raw, dict):
         raise ParameterError(f"{args.spec}: expected a mapping of blob fields")
     try:

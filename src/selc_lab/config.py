@@ -12,8 +12,10 @@ that type only; an integer is a float too.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
+from . import fork_workers
 from .data import BlobSpec, check_field_types, generate_blobs, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
@@ -129,13 +131,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
         _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")
         _require(ds.cluster_std > 0, f"dataset.cluster_std must be positive, got {ds.cluster_std}")
-        spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-                        cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
-        try:  # the splits are checked above; what fails here is placing the centers
-            splits = [generate_blobs(spec, split=split) for split in ("train", "test")]
-        except ParameterError as exc:
-            raise ParameterError(f"dataset.cluster_std: {exc}") from exc
-        cfg.data = (*splits[0], *splits[1], ds.num_classes)
+        num_classes = ds.num_classes
     else:
         names = (("train_images", "train_labels", "test_images", "test_labels")
                  if ds.kind == "idx" else ("train_csv", "test_csv"))
@@ -147,7 +143,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(cfg.data[1].size >= MIN_SAMPLES,
                  f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
                  f"got {cfg.data[1].size}")
-    num_classes = cfg.data[4]
+        num_classes = cfg.data[4]
 
     _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
@@ -213,6 +209,62 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(len(set(cfg.trials)) == len(cfg.trials), f"trial seeds must be unique, got {cfg.trials}")
     _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
 
+    if ds.kind != "blobs":
+        # the files are read already; their sizes hold for the estimate
+        train_x, test_x, field = cfg.data[0], cfg.data[2], f"dataset.{names[0]}"
+        _check_memory(cfg, train_x.shape[0], test_x.shape[0], train_x.shape[1], num_classes,
+                      (field, field))
+        return
+    # blobs are built only once the run they are for is known to fit
+    _check_memory(cfg, ds.n, test_n, ds.dim, num_classes, ("dataset.n", "dataset.dim"))
+    spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
+                    cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
+    try:  # the splits are checked above; what fails here is placing the centers
+        splits = [generate_blobs(spec, split=split) for split in ("train", "test")]
+    except ParameterError as exc:
+        raise ParameterError(f"dataset.cluster_std: {exc}") from exc
+    cfg.data = (*splits[0], *splits[1], ds.num_classes)
+
+
+def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_classes: int,
+                  data_fields) -> None:
+    """Reject a run that cannot fit in physical memory, naming the field
+    that dominates its estimate; ``data_fields`` name the fields that set
+    the sample count and the feature count.
+
+    The estimate is a floor of what the run maps at once: the data; the
+    (epochs, n) float64 loss matrices of ``experiment._run_jobs``, one per
+    trial when trials run in forked workers; and, in each process that
+    trains at once, the snapshot buffers of ``mlp.predict_proba`` (n rows
+    of every layer's width) and the weights, with their momentum, scratch
+    and gradient vectors."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        physical = -1
+    if physical <= 0:
+        return  # no figure to hold the estimate against
+    epochs, hidden = cfg.optimizer.epochs, cfg.model.hidden_dims
+    widths = [*hidden, num_classes]
+    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip([dim, *hidden], widths))
+    alphas = len(alpha_values(cfg.method)) if METHODS[cfg.method.name] is not None else 1
+    jobs = alphas * len(cfg.trials)
+    workers = fork_workers(jobs)
+    n_field, dim_field = data_fields
+    # (bytes, {field: the factor of those bytes that it sets})
+    terms = [
+        (8 * (n + test_n) * (dim + 1), {n_field: n + test_n, dim_field: dim}),
+        (8 * (jobs if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
+        (8 * workers * n * sum(widths), {n_field: n, "model.hidden_dims": max(widths)}),
+        (8 * workers * 4 * params, {dim_field: dim, "model.hidden_dims": max(widths)}),
+    ]
+    total = sum(size for size, _ in terms)
+    if total > physical:
+        factors = max(terms, key=lambda term: term[0])[1]
+        raise ParameterError(f"{max(factors, key=factors.get)} must be smaller: the run would map "
+                             f"at least {total / 2**30:.3g} GiB at once, more than the "
+                             f"{physical / 2**30:.3g} GiB of physical memory")
+
 
 _PATH_FIELDS = (
     ("dataset", "train_images"), ("dataset", "train_labels"),
@@ -265,15 +317,32 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    # imported only here, so that commands that read no config do not load it
-    import yaml
+# a plain scalar that YAML 1.2 reads as a float and YAML 1.1, which PyYAML
+# follows, as a string: an exponent without a sign or without a dot (6e-2,
+# 1.0e9)
+_YAML12_FLOAT = r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"
 
+
+def read_yaml(path):
+    """The YAML document in ``path``, read with PyYAML's safe loader, which
+    here also takes the YAML 1.2 float forms; a file that does not parse is
+    a ``ParameterError`` naming it."""
+    import yaml  # imported only here, so that commands that read no YAML do not load it
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_YAML12_FLOAT),
+                                 list("-+.0123456789"))
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            return yaml.load(fh, Loader=Loader)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ParameterError(f"{path}: not valid YAML: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    data = read_yaml(path)
     if data is None:
         raise ParameterError(f"{path}: empty config")
     try:

@@ -6,8 +6,9 @@ exceptions where the per-call overhead outweighs the arithmetic:
 
 - ``predict_proba`` runs over the full training set every epoch (the
   prediction snapshot): it writes each layer into a workspace buffer kept
-  per (layer, rows, width) and reused across calls, instead of allocating
-  and freeing megabyte temporaries each time.
+  per (layer, width), as many rows as the largest batch seen, and reused
+  across calls, instead of allocating and freeing megabyte temporaries
+  each time.
 - Training runs thousands of tiny steps. ``make_optimizer`` copies the
   model's weights and biases into one flat float64 vector that the
   optimizer owns, and binds the model to it: ``model.weights[l]`` and
@@ -124,23 +125,27 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# (layer, rows, width) -> reused forward buffer of predict_proba
+# (layer, width) -> reused forward buffer of predict_proba, as many rows as
+# the largest batch seen
 _WORKSPACE = {}
 
 
 def _workspace(layer: int, rows: int, width: int) -> np.ndarray:
-    buf = _WORKSPACE.get((layer, rows, width))
-    if buf is None:
-        buf = _WORKSPACE[(layer, rows, width)] = np.empty((rows, width))
-    return buf
+    # the leading rows of a C-contiguous buffer are C-contiguous, so a
+    # matmul into them is the same BLAS call as into a buffer of that size
+    buf = _WORKSPACE.get((layer, width))
+    if buf is None or buf.shape[0] < rows:
+        buf = _WORKSPACE[(layer, width)] = np.empty((rows, width))
+    return buf[:rows]
 
 
 def predict_proba(model: MlpModel, batch) -> np.ndarray:
     """Class probabilities for a batch, bit-identical to
     ``softmax(forward(model, batch))``.
 
-    The per-layer activations go to buffers reused across calls of the same
-    shape, so the full-set snapshot every epoch allocates only its result.
+    The per-layer activations go to the leading rows of buffers reused
+    across calls with the same layer widths, so the full-set snapshot and
+    the test eval every epoch allocate only their results.
     """
     x = _as_batch(batch)
     if x.shape[1] != model.input_dim:

@@ -6,14 +6,16 @@ root seed plus a label path. Streams never overlap, so adding draws to one
 consumer cannot silently shift another.
 """
 
-import hashlib
-
 import numpy as np
 
 from .errors import ParameterError
 
 
 def _label_word(label) -> int:
+    # imported only here: hashlib maps OpenSSL's libcrypto, which commands
+    # that draw no stream need not load
+    import hashlib
+
     digest = hashlib.sha256(repr(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 

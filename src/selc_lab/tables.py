@@ -3,9 +3,11 @@ losses. Each such file is a header line, which its loader checks, then one
 row per line; empty lines are skipped. Only printable ASCII, tab, CR and
 LF may appear in it.
 
-A large file is parsed in shares by this process and forked children
-(``read_rows``); the scan of its bytes that ``open_text`` makes anyway
-counts its lines and tells whether each LF ends one row."""
+A large file is parsed in shares of whole lines by this process and
+forked children (``parse_shares``): ``read_rows`` keeps every row, and
+``turning.load_loss_snapshots`` only the losses of whole epochs. The
+scan of its bytes that ``open_text`` makes anyway counts its lines and
+tells whether each LF ends one row."""
 
 import math
 import os
@@ -91,32 +93,21 @@ def read_rows(path, fh, columns) -> np.ndarray:
         except ValueError as exc:
             raise (_first_bad_line(path, dtype)
                    or FormatError(f"{path}: {exc}")) from exc
-    if not all(np.isfinite(rows[f]).all() for f in dtype.names if dtype[f].base.kind == "f"):
-        raise (_first_bad_line(path, dtype)
-               or FormatError(f"{path}: floats must be finite"))
+        # the shares check their own floats
+        if not _finite(rows):
+            raise (_first_bad_line(path, dtype)
+                   or FormatError(f"{path}: floats must be finite"))
     return rows
 
 
 def _parse_shares(path, fh, dtype):
-    """The rows after the header of ``fh`` parsed in shares, one per
-    process that ``fork_workers`` allows, as a view of an anonymous shared
-    mapping; or None if one process must parse them. Share j is a run of
-    whole lines; its process hands ``np.loadtxt`` the file's path with
-    ``skiprows`` and ``max_rows`` set to the share's lines, which reads in
-    blocks, not line by line as from ``fh``, and writes the rows to their
-    place in the mapping. If a share raises ``ValueError`` or returns
-    fewer rows than it has lines, the rescan's ``FormatError`` is raised
-    here; if the rescan names no line, or a share's process died or could
-    not be forked, the answer is None.
-
-    ``max_rows`` does not count a line that ``np.loadtxt`` skips, so there
-    are no shares in a file that is not ``plain``, nor under
-    ``FAN_OUT_MIN_BYTES`` or with ``fh`` not at the second line."""
-    lines = fh.lines
-    if not lines.plain or lines.size < FAN_OUT_MIN_BYTES or fh.tell() != lines.head:
-        return None
-    total = lines.count - 1
-    workers = fork_workers(total)
+    """The rows after the header of ``fh`` parsed in shares of whole lines,
+    one per process that ``share_workers`` allows, as a view of an
+    anonymous shared mapping; or None if one process must parse them. If
+    a share's rows do not parse, the rescan's ``FormatError`` is raised
+    here (see ``parse_shares``)."""
+    total = fh.lines.count - 1
+    workers = share_workers(fh, total)
     if workers < 2:
         return None
     # share j is lines bounds[j] + 1 .. bounds[j + 1] of the file, line 1
@@ -125,10 +116,44 @@ def _parse_shares(path, fh, dtype):
     # imported only here, so that a small file does not load it
     import mmap
 
-    buffer = mmap.mmap(-1, total * dtype.itemsize + workers)
-    rows = np.frombuffer(buffer, dtype, total)
-    # raised[j]: share j's rows did not parse
-    raised = np.frombuffer(buffer, np.bool_, workers, total * dtype.itemsize)
+    rows = np.frombuffer(mmap.mmap(-1, total * dtype.itemsize), dtype, total)
+
+    def keep(j, got):
+        rows[bounds[j] - 1:bounds[j + 1] - 1] = got
+
+    return rows if parse_shares(path, dtype, bounds, keep) else None
+
+
+def share_workers(fh, tasks: int) -> int:
+    """How many processes may parse the rows left in ``fh``, opened by
+    ``open_text`` and read past its header, in shares of whole lines, at
+    most one per task; 1 means this process alone. That is the answer of
+    ``fork_workers``, for a ``plain`` file of at least
+    ``FAN_OUT_MIN_BYTES`` with ``fh`` at its second line: ``max_rows``
+    of ``np.loadtxt`` does not count a line that it skips."""
+    lines = fh.lines
+    if not lines.plain or lines.size < FAN_OUT_MIN_BYTES or fh.tell() != lines.head:
+        return 1
+    return fork_workers(tasks)
+
+
+def parse_shares(path, dtype, bounds, keep) -> bool:
+    """Parse lines ``bounds[j] + 1 .. bounds[j + 1]`` of ``path`` (line 1
+    the header) as rows of ``dtype`` and call ``keep(j, rows)``: for j = 0
+    in this process, for every other j in a forked child (``run_shares``).
+    Its process hands ``np.loadtxt`` the file's path with ``skiprows`` and
+    ``max_rows`` set to the share's lines, which reads in blocks, not line
+    by line. ``keep`` must put what it keeps where this process sees it, in
+    a shared mapping. True if every share was kept. If a share's lines did
+    not parse into as many rows, all with finite floats, the rescan's
+    ``FormatError`` is raised here; if the rescan names no line, if
+    ``keep`` raised or if a share's process died or could not be forked,
+    the answer is False."""
+    # imported only here, so that a small file does not load it
+    import mmap
+
+    # raised[j]: share j's lines did not parse
+    raised = np.frombuffer(mmap.mmap(-1, len(bounds) - 1), np.bool_)
     # an absolute path, which np.loadtxt cannot take for a URL
     source = os.path.abspath(path)
 
@@ -139,18 +164,26 @@ def _parse_shares(path, fh, dtype):
                              skiprows=skip, max_rows=stop - skip)
             if got.size != stop - skip:
                 raise ValueError(f"{stop - skip - got.size} rows missing")
+            if not _finite(got):
+                raise ValueError("floats must be finite")
         except ValueError:
             raised[j] = True
             raise
-        rows[skip - 1:stop - 1] = got
+        keep(j, got)
 
-    if run_shares(workers, parse):
-        return rows
+    if run_shares(len(bounds) - 1, parse):
+        return True
     if raised.any():
         bad = _first_bad_line(path, dtype)
         if bad is not None:
             raise bad
-    return None
+    return False
+
+
+def _finite(rows) -> bool:
+    # whether every float field of the structured rows is finite
+    return all(np.isfinite(rows[f]).all() for f in rows.dtype.names
+               if rows.dtype[f].base.kind == "f")
 
 
 def line_of_row(path, row: int) -> int:

@@ -22,12 +22,13 @@ forked processes when the matrix is large.
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import fork_workers, run_shares
 from .errors import FormatError, ParameterError
-from .tables import open_text, read_rows
+from .tables import open_text, parse_shares, read_rows, share_workers
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -37,6 +38,7 @@ METRIC_NAMES = ("m1", "m2", "m3")
 # a two-component mixture needs a few points per epoch
 MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
+LOSSES_COLUMNS = [("epoch", int), ("sample_id", int), ("loss", float)]
 SERIES_HEADER = "epoch,m1,m2,m3"
 # compute_metric_series forks only for a loss matrix this large. On 2
 # vCPUs, a fit of a 6000-sample epoch of perfbench's planted losses takes
@@ -329,18 +331,35 @@ def save_loss_snapshots(losses, path) -> None:
 
 def load_loss_snapshots(path):
     """(epochs, losses) of a losses CSV: the ascending int64 epoch numbers
-    and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``,
-    a view of the parsed rows with no second copy of the losses.
+    and the float64 (epochs, n) matrix whose row i holds epoch ``epochs[i]``.
     Lines may come in any order. Every epoch must hold the sample ids
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
-    A header-only file is an empty run: no epochs and a (0, 0) matrix."""
+    A header-only file is an empty run: no epochs and a (0, 0) matrix.
+
+    A file that ``tables`` would parse in shares is first parsed in shares
+    of whole epochs (``_load_epoch_shares``), which keep only the losses
+    and the epoch numbers, in a C-contiguous matrix. Any other file, and
+    one whose shares do not hold whole epochs in rising order, is parsed
+    whole, and its matrix is a view of the parsed rows, with no second
+    copy of the losses."""
     with open_text(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
-        rows = read_rows(path, fh, [("epoch", int), ("sample_id", int), ("loss", float)])
+        loaded = _load_epoch_shares(path, fh)
+        if loaded is not None:
+            return loaded
+        rows = read_rows(path, fh, LOSSES_COLUMNS)
     epochs, ids, losses = rows["epoch"], rows["sample_id"], rows["loss"]
     if epochs.size == 0:
         return epochs, np.empty((0, 0))
+    starts, n = _group_epochs(path, epochs, ids, losses)
+    return epochs[starts], losses.reshape(-1, n)
+
+
+def _group_epochs(path, epochs, ids, losses):
+    """Put the parsed columns in (epoch, sample_id) order, in place, and
+    check that every epoch holds the sample ids 0..n-1 once each, with the
+    same n >= ``MIN_SAMPLES``; (the index of each epoch's first row, n)."""
     # what save_loss_snapshots writes is already in (epoch, sample_id) order
     if _out_of_order(epochs, ids):
         # sorted in place, one column at a time, and the order dropped
@@ -363,7 +382,66 @@ def load_loss_snapshots(path):
     if misnumbered.size:
         raise FormatError(f"{path}: epoch {epochs[starts[misnumbered[0]]]} sample ids "
                           f"are not 0..{n - 1}")
-    return epochs[starts], losses.reshape(-1, n)
+    return starts, n
+
+
+def _load_epoch_shares(path, fh):
+    """(epochs, losses) as ``load_loss_snapshots`` returns them, from the
+    rows left in ``fh`` parsed in shares of whole epochs; or None if the
+    file must be parsed whole. The epoch's sample count n is the count of
+    rows at the top that share the first row's epoch, and the rows must
+    make whole epochs of n. Each share's process sorts and checks its rows
+    as a whole file is (``_group_epochs``) and writes only its losses and
+    epoch numbers to shared mappings, an (epochs, n) matrix and an
+    (epochs,) vector; this process then checks that the epochs rise from
+    share to share. A share whose rows do not parse raises the rescan's
+    ``FormatError`` (``tables.parse_shares``). Any other fault, a dead
+    child included, gives None, and the whole parse then raises its own
+    error or loads what the shares could not."""
+    total = fh.lines.count - 1
+    workers = share_workers(fh, total)
+    if workers < 2:
+        return None
+    n = _first_epoch_rows(path, fh.lines.head, total // 2)
+    if n is None or n < MIN_SAMPLES or total % n:
+        return None
+    count = total // n
+    workers = min(workers, count)
+    # share j is epochs cuts[j] .. cuts[j + 1] - 1, counted from the top
+    cuts = [j * count // workers for j in range(workers + 1)]
+    # imported only here, so that a small file does not load it
+    import mmap
+
+    losses = np.frombuffer(mmap.mmap(-1, count * n * 8), np.float64).reshape(count, n)
+    epochs = np.frombuffer(mmap.mmap(-1, count * 8), np.int64)
+
+    def keep(j, rows):
+        first, stop = cuts[j], cuts[j + 1]
+        share_epochs = rows["epoch"]
+        starts, share_n = _group_epochs(path, share_epochs, rows["sample_id"], rows["loss"])
+        if share_n != n:
+            # not shown: the whole parse names the epoch
+            raise FormatError(f"{path}: epochs of {share_n} samples, not {n}")
+        losses[first:stop] = rows["loss"].reshape(-1, n)
+        epochs[first:stop] = share_epochs[starts]
+
+    bounds = [1 + cut * n for cut in cuts]
+    if not parse_shares(path, np.dtype(LOSSES_COLUMNS), bounds, keep):
+        return None
+    return (epochs, losses) if (epochs[1:] > epochs[:-1]).all() else None
+
+
+def _first_epoch_rows(path, head, limit):
+    # the count of rows from the top of path, its line 2 at byte head, whose
+    # epoch field is that of the first row, if at most limit
+    with open(path, "rb") as raw:
+        raw.seek(head)
+        rows = islice(raw, limit + 1)
+        prefix = next(rows).partition(b",")[0] + b","
+        for count, line in enumerate(rows, start=1):
+            if not line.startswith(prefix):
+                return count
+    return None
 
 
 def _out_of_order(epochs, ids) -> bool:

@@ -10,7 +10,7 @@ import yaml
 import selc_lab
 import selc_lab.cli as cli
 from selc_lab.cli import main
-from selc_lab.data import generate_blobs, load_csv_dataset, save_csv_dataset, write_idx
+from selc_lab.data import BlobSpec, generate_blobs, load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
 from selc_lab.turning import (
     compute_metric_series,
@@ -102,6 +102,11 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     ({"trials": [1, 1 - 2**64]}, "trials"),
     ({"dataset": {"seed": 2**64}}, "dataset.seed"),
     ({"dataset": {"seed": -2**63 - 1}}, "dataset.seed"),
+    # runs that cannot fit in memory, rejected before any data is built
+    ({"optimizer": {"epochs": 10**11}}, "optimizer.epochs"),
+    ({"dataset": {"n": 10**11}}, "dataset.n"),
+    ({"dataset": {"dim": 10**12}}, "dataset.dim"),
+    ({"model": {"hidden_dims": [8, 10**11]}}, "model.hidden_dims"),
 ])
 def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
     cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
@@ -328,6 +333,33 @@ def test_detect_verb_loads_neither_numpy_random_nor_yaml(tmp_path):
     assert json.loads(out.splitlines()[-1]) == [[], 0, []]
 
 
+# the modules of OpenSSL's bindings that are loaded after importing the
+# CLI, after a detect-turning-point run and after an inspect run
+NO_OPENSSL = """
+import json, sys
+import selc_lab.cli
+def loaded():
+    return [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+seen = [loaded()]
+seen.append(selc_lab.cli.main(["detect-turning-point", sys.argv[1]]))
+seen.append(loaded())
+seen.append(selc_lab.cli.main(["inspect", sys.argv[2]]))
+print(json.dumps(seen + [loaded()]))
+"""
+
+
+def test_detect_and_inspect_verbs_load_no_openssl(tmp_path):
+    path = make_losses_csv(tmp_path)
+    summary = {"method": "selc", "alpha": 0.9, "completed": [1], "failed": {},
+               "activation_epochs": {"1": 1}}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selc_lab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", NO_OPENSSL, str(path), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [[], 0, [], 0, []]
+
+
 def test_inspect_verb(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     assert main(["run", str(cfg)]) == 0
@@ -382,6 +414,42 @@ def test_inspect_verb_bad_summary_names_the_file(tmp_path, capsys, content, mess
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and message in captured.err
     assert captured.out == ""
+
+
+# PyYAML follows YAML 1.1, where 6e-2 and 1.0e9 are strings; both verbs
+# read them as the floats of YAML 1.2, and a quoted one stays a string
+@pytest.mark.parametrize("written, lr", [("6e-2", 0.06), ("1.0e-1", 0.1), ("5E-2", 0.05),
+                                         ('"6e-2"', None)],
+                         ids=["no_dot", "unsigned_dot", "upper_e", "quoted"])
+def test_run_verb_reads_exponent_floats(tmp_path, capsys, written, lr):
+    cfg = write_tiny_config(tmp_path)
+    text = cfg.read_text()
+    assert "lr: 0.05\n" in text
+    cfg.write_text(text.replace("lr: 0.05\n", f"lr: {written}\n"))
+    if lr is None:
+        assert main(["run", str(cfg)]) == 1
+        assert "optimizer.lr must be a number, got '6e-2'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+        return
+    assert cli.load_config(cfg).optimizer.lr == lr
+    assert main(["run", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("written, std", [("2e-1", 0.2), ("2.0e-1", 0.2), ("'2e-1'", None)],
+                         ids=["no_dot", "with_dot", "quoted"])
+def test_make_blobs_reads_exponent_floats(tmp_path, capsys, written, std):
+    spec = tmp_path / "blobs.yaml"
+    spec.write_text(f"n: 40\ndim: 3\nnum_classes: 2\ncluster_std: {written}\nseed: 4\n")
+    out_dir = tmp_path / "data"
+    if std is None:
+        assert main(["make-blobs", str(spec), str(out_dir)]) == 1
+        assert "blobs.yaml: cluster_std must be a number, got '2e-1'" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+        return
+    assert main(["make-blobs", str(spec), str(out_dir)]) == 0
+    want = generate_blobs(BlobSpec(n=40, dim=3, num_classes=2, cluster_std=std, seed=4))
+    got = load_csv_dataset(out_dir / "train.csv")
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_make_blobs_verb(tmp_path, capsys):

@@ -3,6 +3,7 @@ the same series and rows as in one process, the same error, no child left
 behind, and no fork where the rule in ``selc_lab.fork_workers`` or a size
 cut-off forbids one."""
 
+import mmap
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -459,3 +460,129 @@ def test_no_shared_parse_inside_a_pool_worker(big_losses):
     with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
         attempts, got = pool.submit(parse_in_worker, path).result(timeout=120)
     assert (attempts, got) == (0, want)
+
+
+# --- the epoch shares of turning.load_loss_snapshots ---
+
+def big_losses_lines(big_losses):
+    header, *lines = big_losses[0].read_bytes().splitlines(keepends=True)
+    return header, lines
+
+
+def write_lines(path, header, lines):
+    path.write_bytes(header + b"".join(lines))
+    return path
+
+
+def by_epoch(lines):
+    return [lines[e * BIG_N:(e + 1) * BIG_N] for e in range(BIG_EPOCHS)]
+
+
+def in_order(lines):
+    return lines
+
+
+def ids_shuffled(lines):
+    rng = stream(11, "ids_shuffled")
+    return [epoch[i] for epoch in by_epoch(lines) for i in rng.permutation(BIG_N)]
+
+
+def epochs_reversed(lines):
+    return [line for epoch in by_epoch(lines)[::-1] for line in epoch]
+
+
+def fully_shuffled(lines):
+    return [lines[i] for i in stream(12, "fully_shuffled").permutation(len(lines))]
+
+
+def assert_loads_as_one_process(path):
+    """``load_loss_snapshots(path)`` gives the arrays, or raises the error,
+    that a load in one process does."""
+    try:
+        want = one_process(load_loss_snapshots, path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            load_loss_snapshots(path)
+        assert str(got.value) == str(exc)
+        return None
+    epochs, losses = load_loss_snapshots(path)
+    assert (epochs.dtype, losses.dtype, losses.shape) == (want[0].dtype, want[1].dtype,
+                                                          want[1].shape)
+    assert epochs.tobytes() == want[0].tobytes()
+    assert losses.tobytes() == want[1].tobytes()
+    return epochs, losses
+
+
+@pytest.mark.parametrize("order", [in_order, ids_shuffled, epochs_reversed, fully_shuffled])
+def test_epoch_share_load_equals_one_process_load(tmp_path, big_losses, forks, order):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    header, lines = big_losses_lines(big_losses)
+    path = write_lines(tmp_path / "losses.csv", header, order(lines))
+    epochs, losses = assert_loads_as_one_process(path)
+    assert epochs.tolist() == list(range(BIG_EPOCHS))
+    assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
+    assert forks
+    assert_no_child_left()
+
+
+def shared_mapping(array):
+    # the mmap under an array made by np.frombuffer, or None
+    while array is not None and not isinstance(array, memoryview):
+        array = array.base
+    return None if array is None else array.obj
+
+
+@pytest.mark.parametrize("order", [in_order, ids_shuffled])
+def test_epoch_shares_keep_only_the_losses(tmp_path, big_losses, order):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    header, lines = big_losses_lines(big_losses)
+    path = write_lines(tmp_path / "losses.csv", header, order(lines))
+    epochs, losses = load_loss_snapshots(path)
+    assert losses.flags.c_contiguous
+    mapping = shared_mapping(losses)
+    assert isinstance(mapping, mmap.mmap)
+    assert len(mapping) == BIG_EPOCHS * BIG_N * 8
+    assert epochs.dtype == np.int64 and epochs.shape == (BIG_EPOCHS,)
+
+
+def uneven_in_a_child_share(lines):
+    # a row of epoch 30 renumbered as epoch 31: the row count stays a
+    # multiple of n, but epoch 30 holds n - 1 samples and epoch 31 n + 1
+    lines = list(lines)
+    row = 30 * BIG_N + 7
+    lines[row] = lines[row].replace(b"30,", b"31,", 1)
+    return lines
+
+
+def bad_float_in_a_child_share(lines):
+    lines = list(lines)
+    lines[-3] = lines[-3].rstrip(b"\n") + b"x\n"
+    return lines
+
+
+def first_epoch_longer_than_a_share(lines):
+    # one epoch of BIG_EPOCHS * BIG_N samples
+    return [b"0,%d,%s" % (i, line.split(b",", 2)[2]) for i, line in enumerate(lines)]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (uneven_in_a_child_share, "epoch 30 holds 2499 samples, epoch 0 holds 2500"),
+    (bad_float_in_a_child_share, f"{BIG_EPOCHS * BIG_N - 1}: could not convert string to float"),
+    (first_epoch_longer_than_a_share, None),
+], ids=["uneven_epoch", "bad_float", "first_epoch_longer_than_a_share"])
+def test_epoch_share_faults_load_as_in_one_process(tmp_path, big_losses, forks, edit, error):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    header, lines = big_losses_lines(big_losses)
+    path = write_lines(tmp_path / "losses.csv", header, edit(lines))
+    loaded = assert_loads_as_one_process(path)
+    if error is None:
+        assert loaded[1].shape == (1, BIG_EPOCHS * BIG_N)
+    else:
+        assert loaded is None
+        with pytest.raises(FormatError, match=error):
+            load_loss_snapshots(path)
+    assert forks
+    assert_no_child_left()

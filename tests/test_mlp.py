@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import selc_lab.mlp as mlp
 from selc_lab.errors import DimensionError, ParameterError, TrainingDivergenceError
 from selc_lab.mlp import (
     MlpModel,
@@ -260,6 +261,17 @@ def test_predict_proba_is_bit_identical_to_softmax_of_forward(activation):
     # a returned array is the caller's, not a workspace the next call overwrites
     assert np.array_equal(results[0], results[2])
     assert results[0] is not results[2]
+
+
+def test_predict_proba_keeps_one_buffer_per_layer_width(monkeypatch):
+    monkeypatch.setattr(mlp, "_WORKSPACE", {})
+    model = init_mlp([16, 64, 64, 4], stream(10, "ws"), activation="relu")
+    # grown from 37 rows to 4000, then its leading 1000 rows reused
+    for rows in (37, 4000, 1000):
+        x = stream(rows, "ws-rows").standard_normal((rows, 16))
+        assert predict_proba(model, x).tobytes() == softmax(forward(model, x)).tobytes()
+    assert {key: buf.shape for key, buf in mlp._WORKSPACE.items()} == {
+        (0, 64): (4000, 64), (1, 64): (4000, 64), (2, 4): (4000, 4)}
 
 
 def test_predict_proba_rejects_wrong_width():
