@@ -9,7 +9,7 @@ Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1; a value the
 caller set is kept). The matmuls here are too small to gain from a BLAS
 thread pool; a run's trials, the per-epoch mixture fits of a loss matrix
-and the parse of a large text file go to forked processes instead, one
+and the parse of a large losses file go to forked processes instead, one
 per core. The default only takes effect if numpy is not imported yet.
 ``BLAS_PINNED`` records whether BLAS runs one thread: numpy was imported
 after the default, or every variable already read 1.

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .config import load_config, read_yaml
+from .config import check_memory, data_memory, load_config, read_yaml
 from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
 from .experiment import WARM_FIELDS, run_experiment
@@ -168,6 +168,8 @@ def _cmd_make_blobs(args) -> int:
         raise ParameterError(f"{args.spec}: expected a mapping of blob fields")
     try:
         spec = BlobSpec(**raw)
+        test_n = spec.test_n if spec.test_n is not None else spec.n // 4
+        check_memory([data_memory(spec.n, test_n, spec.dim, ("n", "dim"))])
         # both splits exist before either file is written
         splits = [(split, *generate_blobs(spec, split=split)) for split in ("train", "test")]
     except (ParameterError, TypeError) as exc:

@@ -153,13 +153,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(os.path.exists(noise.mapping_file),
                  f"noise.mapping_file: no such file: {noise.mapping_file}")
         mapping = load_mapping(noise.mapping_file)
-        try:
-            cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
-        except ParameterError as exc:
-            raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
-    else:
-        eta = noise.eta if noise.kind == "symmetric" else 0.0
-        cfg.transition = build_symmetric_q(num_classes, eta, exclude_true_class=noise.exclude_true_class)
 
     _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
     _require(all(h >= 1 for h in model.hidden_dims),
@@ -209,14 +202,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(len(set(cfg.trials)) == len(cfg.trials), f"trial seeds must be unique, got {cfg.trials}")
     _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
 
+    # the noise model and the blobs are built only once the run they are
+    # for is known to fit
     if ds.kind != "blobs":
         # the files are read already; their sizes hold for the estimate
-        train_x, test_x, field = cfg.data[0], cfg.data[2], f"dataset.{names[0]}"
+        train_x, train_y, test_x = cfg.data[:3]
+        field = f"dataset.{names[0]}"
+        # the file whose largest label sets the class count
+        train_labels, test_labels = (name for name in names if not name.endswith("images"))
+        labels = train_labels if train_y.max() + 1 == num_classes else test_labels
         _check_memory(cfg, train_x.shape[0], test_x.shape[0], train_x.shape[1], num_classes,
-                      (field, field))
+                      (field, field, f"dataset.{labels}"))
+    else:
+        _check_memory(cfg, ds.n, test_n, ds.dim, num_classes,
+                      ("dataset.n", "dataset.dim", "dataset.num_classes"))
+    if noise.kind == "asymmetric":
+        try:
+            cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
+        except ParameterError as exc:
+            raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
+    else:
+        eta = noise.eta if noise.kind == "symmetric" else 0.0
+        cfg.transition = build_symmetric_q(num_classes, eta, exclude_true_class=noise.exclude_true_class)
+    if ds.kind != "blobs":
         return
-    # blobs are built only once the run they are for is known to fit
-    _check_memory(cfg, ds.n, test_n, ds.dim, num_classes, ("dataset.n", "dataset.dim"))
     spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
                     cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
     try:  # the splits are checked above; what fails here is placing the centers
@@ -227,41 +236,59 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_classes: int,
-                  data_fields) -> None:
-    """Reject a run that cannot fit in physical memory, naming the field
-    that dominates its estimate; ``data_fields`` name the fields that set
-    the sample count and the feature count.
+                  fields) -> None:
+    """Reject a run that cannot fit in physical memory (``check_memory``);
+    ``fields`` name the fields that set the sample count, the feature
+    count and the class count C.
 
     The estimate is a floor of what the run maps at once: the data; the
     (epochs, n) float64 loss matrices of ``experiment._run_jobs``, one per
-    trial when trials run in forked workers; and, in each process that
-    trains at once, the snapshot buffers of ``mlp.predict_proba`` (n rows
-    of every layer's width) and the weights, with their momentum, scratch
-    and gradient vectors."""
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        physical = -1
-    if physical <= 0:
-        return  # no figure to hold the estimate against
+    trial when trials run in forked workers; in each process that trains
+    at once, the snapshot buffers of ``mlp.predict_proba`` (n rows of
+    every layer's width) and the weights, with their momentum, scratch
+    and gradient vectors; and a C x C matrix, which bounds the noise model
+    and each trial's confusion counts."""
     epochs, hidden = cfg.optimizer.epochs, cfg.model.hidden_dims
     widths = [*hidden, num_classes]
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip([dim, *hidden], widths))
     alphas = len(alpha_values(cfg.method)) if METHODS[cfg.method.name] is not None else 1
     jobs = alphas * len(cfg.trials)
     workers = fork_workers(jobs)
-    n_field, dim_field = data_fields
-    # (bytes, {field: the factor of those bytes that it sets})
-    terms = [
-        (8 * (n + test_n) * (dim + 1), {n_field: n + test_n, dim_field: dim}),
+    n_field, dim_field, class_field = fields
+    # the layer widths are named by the classes once they outnumber the
+    # hidden units
+    width_field = class_field if num_classes > sum(hidden) else "model.hidden_dims"
+    check_memory([
+        data_memory(n, test_n, dim, (n_field, dim_field)),
         (8 * (jobs if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
-        (8 * workers * n * sum(widths), {n_field: n, "model.hidden_dims": max(widths)}),
-        (8 * workers * 4 * params, {dim_field: dim, "model.hidden_dims": max(widths)}),
-    ]
+        (8 * workers * n * sum(widths), {n_field: n, width_field: sum(widths)}),
+        (8 * workers * 4 * params, {dim_field: dim, width_field: max(widths)}),
+        (8 * num_classes**2, {class_field: num_classes}),
+    ])
+
+
+def data_memory(n: int, test_n: int, dim: int, fields):
+    """The memory term of a dataset's float64 features and int64 labels,
+    ``n + test_n`` samples of ``dim`` features, for ``check_memory``;
+    ``fields`` name the fields that set the sample and feature counts."""
+    n_field, dim_field = fields
+    return 8 * (n + test_n) * (dim + 1), {n_field: n + test_n, dim_field: dim}
+
+
+def check_memory(terms) -> None:
+    """Reject work whose memory ``terms``, each (bytes, {field: the factor
+    of those bytes that it sets}), add up to more than physical memory,
+    naming the largest factor of the largest term."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        physical = -1
+    if physical <= 0:
+        return  # no figure to hold the estimate against
     total = sum(size for size, _ in terms)
     if total > physical:
         factors = max(terms, key=lambda term: term[0])[1]
-        raise ParameterError(f"{max(factors, key=factors.get)} must be smaller: the run would map "
+        raise ParameterError(f"{max(factors, key=factors.get)} must be smaller: it would map "
                              f"at least {total / 2**30:.3g} GiB at once, more than the "
                              f"{physical / 2**30:.3g} GiB of physical memory")
 

@@ -29,8 +29,7 @@ two jobs run one after the other, with the same outputs; there the
 diagnose job's mixture fits fan out over the cores
 (``turning.compute_metric_series``), which they never do inside a pool
 worker. The data of every dataset kind is built at config load, before
-any worker exists, and a large CSV file's parse fans out too
-(``tables.read_rows``).
+any worker exists.
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """

@@ -3,11 +3,12 @@ losses. Each such file is a header line, which its loader checks, then one
 row per line; empty lines are skipped. Only printable ASCII, tab, CR and
 LF may appear in it.
 
-A large file is parsed in shares of whole lines by this process and
-forked children (``parse_shares``): ``read_rows`` keeps every row, and
-``turning.load_loss_snapshots`` only the losses of whole epochs. The
-scan of its bytes that ``open_text`` makes anyway counts its lines and
-tells whether each LF ends one row."""
+``read_rows`` parses a file with one ``np.loadtxt`` call in this process.
+A large losses file is first parsed in shares of whole epochs by this
+process and forked children (``parse_shares``), which keep only the
+losses (``turning.load_loss_snapshots``). The scan of its bytes that
+``open_text`` makes anyway counts its lines and tells whether each LF
+ends one row."""
 
 import math
 import os
@@ -27,11 +28,13 @@ TEXT_CHARS = frozenset(TEXT_BYTES.decode())
 # the scan reads a file in chunks of this size, so that it adds no
 # file-sized buffer to the peak
 SCAN_CHUNK = 1 << 16
-# read_rows parses a file in shares only from this size on. On 2 vCPUs
-# np.loadtxt parses perfbench's losses.csv at about 30 ns per byte, and a
-# fork, the child's exit and its reaping take 5-9 ms. In two processes, a
-# 2 MB cut of that file took 42-46 ms against 58-66 ms in one, while 1 MB
-# took 27-30 ms against 30-31 ms (medians of 15 reads, three runs).
+# a losses file is parsed in epoch shares only from this size on. On 2
+# vCPUs np.loadtxt parses perfbench's losses.csv at about 30 ns per byte,
+# and a fork, the child's exit and its reaping take 5-9 ms. A 4 MiB file
+# in the order run writes loaded in 69 ms in epoch shares against 129 ms
+# in one process (medians of 7, fresh processes); a later measurement on
+# the same host read 95 ms for both (medians of 15 alternating runs), so
+# the shares do not lose at this size.
 FAN_OUT_MIN_BYTES = 1 << 21
 
 
@@ -77,51 +80,20 @@ def read_rows(path, fh, columns) -> np.ndarray:
     """The comma-separated rows left in ``fh``, opened on ``path`` by
     ``open_text`` and read past its header, as a 1-D structured array of
     dtype ``columns`` (``(name, float, (width,))`` for ``width`` floats),
-    parsed by ``np.loadtxt``: in shares (``_parse_shares``) or in one call. If
-    a share or that call raises, or a float is not finite, a rescan with
-    Python's ``int``/``float`` names the bad line. Only if a share's
-    process died or could not be forked, or the rescan after a share
-    raised names no line, does the one call parse the file again."""
+    parsed by one ``np.loadtxt`` call in this process. If that call
+    raises, or a float is not finite, a rescan with Python's
+    ``int``/``float`` names the bad line."""
     dtype = np.dtype(columns)
-    rows = _parse_shares(path, fh, dtype)
-    if rows is None:
-        try:
-            with warnings.catch_warnings():
-                # a header-only file has zero rows, it is not malformed
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise (_first_bad_line(path, dtype)
-                   or FormatError(f"{path}: {exc}")) from exc
-        # the shares check their own floats
-        if not _finite(rows):
-            raise (_first_bad_line(path, dtype)
-                   or FormatError(f"{path}: floats must be finite"))
+    try:
+        with warnings.catch_warnings():
+            # a header-only file has zero rows, it is not malformed
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise (_first_bad_line(path, dtype) or FormatError(f"{path}: {exc}")) from exc
+    if not _finite(rows):
+        raise (_first_bad_line(path, dtype) or FormatError(f"{path}: floats must be finite"))
     return rows
-
-
-def _parse_shares(path, fh, dtype):
-    """The rows after the header of ``fh`` parsed in shares of whole lines,
-    one per process that ``share_workers`` allows, as a view of an
-    anonymous shared mapping; or None if one process must parse them. If
-    a share's rows do not parse, the rescan's ``FormatError`` is raised
-    here (see ``parse_shares``)."""
-    total = fh.lines.count - 1
-    workers = share_workers(fh, total)
-    if workers < 2:
-        return None
-    # share j is lines bounds[j] + 1 .. bounds[j + 1] of the file, line 1
-    # the header
-    bounds = [1 + j * total // workers for j in range(workers + 1)]
-    # imported only here, so that a small file does not load it
-    import mmap
-
-    rows = np.frombuffer(mmap.mmap(-1, total * dtype.itemsize), dtype, total)
-
-    def keep(j, got):
-        rows[bounds[j] - 1:bounds[j + 1] - 1] = got
-
-    return rows if parse_shares(path, dtype, bounds, keep) else None
 
 
 def share_workers(fh, tasks: int) -> int:

@@ -336,12 +336,12 @@ def load_loss_snapshots(path):
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix.
 
-    A file that ``tables`` would parse in shares is first parsed in shares
-    of whole epochs (``_load_epoch_shares``), which keep only the losses
-    and the epoch numbers, in a C-contiguous matrix. Any other file, and
-    one whose shares do not hold whole epochs in rising order, is parsed
-    whole, and its matrix is a view of the parsed rows, with no second
-    copy of the losses."""
+    A file that ``tables.share_workers`` lets be shared is first parsed in
+    shares of whole epochs (``_load_epoch_shares``), which keep only the
+    losses and the epoch numbers, in a C-contiguous matrix. Any other
+    file, and one whose shares do not hold whole epochs, each once, is
+    parsed whole by ``tables.read_rows`` in this process, and its matrix
+    is a view of the parsed rows, with no second copy of the losses."""
     with open_text(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
@@ -393,11 +393,12 @@ def _load_epoch_shares(path, fh):
     make whole epochs of n. Each share's process sorts and checks its rows
     as a whole file is (``_group_epochs``) and writes only its losses and
     epoch numbers to shared mappings, an (epochs, n) matrix and an
-    (epochs,) vector; this process then checks that the epochs rise from
-    share to share. A share whose rows do not parse raises the rescan's
-    ``FormatError`` (``tables.parse_shares``). Any other fault, a dead
-    child included, gives None, and the whole parse then raises its own
-    error or loads what the shares could not."""
+    (epochs,) vector. Epoch blocks that do not rise from share to share
+    are put in order here, with a copy of the matrix. A share whose rows
+    do not parse raises the rescan's ``FormatError``
+    (``tables.parse_shares``). Any other fault, an epoch in two shares or
+    a dead child included, gives None, and the whole parse then raises
+    its own error or loads what the shares could not."""
     total = fh.lines.count - 1
     workers = share_workers(fh, total)
     if workers < 2:
@@ -428,7 +429,13 @@ def _load_epoch_shares(path, fh):
     bounds = [1 + cut * n for cut in cuts]
     if not parse_shares(path, np.dtype(LOSSES_COLUMNS), bounds, keep):
         return None
-    return (epochs, losses) if (epochs[1:] > epochs[:-1]).all() else None
+    if (epochs[1:] > epochs[:-1]).all():
+        return epochs, losses
+    order = np.argsort(epochs)
+    epochs = epochs[order]
+    if (epochs[1:] == epochs[:-1]).any():
+        return None
+    return epochs, losses[order]
 
 
 def _first_epoch_rows(path, head, limit):

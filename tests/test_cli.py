@@ -107,13 +107,29 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     ({"dataset": {"n": 10**11}}, "dataset.n"),
     ({"dataset": {"dim": 10**12}}, "dataset.dim"),
     ({"model": {"hidden_dims": [8, 10**11]}}, "model.hidden_dims"),
+    # class counts whose C x C matrices cannot fit, rejected before any is built
+    ({"dataset": {"n": 200_000, "test_n": 200_000, "num_classes": 200_000, "dim": 2,
+                  "cluster_std": 0.0001}}, "dataset.num_classes"),
+    ({"dataset": {"kind": "csv", "train_csv": "train.csv", "test_csv": "test.csv"}},
+     "dataset.train_csv"),
 ])
-def test_run_verb_non_integer_field_is_config_error(tmp_path, capsys, overrides, field):
+def test_run_verb_non_integer_field_is_config_error(monkeypatch, tmp_path, capsys, overrides,
+                                                    field):
+    if overrides.get("dataset", {}).get("kind") == "csv":
+        # 400 rows, one of them labelled 3,000,000
+        labels = np.arange(400) % 3
+        labels[7] = 3_000_000
+        save_csv_dataset(tmp_path / "train.csv", np.zeros((400, 3)), labels)
+        save_csv_dataset(tmp_path / "test.csv", np.zeros((100, 3)), labels[:100] % 3)
+    built = []
+    for name in ("build_symmetric_q", "build_asymmetric_q"):
+        monkeypatch.setattr(selc_lab.config, name, lambda *args, **kwargs: built.append(args))
     cfg = write_tiny_config(tmp_path, **{"trials": [1, 2], **overrides})
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"{field} must be" in err
     assert not os.path.exists(tmp_path / "run")
+    assert built == []
 
 
 # every method's training run takes alpha, beta and mixup_beta_param, so a
@@ -479,8 +495,9 @@ def test_make_blobs_rejects_unknown_keys(tmp_path, capsys):
     ({"test_n": 1}, "test split of size 1 cannot balance 2 classes"),
     ({"cluster_std": "wide"}, "cluster_std must be a number, got 'wide'"),
     ({"seed": 2**64}, "seed must be in [-2**63, 2**63), got 18446744073709551616"),
+    ({"n": 10**11}, "n must be smaller"),
 ], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small", "str_cluster_std",
-        "seed_past_64_bits"])
+        "seed_past_64_bits", "too_large_for_memory"])
 def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,

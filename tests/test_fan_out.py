@@ -1,7 +1,8 @@
-"""The fork fan-outs of ``compute_metric_series`` and ``tables.read_rows``:
-the same series and rows as in one process, the same error, no child left
-behind, and no fork where the rule in ``selc_lab.fork_workers`` or a size
-cut-off forbids one."""
+"""The fork fan-outs of ``compute_metric_series`` and
+``load_loss_snapshots``: the same series and arrays as in one process, the
+same error, no child left behind, and no fork where the rule in
+``selc_lab.fork_workers`` or a size cut-off forbids one. ``tables.read_rows``
+never forks."""
 
 import mmap
 import os
@@ -185,7 +186,7 @@ def test_no_fork_inside_a_pool_worker():
     assert m1 == in_process_series(losses)[0].tobytes()
 
 
-# --- the shared parse of tables.read_rows ---
+# --- tables.read_rows, and the faults and fork rules of the epoch shares ---
 
 LOSSES = [("epoch", int), ("sample_id", int), ("loss", float)]
 # a losses.csv of 40 epochs of 2500 samples is about 2.6 MB
@@ -243,28 +244,14 @@ def edit_line(path, lineno, text):
     path.write_bytes(b"\n".join(lines))
 
 
-def test_shared_parse_equals_one_process_parse(big_losses, forks):
-    if not fans_out():
-        pytest.skip("this process may not fork")
+def test_read_rows_parses_a_large_file_in_one_process(big_losses, big_csv, forks):
     path, want = big_losses
     got = read_losses_rows(path)
-    assert len(forks) == selc_lab.fork_workers(len(got)) - 1
     assert got.tobytes() == want
     assert len(got) == line_count(path) - 1
-    # the rows are those of the shared mapping, not of a read in one process
-    assert isinstance(got.base, memoryview)
-    _, losses = load_loss_snapshots(path)
-    assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
-    assert_no_child_left()
-
-
-def test_shared_parse_of_a_csv_dataset(big_csv, forks):
-    if not fans_out():
-        pytest.skip("this process may not fork")
     path, want = big_csv
     assert [a.tobytes() for a in load_csv_dataset(path)] == want
-    assert forks
-    assert_no_child_left()
+    assert forks == []
 
 
 # line 3 falls in this process's share, the next-to-last line in the last
@@ -319,24 +306,12 @@ def test_a_bad_line_is_named_without_a_parse_in_one_process(monkeypatch, tmp_pat
 def test_a_share_that_raises_on_good_rows_is_parsed_again_here(monkeypatch, big_losses, forks):
     if not fans_out():
         pytest.skip("this process may not fork")
-    path, want = big_losses
+    path = big_losses[0]
     sources = counting_loadtxt(monkeypatch, raise_in_child=True)
-    assert read_losses_rows(path).tobytes() == want
-    # the rescan named no line, so one call parsed the file from its handle
-    assert len(sources) == 2 and not isinstance(sources[1], str)
-    assert forks
-    assert_no_child_left()
-
-
-def test_a_bad_csv_line_in_a_child_share(tmp_path, big_csv, forks):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    path = copy_of(tmp_path, big_csv[0])
-    lineno = line_count(path) - 2
-    edit_line(path, lineno, b"1,2")
-    with pytest.raises(FormatError) as exc:
-        load_csv_dataset(path)
-    assert str(exc.value) == f"{path}:{lineno}: expected 17 fields, got 2"
+    assert_loads_as_one_process(path)
+    # the load in one process from the handle, this process's share from the
+    # path, then, as the rescan named no line, the whole parse from the handle
+    assert [isinstance(source, str) for source in sources] == [False, True, False]
     assert forks
     assert_no_child_left()
 
@@ -357,7 +332,7 @@ def test_a_non_finite_loss_in_a_child_share(tmp_path, big_losses, forks):
 def test_a_child_that_dies_is_read_again_here(monkeypatch, big_losses, forks):
     if not fans_out():
         pytest.skip("this process may not fork")
-    path, want = big_losses
+    path = big_losses[0]
     parent, real = os.getpid(), np.loadtxt
 
     def dying_in_a_child(*args, **kwargs):
@@ -366,7 +341,7 @@ def test_a_child_that_dies_is_read_again_here(monkeypatch, big_losses, forks):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", dying_in_a_child)
-    assert read_losses_rows(path).tobytes() == want
+    assert_loads_as_one_process(path)
     assert forks
     assert_no_child_left()
 
@@ -407,7 +382,7 @@ def test_other_line_ends_load_the_same_arrays(tmp_path, big_losses, edit):
 def test_no_shared_parse_unless_every_lf_ends_a_row(tmp_path, big_losses, no_fork, edit):
     path = tmp_path / "losses.csv"
     path.write_bytes(edit(big_losses[0].read_bytes()))
-    read_losses_rows(path)
+    assert_loads_as_one_process(path)
     assert no_fork == []
 
 
@@ -415,30 +390,28 @@ def test_no_shared_parse_below_the_cut_off(tmp_path, no_fork):
     path = tmp_path / "losses.csv"
     save_loss_snapshots(two_mode_losses(10, 1000), path)
     assert os.path.getsize(path) < FAN_OUT_MIN_BYTES
-    assert len(read_losses_rows(path)) == 10_000
+    assert assert_loads_as_one_process(path)[1].shape == (10, 1000)
     assert no_fork == []
 
 
 def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
-    path, want = big_losses
+    path = big_losses[0]
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(60,))
     other.start()
     try:
-        got = read_losses_rows(path)
+        assert_loads_as_one_process(path)
     finally:
         stop.set()
         other.join(timeout=60)
     assert not other.is_alive()
     assert no_fork == []
-    assert got.tobytes() == want
 
 
 def test_a_failed_fork_parses_here(big_losses, no_fork):
     if not fans_out():
         pytest.skip("this process may not fork")
-    path, want = big_losses
-    assert read_losses_rows(path).tobytes() == want
+    assert_loads_as_one_process(big_losses[0])
     assert len(no_fork) == 1
 
 
@@ -450,16 +423,16 @@ def parse_in_worker(path):
         raise OSError("fork attempted")
 
     os.fork = refusing_fork  # this worker process only
-    return len(attempts), read_losses_rows(path).tobytes()
+    losses = assert_loads_as_one_process(path)[1]
+    return len(attempts), losses.tobytes()
 
 
 def test_no_shared_parse_inside_a_pool_worker(big_losses):
     if not fans_out():
         pytest.skip("this process may not fork")
-    path, want = big_losses
     with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        attempts, got = pool.submit(parse_in_worker, path).result(timeout=120)
-    assert (attempts, got) == (0, want)
+        attempts, got = pool.submit(parse_in_worker, big_losses[0]).result(timeout=120)
+    assert (attempts, got) == (0, two_mode_losses(BIG_EPOCHS, BIG_N).tobytes())
 
 
 # --- the epoch shares of turning.load_loss_snapshots ---
@@ -522,6 +495,25 @@ def test_epoch_share_load_equals_one_process_load(tmp_path, big_losses, forks, o
     epochs, losses = assert_loads_as_one_process(path)
     assert epochs.tolist() == list(range(BIG_EPOCHS))
     assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
+    # fully shuffled lines hold no epoch block to cut shares at
+    if order is fully_shuffled:
+        assert not forks
+    else:
+        assert forks
+    assert_no_child_left()
+
+
+def test_reversed_epoch_blocks_are_parsed_once(monkeypatch, tmp_path, big_losses, forks):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    header, lines = big_losses_lines(big_losses)
+    path = write_lines(tmp_path / "losses.csv", header, epochs_reversed(lines))
+    sources = counting_loadtxt(monkeypatch)
+    epochs, losses = load_loss_snapshots(path)
+    # this process parsed its own share, from the path, and nothing more
+    assert sources == [os.path.abspath(path)]
+    assert epochs.tolist() == list(range(BIG_EPOCHS))
+    assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
     assert forks
     assert_no_child_left()
 
@@ -562,6 +554,19 @@ def bad_float_in_a_child_share(lines):
     return lines
 
 
+def duplicated_epoch(lines, copied=29):
+    # epoch 30's block replaced by epoch ``copied``'s: the row count stays a
+    # multiple of n, but one epoch holds 2n samples
+    blocks = by_epoch(lines)
+    blocks[30] = blocks[copied]
+    return [line for block in blocks for line in block]
+
+
+def duplicated_epoch_in_another_share(lines):
+    # epoch 10 falls in this process's share, its copy in a child's
+    return duplicated_epoch(lines, copied=10)
+
+
 def first_epoch_longer_than_a_share(lines):
     # one epoch of BIG_EPOCHS * BIG_N samples
     return [b"0,%d,%s" % (i, line.split(b",", 2)[2]) for i, line in enumerate(lines)]
@@ -570,8 +575,11 @@ def first_epoch_longer_than_a_share(lines):
 @pytest.mark.parametrize("edit, error", [
     (uneven_in_a_child_share, "epoch 30 holds 2499 samples, epoch 0 holds 2500"),
     (bad_float_in_a_child_share, f"{BIG_EPOCHS * BIG_N - 1}: could not convert string to float"),
+    (duplicated_epoch, "epoch 29 holds 5000 samples, epoch 0 holds 2500"),
+    (duplicated_epoch_in_another_share, "epoch 10 holds 5000 samples, epoch 0 holds 2500"),
     (first_epoch_longer_than_a_share, None),
-], ids=["uneven_epoch", "bad_float", "first_epoch_longer_than_a_share"])
+], ids=["uneven_epoch", "bad_float", "duplicated_epoch", "duplicated_epoch_in_another_share",
+        "first_epoch_longer_than_a_share"])
 def test_epoch_share_faults_load_as_in_one_process(tmp_path, big_losses, forks, edit, error):
     if not fans_out():
         pytest.skip("this process may not fork")
@@ -580,9 +588,11 @@ def test_epoch_share_faults_load_as_in_one_process(tmp_path, big_losses, forks, 
     loaded = assert_loads_as_one_process(path)
     if error is None:
         assert loaded[1].shape == (1, BIG_EPOCHS * BIG_N)
+        # an epoch longer than half the file leaves no epoch shares to cut
+        assert not forks
     else:
         assert loaded is None
         with pytest.raises(FormatError, match=error):
             load_loss_snapshots(path)
-    assert forks
+        assert forks
     assert_no_child_left()
