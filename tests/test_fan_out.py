@@ -244,13 +244,24 @@ def edit_line(path, lineno, text):
     path.write_bytes(b"\n".join(lines))
 
 
-def test_read_rows_parses_a_large_file_in_one_process(big_losses, big_csv, forks):
+def test_shared_parse_equals_one_process_parse(big_losses, forks):
     path, want = big_losses
     got = read_losses_rows(path)
+    # read_rows parses a file over the cut-off in this process alone
     assert got.tobytes() == want
     assert len(got) == line_count(path) - 1
+    assert forks == []
+    # the shared parse left is that of the epoch shares
+    if fans_out():
+        assert_loads_as_one_process(path)
+        assert forks
+        assert_no_child_left()
+
+
+def test_shared_parse_of_a_csv_dataset(big_csv, forks):
     path, want = big_csv
     assert [a.tobytes() for a in load_csv_dataset(path)] == want
+    # a CSV dataset has no epoch blocks, so no share is parsed in a child
     assert forks == []
 
 
