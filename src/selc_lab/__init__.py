@@ -16,8 +16,10 @@ after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
 share its work; ``experiment._run_jobs``, ``turning.compute_metric_series``
-and ``tables.share_workers`` all ask it. ``run_shares`` is the one place the
-last two fork, run a share in each child and reap them.
+and ``turning._load_epoch_shares`` all ask it. ``run_shares`` is the one
+place the last two fork, run a share in each child and reap them, and
+``shared`` makes every array through which a forked process hands its
+results back.
 """
 
 import os
@@ -85,6 +87,19 @@ def run_shares(workers: int, share) -> bool:
         for pid in children:
             ok = os.waitpid(pid, 0)[1] == 0 and ok
     return ok
+
+
+def shared(shape, dtype):
+    """A zero-filled, C-contiguous array of nonempty ``shape`` and ``dtype``
+    in an anonymous shared mapping, which the array keeps alive: what a
+    process forked after this call writes to it, this process reads."""
+    # imported only here: numpy must load after the pin above
+    import mmap
+
+    import numpy as np
+
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .config import check_memory, data_memory, load_config, read_yaml
-from .data import BlobSpec, generate_blobs, save_csv_dataset
+from .data import BlobSpec, generate_blobs, held_out_n, save_csv_dataset
 from .errors import FormatError, ParameterError
 from .experiment import WARM_FIELDS, run_experiment
 from .turning import (
@@ -71,6 +71,8 @@ def _cmd_run(args) -> int:
         spread = summary.get("test_acc_spread")
         if spread is not None:
             print(f"spread: {spread:.6g}")
+        elif not any_failed:
+            print("no trials ran")
         return 2 if any_failed else 0
     for seed, err in summary["failed"].items():
         print(f"trial {seed} failed: {err}", file=sys.stderr)
@@ -119,13 +121,12 @@ def _summary_lines(summary) -> list:
         agg = summary.get(name)
         if agg:
             lines.append(f"{label}: {agg['mean']:.6g} +/- {agg['stddev']:.6g}")
-    return lines + _trial_lines(summary) + [f"trial {seed} failed: {err}"
-                                            for seed, err in summary["failed"].items()]
+    return lines + _trial_lines(summary)
 
 
 def _trial_lines(summary) -> list:
-    """A line per trial of one alpha's summary that set an activation
-    epoch, with what its warm phase found, if it had one."""
+    """A line per trial of one alpha's summary that set an activation epoch,
+    with what its warm phase found if it had one, then one per failed trial."""
     lines = []
     warm = [summary.get(key, {}) for key in WARM_FIELDS]
     for seed, epoch in summary.get("activation_epochs", {}).items():
@@ -134,7 +135,8 @@ def _trial_lines(summary) -> list:
             lines.append(f"trial {seed}: activation epoch {epoch}" + (
                 "" if estimate is None else f", turning point estimate {estimate}, "
                 f"detector fired {_yes(fired)}, activation clamped {_yes(clamped)}"))
-    return lines
+    return lines + [f"trial {seed} failed: {err}"
+                    for seed, err in summary.get("failed", {}).items()]
 
 
 def _yes(flag) -> str:
@@ -168,7 +170,7 @@ def _cmd_make_blobs(args) -> int:
         raise ParameterError(f"{args.spec}: expected a mapping of blob fields")
     try:
         spec = BlobSpec(**raw)
-        test_n = spec.test_n if spec.test_n is not None else spec.n // 4
+        test_n = held_out_n(spec.n, spec.test_n)
         check_memory([data_memory(spec.n, test_n, spec.dim, ("n", "dim"))])
         # both splits exist before either file is written
         splits = [(split, *generate_blobs(spec, split=split)) for split in ("train", "test")]

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import fork_workers
-from .data import BlobSpec, check_field_types, generate_blobs, load_dataset_files
+from .data import BlobSpec, check_field_types, generate_blobs, held_out_n, load_dataset_files
 from .errors import ParameterError
 from .mlp import ACTIVATIONS
 from .noise import TransitionMatrix, build_asymmetric_q, build_symmetric_q, load_mapping
@@ -126,7 +126,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")
         _require(ds.n >= max(ds.num_classes, MIN_SAMPLES),
                  f"dataset.n must be >= num_classes and >= {MIN_SAMPLES}, got {ds.n}")
-        test_n = ds.test_n if ds.test_n is not None else ds.n // 4
+        test_n = held_out_n(ds.n, ds.test_n)
         _require(test_n >= ds.num_classes,
                  f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
         _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")

@@ -74,7 +74,7 @@ class BlobSpec:
     num_classes: int
     cluster_std: float = 1.0
     seed: int = 0
-    test_n: int | None = None  # defaults to n // 4
+    test_n: int | None = None  # defaults to n // 4 (held_out_n)
 
     def __post_init__(self):
         check_field_types(self)
@@ -85,6 +85,11 @@ class BlobSpec:
             raise ParameterError(f"n={self.n} smaller than the number of classes")
         if self.dim < 1 or self.cluster_std <= 0:
             raise ParameterError("dim must be >= 1 and cluster_std positive")
+
+
+def held_out_n(n: int, test_n: int | None) -> int:
+    """The size of a blob test split: ``test_n``, or ``n // 4`` if None."""
+    return n // 4 if test_n is None else test_n
 
 
 # Fixed center box; cluster_std against it sets task hardness. At std=1.0
@@ -129,7 +134,7 @@ def generate_blobs(spec: BlobSpec, split: str = "train"):
     """
     if split not in ("train", "test"):
         raise ParameterError(f"split must be 'train' or 'test', got {split!r}")
-    n = spec.n if split == "train" else (spec.test_n if spec.test_n is not None else spec.n // 4)
+    n = spec.n if split == "train" else held_out_n(spec.n, spec.test_n)
     if n < spec.num_classes:
         raise ParameterError(f"{split} split of size {n} cannot balance {spec.num_classes} classes")
     centers = _blob_centers(spec)

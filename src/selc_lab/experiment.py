@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fork_workers
+from . import fork_workers, shared
 from .config import AUTO, ExperimentConfig, alpha_values
 from .data import TrainView
 from .diagnostics import (
@@ -128,17 +128,6 @@ class _TrialResult:
     warm: dict
     last: dict
     plus_last: dict | None
-
-
-def _shared_losses(epochs: int, n: int) -> np.ndarray:
-    """An (epochs, n) float64 matrix in an anonymous shared mapping.
-    Allocated before the workers fork, so a trial's train job and diagnose
-    job see the same pages whichever workers run them."""
-    # imported only here, so that commands that train nothing do not load it
-    import mmap
-
-    # the array keeps the mapping alive
-    return np.frombuffer(mmap.mmap(-1, epochs * n * 8), np.float64).reshape(epochs, n)
 
 
 @dataclass
@@ -370,9 +359,10 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
         return []
     workers = fork_workers(len(jobs))
     shape = (cfg.optimizer.epochs, cfg.data[0].shape[0])
-    # trials in this process run one at a time and can share one matrix
-    losses = ([_shared_losses(*shape) for _ in jobs] if workers > 1
-              else [_shared_losses(*shape)] * len(jobs))
+    # made before the workers fork, so that a trial's two jobs see the same
+    # pages; trials in this process run one at a time and share one matrix
+    losses = ([shared(shape, np.float64) for _ in jobs] if workers > 1
+              else [shared(shape, np.float64)] * len(jobs))
     run = _Run(cfg, jobs, losses)
     if workers < 2:
         return [_run_trial(run, k) for k in range(len(jobs))]

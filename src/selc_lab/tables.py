@@ -4,21 +4,19 @@ row per line; empty lines are skipped. Only printable ASCII, tab, CR and
 LF may appear in it.
 
 ``read_rows`` parses a file with one ``np.loadtxt`` call in this process.
-A large losses file is first parsed in shares of whole epochs by this
-process and forked children (``parse_shares``), which keep only the
-losses (``turning.load_loss_snapshots``). The scan of its bytes that
-``open_text`` makes anyway counts its lines and tells whether each LF
-ends one row."""
+The scan of its bytes that ``open_text`` makes anyway counts its lines
+and tells whether each LF ends one row, which is what a parse in shares
+of lines needs (``turning.load_loss_snapshots``). Such a parse checks
+its rows with ``finite`` and names a bad line with ``first_bad_line``,
+as ``read_rows`` does."""
 
 import math
-import os
 import warnings
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from . import fork_workers, run_shares
 from .errors import FormatError
 
 # np.loadtxt reads some non-ASCII characters as digits (a field U+1170
@@ -28,14 +26,6 @@ TEXT_CHARS = frozenset(TEXT_BYTES.decode())
 # the scan reads a file in chunks of this size, so that it adds no
 # file-sized buffer to the peak
 SCAN_CHUNK = 1 << 16
-# a losses file is parsed in epoch shares only from this size on. On 2
-# vCPUs np.loadtxt parses perfbench's losses.csv at about 30 ns per byte,
-# and a fork, the child's exit and its reaping take 5-9 ms. A 4 MiB file
-# in the order run writes loaded in 69 ms in epoch shares against 129 ms
-# in one process (medians of 7, fresh processes); a later measurement on
-# the same host read 95 ms for both (medians of 15 alternating runs), so
-# the shares do not lose at this size.
-FAN_OUT_MIN_BYTES = 1 << 21
 
 
 class Lines(NamedTuple):
@@ -90,70 +80,14 @@ def read_rows(path, fh, columns) -> np.ndarray:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
-        raise (_first_bad_line(path, dtype) or FormatError(f"{path}: {exc}")) from exc
-    if not _finite(rows):
-        raise (_first_bad_line(path, dtype) or FormatError(f"{path}: floats must be finite"))
+        raise (first_bad_line(path, dtype) or FormatError(f"{path}: {exc}")) from exc
+    if not finite(rows):
+        raise (first_bad_line(path, dtype) or FormatError(f"{path}: floats must be finite"))
     return rows
 
 
-def share_workers(fh, tasks: int) -> int:
-    """How many processes may parse the rows left in ``fh``, opened by
-    ``open_text`` and read past its header, in shares of whole lines, at
-    most one per task; 1 means this process alone. That is the answer of
-    ``fork_workers``, for a ``plain`` file of at least
-    ``FAN_OUT_MIN_BYTES`` with ``fh`` at its second line: ``max_rows``
-    of ``np.loadtxt`` does not count a line that it skips."""
-    lines = fh.lines
-    if not lines.plain or lines.size < FAN_OUT_MIN_BYTES or fh.tell() != lines.head:
-        return 1
-    return fork_workers(tasks)
-
-
-def parse_shares(path, dtype, bounds, keep) -> bool:
-    """Parse lines ``bounds[j] + 1 .. bounds[j + 1]`` of ``path`` (line 1
-    the header) as rows of ``dtype`` and call ``keep(j, rows)``: for j = 0
-    in this process, for every other j in a forked child (``run_shares``).
-    Its process hands ``np.loadtxt`` the file's path with ``skiprows`` and
-    ``max_rows`` set to the share's lines, which reads in blocks, not line
-    by line. ``keep`` must put what it keeps where this process sees it, in
-    a shared mapping. True if every share was kept. If a share's lines did
-    not parse into as many rows, all with finite floats, the rescan's
-    ``FormatError`` is raised here; if the rescan names no line, if
-    ``keep`` raised or if a share's process died or could not be forked,
-    the answer is False."""
-    # imported only here, so that a small file does not load it
-    import mmap
-
-    # raised[j]: share j's lines did not parse
-    raised = np.frombuffer(mmap.mmap(-1, len(bounds) - 1), np.bool_)
-    # an absolute path, which np.loadtxt cannot take for a URL
-    source = os.path.abspath(path)
-
-    def parse(j):
-        skip, stop = bounds[j], bounds[j + 1]
-        try:
-            got = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                             skiprows=skip, max_rows=stop - skip)
-            if got.size != stop - skip:
-                raise ValueError(f"{stop - skip - got.size} rows missing")
-            if not _finite(got):
-                raise ValueError("floats must be finite")
-        except ValueError:
-            raised[j] = True
-            raise
-        keep(j, got)
-
-    if run_shares(len(bounds) - 1, parse):
-        return True
-    if raised.any():
-        bad = _first_bad_line(path, dtype)
-        if bad is not None:
-            raise bad
-    return False
-
-
-def _finite(rows) -> bool:
-    # whether every float field of the structured rows is finite
+def finite(rows) -> bool:
+    """Whether every float field of the structured ``rows`` is finite."""
     return all(np.isfinite(rows[f]).all() for f in rows.dtype.names
                if rows.dtype[f].base.kind == "f")
 
@@ -183,9 +117,10 @@ def _first_stray_line(path) -> FormatError:
     return FormatError(f"{path}: only printable ASCII, tab, CR and LF may appear")
 
 
-def _first_bad_line(path, dtype):
-    # the FormatError of the first line that Python's int and float, held to
-    # np.loadtxt (no 1_000, no ints past 64 bits), reject; None if none does
+def first_bad_line(path, dtype):
+    """The ``FormatError`` of the first row of ``dtype`` in ``path`` that
+    Python's int and float, held to ``np.loadtxt`` (no 1_000, no ints past
+    64 bits), reject; None if none does."""
     kinds = [(name, int if dtype[name].base.kind == "i" else float)
              for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
     for lineno, fields in _split_rows(path):

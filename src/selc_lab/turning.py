@@ -16,19 +16,23 @@ holds epoch i's loss of sample j in column j. ``save_loss_snapshots``
 writes it as ``losses.csv``, ``load_loss_snapshots`` reads it back with
 its epoch numbers, and ``compute_metric_series`` turns it into the three
 series, normalizing one row at a time and sharing the rows between
-forked processes when the matrix is large.
+forked processes when the matrix is large. A large losses file is parsed
+the same way, in shares of whole epochs (``_load_epoch_shares``). Every
+array through which a forked process hands its results back comes from
+``selc_lab.shared``.
 """
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from . import fork_workers, run_shares
+from . import fork_workers, run_shares, shared
 from .errors import FormatError, ParameterError
-from .tables import open_text, parse_shares, read_rows, share_workers
+from .tables import finite, first_bad_line, open_text, read_rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -38,7 +42,7 @@ METRIC_NAMES = ("m1", "m2", "m3")
 # a two-component mixture needs a few points per epoch
 MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
-LOSSES_COLUMNS = [("epoch", int), ("sample_id", int), ("loss", float)]
+LOSSES_COLUMNS = np.dtype([("epoch", int), ("sample_id", int), ("loss", float)])
 SERIES_HEADER = "epoch,m1,m2,m3"
 # compute_metric_series forks only for a loss matrix this large. On 2
 # vCPUs, a fit of a 6000-sample epoch of perfbench's planted losses takes
@@ -47,6 +51,14 @@ SERIES_HEADER = "epoch,m1,m2,m3"
 # cut-off the fits take about 30 ms, and the half that moves to a second
 # core saves several times what the fork costs.
 FAN_OUT_MIN_ELEMENTS = 50_000
+# a losses file is parsed in epoch shares only from this size on. On 2
+# vCPUs np.loadtxt parses perfbench's losses.csv at about 30 ns per byte,
+# and a fork, the child's exit and its reaping take 5-9 ms. A 4 MiB file
+# in the order run writes loaded in 69 ms in epoch shares against 129 ms
+# in one process (medians of 7, fresh processes); a later measurement on
+# the same host read 95 ms for both (medians of 15 alternating runs), so
+# the shares do not lose at this size.
+FAN_OUT_MIN_BYTES = 1 << 21
 
 
 def normalize_losses(losses) -> np.ndarray:
@@ -272,14 +284,10 @@ def compute_metric_series(epochs, losses) -> MetricSeries:
                              f"and losses of shape {losses.shape}")
     if len(epochs) == 0:
         raise ParameterError("need at least one epoch of losses")
-    # imported only here, so that commands that fit nothing do not load it
-    import mmap
-
     rows = losses.shape[0]
     workers = fork_workers(rows) if losses.size >= FAN_OUT_MIN_ELEMENTS else 1
-    buffer = mmap.mmap(-1, 25 * rows)
-    metrics = np.frombuffer(buffer, np.float64, 3 * rows).reshape(3, rows)
-    done = np.frombuffer(buffer, np.bool_, rows, 24 * rows)
+    metrics = shared((3, rows), np.float64)
+    done = shared(rows, np.bool_)
     run_shares(workers, lambda j: _fit_rows(losses, range(j, rows, workers), metrics, done))
     # the rows left are fitted here, where the first bad one raises again
     _fit_rows(losses, np.flatnonzero(~done), metrics, done)
@@ -336,9 +344,9 @@ def load_loss_snapshots(path):
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix.
 
-    A file that ``tables.share_workers`` lets be shared is first parsed in
-    shares of whole epochs (``_load_epoch_shares``), which keep only the
-    losses and the epoch numbers, in a C-contiguous matrix. Any other
+    A file of at least ``FAN_OUT_MIN_BYTES`` is first parsed in shares of
+    whole epochs (``_load_epoch_shares``), which keep only the losses and
+    the epoch numbers, in a C-contiguous matrix. Any other
     file, and one whose shares do not hold whole epochs, each once, is
     parsed whole by ``tables.read_rows`` in this process, and its matrix
     is a view of the parsed rows, with no second copy of the losses."""
@@ -388,46 +396,59 @@ def _group_epochs(path, epochs, ids, losses):
 def _load_epoch_shares(path, fh):
     """(epochs, losses) as ``load_loss_snapshots`` returns them, from the
     rows left in ``fh`` parsed in shares of whole epochs; or None if the
-    file must be parsed whole. The epoch's sample count n is the count of
-    rows at the top that share the first row's epoch, and the rows must
-    make whole epochs of n. Each share's process sorts and checks its rows
-    as a whole file is (``_group_epochs``) and writes only its losses and
-    epoch numbers to shared mappings, an (epochs, n) matrix and an
-    (epochs,) vector. Epoch blocks that do not rise from share to share
-    are put in order here, with a copy of the matrix. A share whose rows
-    do not parse raises the rescan's ``FormatError``
-    (``tables.parse_shares``). Any other fault, an epoch in two shares or
-    a dead child included, gives None, and the whole parse then raises
-    its own error or loads what the shares could not."""
-    total = fh.lines.count - 1
-    workers = share_workers(fh, total)
+    file must be parsed whole. Only a ``plain`` file of at least
+    ``FAN_OUT_MIN_BYTES`` with ``fh`` at line 2 is shared: ``max_rows`` of
+    ``np.loadtxt`` does not count a line that it skips. The rows must make
+    whole epochs of n, the count of rows at the top with the first row's
+    epoch. Each share's process (``selc_lab.run_shares``) parses its lines
+    from the path, in blocks, checks them as a whole file is checked
+    (``_group_epochs``) and writes only their losses and epoch numbers to
+    shared arrays. Blocks that do not rise from share to share are put in
+    order here, with a copy. A share whose lines do not parse into as many
+    finite rows raises the rescan's ``FormatError``. Any other fault, a
+    dead child or an epoch in two shares included, gives None, and the
+    whole parse then raises its own error or loads the file."""
+    lines = fh.lines
+    total = lines.count - 1
+    shareable = lines.plain and lines.size >= FAN_OUT_MIN_BYTES and fh.tell() == lines.head
+    workers = fork_workers(total) if shareable else 1
     if workers < 2:
         return None
-    n = _first_epoch_rows(path, fh.lines.head, total // 2)
+    n = _first_epoch_rows(path, lines.head, total // 2)
     if n is None or n < MIN_SAMPLES or total % n:
         return None
     count = total // n
     workers = min(workers, count)
     # share j is epochs cuts[j] .. cuts[j + 1] - 1, counted from the top
     cuts = [j * count // workers for j in range(workers + 1)]
-    # imported only here, so that a small file does not load it
-    import mmap
+    losses = shared((count, n), np.float64)
+    epochs = shared(count, np.int64)
+    # raised[j]: share j's lines did not parse
+    raised = shared(workers, np.bool_)
+    # an absolute path, which np.loadtxt cannot take for a URL
+    source = os.path.abspath(path)
 
-    losses = np.frombuffer(mmap.mmap(-1, count * n * 8), np.float64).reshape(count, n)
-    epochs = np.frombuffer(mmap.mmap(-1, count * 8), np.int64)
-
-    def keep(j, rows):
+    def parse(j):
         first, stop = cuts[j], cuts[j + 1]
-        share_epochs = rows["epoch"]
-        starts, share_n = _group_epochs(path, share_epochs, rows["sample_id"], rows["loss"])
+        size = (stop - first) * n
+        try:
+            rows = np.loadtxt(source, dtype=LOSSES_COLUMNS, delimiter=",", comments=None, ndmin=1,
+                              skiprows=1 + first * n, max_rows=size)
+            if rows.size != size or not finite(rows):
+                raise ValueError("rows missing or not finite")
+        except ValueError:
+            raised[j] = True
+            raise
+        starts, share_n = _group_epochs(path, rows["epoch"], rows["sample_id"], rows["loss"])
         if share_n != n:
             # not shown: the whole parse names the epoch
             raise FormatError(f"{path}: epochs of {share_n} samples, not {n}")
         losses[first:stop] = rows["loss"].reshape(-1, n)
-        epochs[first:stop] = share_epochs[starts]
+        epochs[first:stop] = rows["epoch"][starts]
 
-    bounds = [1 + cut * n for cut in cuts]
-    if not parse_shares(path, np.dtype(LOSSES_COLUMNS), bounds, keep):
+    if not run_shares(workers, parse):
+        if raised.any() and (bad := first_bad_line(path, LOSSES_COLUMNS)):
+            raise bad
         return None
     if (epochs[1:] > epochs[:-1]).all():
         return epochs, losses

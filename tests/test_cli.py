@@ -186,6 +186,12 @@ def test_run_verb_empty_trials(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, trials=[])
     assert main(["run", str(cfg)]) == 0
     assert "no trials ran" in capsys.readouterr().out
+    # an alpha sweep says so too
+    (tmp_path / "sweep").mkdir()
+    cfg = write_tiny_config(tmp_path / "sweep", trials=[],
+                            method={"name": "selc", "alpha": [0.5, 0.9], "activation_epoch": 1})
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["no trials ran"]
 
 
 def test_run_verb_alpha_sweep_output(tmp_path, capsys):
@@ -411,6 +417,27 @@ def test_inspect_verb_prints_no_warm_phase_for_ce(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(tmp_path / "run")]) == 0
     assert not any(line.startswith("trial ") for line in capsys.readouterr().out.splitlines())
+
+
+def test_inspect_verb_lists_the_failed_trials_of_a_sweep(tmp_path, capsys):
+    acc = {"mean": 0.5, "stddev": 0.0}
+    runs = {"0.5": {"last_epoch_test_acc": acc, "activation_epochs": {"1": 1},
+                    "failed": {"2": "training diverged"}},
+            "0.9": {"last_epoch_test_acc": None, "activation_epochs": {},
+                    "failed": {"1": "boom", "2": "bang"}}}
+    summary = {"alpha_sweep": ["0.5", "0.9"], "runs": runs, "test_acc_spread": 0.0}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert main(["inspect", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alpha sweep: 0.5, 0.9",
+        "  alpha 0.5: test acc 0.5 +/- 0",
+        "    trial 1: activation epoch 1",
+        "    trial 2 failed: training diverged",
+        "  alpha 0.9: no completed trials",
+        "    trial 1 failed: boom",
+        "    trial 2 failed: bang",
+        "spread: 0",
+    ]
 
 
 def test_inspect_verb_missing_dir(tmp_path, capsys):

@@ -19,8 +19,8 @@ import selc_lab.turning as turning
 from selc_lab.data import load_csv_dataset, save_csv_dataset
 from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
-from selc_lab.tables import FAN_OUT_MIN_BYTES
 from selc_lab.turning import (
+    FAN_OUT_MIN_BYTES,
     FAN_OUT_MIN_ELEMENTS,
     compute_metric_series,
     load_loss_snapshots,
@@ -88,6 +88,30 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", refusing_fork)
     return attempts
 
+
+# --- selc_lab.shared, the arrays through which a child hands back results ---
+
+@pytest.mark.parametrize("shape, dtype", [((3, 5), np.float64), (7, np.int64), (4, np.bool_)],
+                         ids=["matrix", "vector", "flags"])
+def test_a_shared_array_shows_the_parent_what_a_child_wrote(forks, shape, dtype):
+    array = selc_lab.shared(shape, dtype)
+    assert array.shape == np.empty(shape).shape and array.dtype == dtype
+    assert array.flags.c_contiguous and array.flags.writeable
+    assert not array.any()
+    # every element nonzero, so that each one the child missed shows
+    want = (np.arange(array.size) + 1).astype(dtype).reshape(shape)
+
+    def write_in_the_child(j):
+        if j == 1:
+            array[...] = want
+
+    assert selc_lab.run_shares(2, write_in_the_child)
+    assert len(forks) == 1
+    assert array.tobytes() == want.tobytes()
+    assert_no_child_left()
+
+
+# --- the fan-out of compute_metric_series ---
 
 def test_fanned_out_series_equals_in_process_series(forks):
     if not fans_out():
@@ -202,7 +226,7 @@ def read_losses_rows(path):
 def one_process(load, path):
     """``load(path)`` with the fork rule saying no, as one process reads."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tables, "fork_workers", lambda tasks: 1)
+        patch.setattr(turning, "fork_workers", lambda tasks: 1)
         return load(path)
 
 

@@ -9,10 +9,10 @@ from scipy import integrate, stats
 
 from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
-from selc_lab.tables import FAN_OUT_MIN_BYTES
 from selc_lab.turning import (
     EM_MAX_ITER,
     EM_TOL,
+    FAN_OUT_MIN_BYTES,
     VARIANCE_FLOOR,
     GmmFit,
     MetricSeries,
