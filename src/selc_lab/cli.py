@@ -195,7 +195,8 @@ def main(argv=None) -> int:
         if args.verb == "inspect":
             return _cmd_inspect(args)
         return _cmd_make_blobs(args)
-    except (ParameterError, FormatError, FileNotFoundError, TypeError) as exc:
+    except (ParameterError, FormatError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError, ValueError, MemoryError, json.JSONDecodeError) as exc:

@@ -7,8 +7,8 @@ what every trial of a run reads: the dataset of any kind (blobs generated,
 CSV and IDX files parsed) and the noise model (a mapping file read once).
 So a malformed input is a config error rather than a failure in every
 trial, and both stay on the config, as ``data`` and ``transition``, for
-the run. Fields annotated ``int``, ``float`` or ``bool`` take values of
-that type only; an integer is a float too.
+the run. Fields annotated ``int``, ``float``, ``bool`` or ``str`` take
+values of that type only; an integer is a float too.
 """
 
 import os
@@ -306,9 +306,6 @@ def _resolve_paths(cfg: ExperimentConfig, base_dir: str) -> None:
         value = getattr(getattr(cfg, section), name)
         if value is not None and not os.path.isabs(value):
             setattr(getattr(cfg, section), name, os.path.normpath(os.path.join(base_dir, value)))
-    # check before resolving: "" would otherwise normalize into base_dir itself
-    if not isinstance(cfg.out_dir, str) or cfg.out_dir == "":
-        raise ParameterError("out_dir must be a nonempty string")
     if not os.path.isabs(cfg.out_dir):
         cfg.out_dir = os.path.normpath(os.path.join(base_dir, cfg.out_dir))
 
@@ -320,7 +317,8 @@ def _build_section(cls, data, section):
         raise ParameterError(f"config section {section!r} must be a mapping")
     unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ParameterError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+        raise ParameterError(f"unknown keys in config section {section!r}: "
+                             f"{sorted(unknown, key=str)}")
     return cls(**data)
 
 
@@ -329,7 +327,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ParameterError("config root must be a mapping")
     unknown = set(data) - {"dataset", "noise", "model", "optimizer", "method", "trials", "out_dir"}
     if unknown:
-        raise ParameterError(f"unknown top-level config keys: {sorted(unknown)}")
+        raise ParameterError(f"unknown top-level config keys: {sorted(unknown, key=str)}")
     cfg = ExperimentConfig(
         dataset=_build_section(DatasetSpecConfig, data.get("dataset"), "dataset"),
         noise=_build_section(NoiseSpecConfig, data.get("noise"), "noise"),
@@ -339,6 +337,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         trials=data.get("trials", [0]),
         out_dir=data.get("out_dir", "out"),
     )
+    # checked before the paths resolve: "" would normalize into base_dir
+    # itself, and only a string is a path
+    _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
+    check_field_types(cfg)
     _resolve_paths(cfg, base_dir)
     validate_config(cfg)
     return cfg

@@ -46,6 +46,8 @@ _FIELD_TYPES = {
                                                       and all(map(_is_number, v))),
                           "a number or a nonempty list of numbers"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    str | None: (lambda v: v is None or isinstance(v, str), "a string"),
 }
 
 

@@ -3,12 +3,11 @@ losses. Each such file is a header line, which its loader checks, then one
 row per line; empty lines are skipped. Only printable ASCII, tab, CR and
 LF may appear in it.
 
-``read_rows`` parses a file with one ``np.loadtxt`` call in this process.
-The scan of its bytes that ``open_text`` makes anyway counts its lines
-and tells whether each LF ends one row, which is what a parse in shares
-of lines needs (``turning.load_loss_snapshots``). Such a parse checks
-its rows with ``finite`` and names a bad line with ``first_bad_line``,
-as ``read_rows`` does."""
+``read_rows`` parses a file, or a window of its lines, with one
+``np.loadtxt`` call in this process. The scan of its bytes that
+``open_text`` makes anyway counts its lines and tells whether each LF
+ends one row, which is what a parse in windows of lines needs
+(``turning.load_loss_snapshots``)."""
 
 import math
 import warnings
@@ -30,12 +29,11 @@ SCAN_CHUNK = 1 << 16
 
 class Lines(NamedTuple):
     """What the scan of ``open_text`` saw of a file: its ``size`` in
-    bytes, the offset ``head`` where its second line starts, its ``count``
-    of LF bytes, and whether it is ``plain``: no CR, no empty line and an
-    LF at the end, so that each LF ends one row or the header."""
+    bytes, its ``count`` of LF bytes, and whether it is ``plain``: no CR,
+    no empty line and an LF at the end, so that each LF ends one row or
+    the header."""
 
     size: int
-    head: int | None
     count: int
     plain: bool
 
@@ -45,15 +43,13 @@ def open_text(path):
     only ``TEXT_BYTES``; a stray byte is a ``FormatError`` naming its line.
     The file's ``lines`` attribute holds the ``Lines`` of the scan."""
     size = count = 0
-    head, plain, last = None, True, b"\n"
+    plain, last = True, b"\n"
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(SCAN_CHUNK), b""):
             if chunk.translate(None, TEXT_BYTES):
                 raise _first_stray_line(path)
             # numpy counts bytes about three times as fast as bytes.count
             lf = np.frombuffer(chunk, np.uint8) == 0x0A
-            if head is None and lf.any():
-                head = size + int(lf.argmax()) + 1
             count += int(np.count_nonzero(lf))
             size += len(chunk)
             # an empty line is two LFs in a row, across chunks too, or an
@@ -62,31 +58,39 @@ def open_text(path):
                      and not (lf[1:] & lf[:-1]).any())
             last = chunk[-1:]
     fh = open(path)
-    fh.lines = Lines(size, head, count, plain and last == b"\n")
+    fh.lines = Lines(size, count, plain and last == b"\n")
     return fh
 
 
-def read_rows(path, fh, columns) -> np.ndarray:
-    """The comma-separated rows left in ``fh``, opened on ``path`` by
-    ``open_text`` and read past its header, as a 1-D structured array of
-    dtype ``columns`` (``(name, float, (width,))`` for ``width`` floats),
-    parsed by one ``np.loadtxt`` call in this process. If that call
-    raises, or a float is not finite, a rescan with Python's
-    ``int``/``float`` names the bad line."""
+def read_rows(path, source, columns, skiprows=0, max_rows=None) -> np.ndarray:
+    """The comma-separated rows that one ``np.loadtxt`` call in this
+    process reads from ``source`` as a 1-D structured array of dtype
+    ``columns`` (``(name, float, (width,))`` for ``width`` floats).
+    ``source`` is a file opened on ``path`` by ``open_text`` and read past
+    its header, or ``path`` with the window of ``max_rows`` lines after
+    ``skiprows``. A row that does not parse, or a float that is not
+    finite, is a ``FormatError``; for a whole file, a rescan with Python's
+    ``int``/``float`` names its first bad line."""
     dtype = np.dtype(columns)
+
+    def bad(message):
+        return (max_rows is None and _first_bad_line(path, dtype)
+                or FormatError(f"{path}: {message}"))
+
     try:
         with warnings.catch_warnings():
             # a header-only file has zero rows, it is not malformed
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              skiprows=skiprows, max_rows=max_rows)
     except ValueError as exc:
-        raise (first_bad_line(path, dtype) or FormatError(f"{path}: {exc}")) from exc
-    if not finite(rows):
-        raise (first_bad_line(path, dtype) or FormatError(f"{path}: floats must be finite"))
+        raise bad(exc) from exc
+    if not _finite(rows):
+        raise bad("floats must be finite")
     return rows
 
 
-def finite(rows) -> bool:
+def _finite(rows) -> bool:
     """Whether every float field of the structured ``rows`` is finite."""
     return all(np.isfinite(rows[f]).all() for f in rows.dtype.names
                if rows.dtype[f].base.kind == "f")
@@ -117,7 +121,7 @@ def _first_stray_line(path) -> FormatError:
     return FormatError(f"{path}: only printable ASCII, tab, CR and LF may appear")
 
 
-def first_bad_line(path, dtype):
+def _first_bad_line(path, dtype):
     """The ``FormatError`` of the first row of ``dtype`` in ``path`` that
     Python's int and float, held to ``np.loadtxt`` (no 1_000, no ints past
     64 bits), reject; None if none does."""

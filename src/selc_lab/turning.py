@@ -16,10 +16,10 @@ holds epoch i's loss of sample j in column j. ``save_loss_snapshots``
 writes it as ``losses.csv``, ``load_loss_snapshots`` reads it back with
 its epoch numbers, and ``compute_metric_series`` turns it into the three
 series, normalizing one row at a time and sharing the rows between
-forked processes when the matrix is large. A large losses file is parsed
-the same way, in shares of whole epochs (``_load_epoch_shares``). Every
-array through which a forked process hands its results back comes from
-``selc_lab.shared``.
+forked processes when the matrix is large. A large losses file in rising
+epoch blocks, as ``run`` writes it, is loaded the same way, each share a
+small losses file (``_load_epoch_shares``). Every array through which a
+forked process hands its results back comes from ``selc_lab.shared``.
 """
 
 import math
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fork_workers, run_shares, shared
 from .errors import FormatError, ParameterError
-from .tables import finite, first_bad_line, open_text, read_rows
+from .tables import open_text, read_rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -51,14 +51,13 @@ SERIES_HEADER = "epoch,m1,m2,m3"
 # cut-off the fits take about 30 ms, and the half that moves to a second
 # core saves several times what the fork costs.
 FAN_OUT_MIN_ELEMENTS = 50_000
-# a losses file is parsed in epoch shares only from this size on. On 2
-# vCPUs np.loadtxt parses perfbench's losses.csv at about 30 ns per byte,
-# and a fork, the child's exit and its reaping take 5-9 ms. A 4 MiB file
-# in the order run writes loaded in 69 ms in epoch shares against 129 ms
-# in one process (medians of 7, fresh processes); a later measurement on
-# the same host read 95 ms for both (medians of 15 alternating runs), so
-# the shares do not lose at this size.
-FAN_OUT_MIN_BYTES = 1 << 21
+# a losses file is loaded in epoch shares only from this size on. On 2
+# vCPUs (fresh processes, 15 alternating runs each way) the shares took
+# about the CPU time of one process and 1-5 MB less peak RSS, but in wall
+# time lost at 2.5 MB (80 against 76 ms), tied at 4 MiB (120 and 115 ms,
+# within 5 ms either way in five such sets) and won at 16 MB (0.40 s
+# against 0.45 s).
+FAN_OUT_MIN_BYTES = 1 << 22
 
 
 def normalize_losses(losses) -> np.ndarray:
@@ -344,19 +343,22 @@ def load_loss_snapshots(path):
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix.
 
-    A file of at least ``FAN_OUT_MIN_BYTES`` is first parsed in shares of
-    whole epochs (``_load_epoch_shares``), which keep only the losses and
-    the epoch numbers, in a C-contiguous matrix. Any other
-    file, and one whose shares do not hold whole epochs, each once, is
-    parsed whole by ``tables.read_rows`` in this process, and its matrix
-    is a view of the parsed rows, with no second copy of the losses."""
+    A file of at least ``FAN_OUT_MIN_BYTES`` is first loaded in shares of
+    whole epochs (``_load_epoch_shares``) into a C-contiguous matrix. Any
+    other file, or one whose shares do not all load, is parsed whole by
+    ``_epoch_rows`` in this process, and its matrix is a view of the
+    parsed rows."""
     with open_text(path) as fh:
         if fh.readline().rstrip("\n") != LOSSES_HEADER:
             raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
-        loaded = _load_epoch_shares(path, fh)
-        if loaded is not None:
-            return loaded
-        rows = read_rows(path, fh, LOSSES_COLUMNS)
+        return _load_epoch_shares(path, fh) or _epoch_rows(path, fh)
+
+
+def _epoch_rows(path, source, **window):
+    """(epochs, losses) as ``load_loss_snapshots`` returns them, of the
+    rows that ``tables.read_rows`` reads from ``source`` with the line
+    ``window`` it takes, grouped and checked by ``_group_epochs``."""
+    rows = read_rows(path, source, LOSSES_COLUMNS, **window)
     epochs, ids, losses = rows["epoch"], rows["sample_id"], rows["loss"]
     if epochs.size == 0:
         return epochs, np.empty((0, 0))
@@ -394,27 +396,21 @@ def _group_epochs(path, epochs, ids, losses):
 
 
 def _load_epoch_shares(path, fh):
-    """(epochs, losses) as ``load_loss_snapshots`` returns them, from the
-    rows left in ``fh`` parsed in shares of whole epochs; or None if the
-    file must be parsed whole. Only a ``plain`` file of at least
-    ``FAN_OUT_MIN_BYTES`` with ``fh`` at line 2 is shared: ``max_rows`` of
-    ``np.loadtxt`` does not count a line that it skips. The rows must make
-    whole epochs of n, the count of rows at the top with the first row's
-    epoch. Each share's process (``selc_lab.run_shares``) parses its lines
-    from the path, in blocks, checks them as a whole file is checked
-    (``_group_epochs``) and writes only their losses and epoch numbers to
-    shared arrays. Blocks that do not rise from share to share are put in
-    order here, with a copy. A share whose lines do not parse into as many
-    finite rows raises the rescan's ``FormatError``. Any other fault, a
-    dead child or an epoch in two shares included, gives None, and the
-    whole parse then raises its own error or loads the file."""
+    """(epochs, losses) as ``load_loss_snapshots`` returns them, loaded in
+    shares of whole epochs of n rows, n the count at the top with the
+    first row's epoch; or None. Only a ``plain`` file of at least
+    ``FAN_OUT_MIN_BYTES`` is shared: ``max_rows`` of ``np.loadtxt`` does
+    not count a line that it skips. Each share's process
+    (``selc_lab.run_shares``) loads its lines as a small losses file
+    (``_epoch_rows``) into shared arrays. A share that does not load n
+    samples of each of its epochs, a dead child, or epochs that do not
+    rise from share to share give None, and the whole parse follows."""
     lines = fh.lines
     total = lines.count - 1
-    shareable = lines.plain and lines.size >= FAN_OUT_MIN_BYTES and fh.tell() == lines.head
-    workers = fork_workers(total) if shareable else 1
+    workers = fork_workers(total) if lines.plain and lines.size >= FAN_OUT_MIN_BYTES else 1
     if workers < 2:
         return None
-    n = _first_epoch_rows(path, lines.head, total // 2)
+    n = _first_epoch_rows(path, total // 2)
     if n is None or n < MIN_SAMPLES or total % n:
         return None
     count = total // n
@@ -423,48 +419,27 @@ def _load_epoch_shares(path, fh):
     cuts = [j * count // workers for j in range(workers + 1)]
     losses = shared((count, n), np.float64)
     epochs = shared(count, np.int64)
-    # raised[j]: share j's lines did not parse
-    raised = shared(workers, np.bool_)
     # an absolute path, which np.loadtxt cannot take for a URL
     source = os.path.abspath(path)
 
-    def parse(j):
+    def load(j):
         first, stop = cuts[j], cuts[j + 1]
-        size = (stop - first) * n
-        try:
-            rows = np.loadtxt(source, dtype=LOSSES_COLUMNS, delimiter=",", comments=None, ndmin=1,
-                              skiprows=1 + first * n, max_rows=size)
-            if rows.size != size or not finite(rows):
-                raise ValueError("rows missing or not finite")
-        except ValueError:
-            raised[j] = True
-            raise
-        starts, share_n = _group_epochs(path, rows["epoch"], rows["sample_id"], rows["loss"])
-        if share_n != n:
-            # not shown: the whole parse names the epoch
-            raise FormatError(f"{path}: epochs of {share_n} samples, not {n}")
-        losses[first:stop] = rows["loss"].reshape(-1, n)
-        epochs[first:stop] = rows["epoch"][starts]
+        share_epochs, share_losses = _epoch_rows(path, source, skiprows=1 + first * n,
+                                                 max_rows=(stop - first) * n)
+        if share_losses.shape != (stop - first, n):
+            raise FormatError(f"{path}: a share of other than {stop - first} epochs of {n}")
+        losses[first:stop] = share_losses
+        epochs[first:stop] = share_epochs
 
-    if not run_shares(workers, parse):
-        if raised.any() and (bad := first_bad_line(path, LOSSES_COLUMNS)):
-            raise bad
-        return None
-    if (epochs[1:] > epochs[:-1]).all():
-        return epochs, losses
-    order = np.argsort(epochs)
-    epochs = epochs[order]
-    if (epochs[1:] == epochs[:-1]).any():
-        return None
-    return epochs, losses[order]
+    rise = run_shares(workers, load) and (epochs[1:] > epochs[:-1]).all()
+    return (epochs, losses) if rise else None
 
 
-def _first_epoch_rows(path, head, limit):
-    # the count of rows from the top of path, its line 2 at byte head, whose
-    # epoch field is that of the first row, if at most limit
+def _first_epoch_rows(path, limit):
+    # the count of rows at the top of path whose epoch field is that of
+    # the first row, if at most limit
     with open(path, "rb") as raw:
-        raw.seek(head)
-        rows = islice(raw, limit + 1)
+        rows = islice(raw, 1, limit + 2)
         prefix = next(rows).partition(b",")[0] + b","
         for count, line in enumerate(rows, start=1):
             if not line.startswith(prefix):

@@ -112,6 +112,11 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
                   "cluster_std": 0.0001}}, "dataset.num_classes"),
     ({"dataset": {"kind": "csv", "train_csv": "train.csv", "test_csv": "test.csv"}},
      "dataset.train_csv"),
+    # a string field, a path among them, that holds no string
+    ({"method": {"name": ["selc"]}}, "method.name"),
+    ({"noise": {"kind": "asymmetric", "mapping_file": 5}}, "noise.mapping_file"),
+    ({"dataset": {"kind": "csv", "train_csv": 5, "test_csv": "test.csv"}}, "dataset.train_csv"),
+    ({"out_dir": 5}, "out_dir"),
 ])
 def test_run_verb_non_integer_field_is_config_error(monkeypatch, tmp_path, capsys, overrides,
                                                     field):
@@ -670,6 +675,9 @@ MALFORMED = {
     "summary_not_utf8": (inspect_run, "summary.json", lambda raw: b"\xff" + raw, "summary.json"),
     "summary_missing_key": (inspect_run, "summary.json",
                             lambda raw: raw.replace(b'"alpha"', b'"beta"'), "summary.json"),
+    "yaml_int_and_str_keys": (csv_run, "config.yaml",
+                              lambda raw: raw.replace(b"dataset:\n", b"dataset:\n  1: a\n  b: c\n"),
+                              "'dataset': [1, 'b']"),
 }
 
 
@@ -691,3 +699,39 @@ def test_malformed_input_exits_one_and_names_the_file(tmp_path, capsys, case):
                          ids=lambda command: command.__name__)
 def test_unedited_inputs_of_the_malformed_cases_succeed(tmp_path, capsys, command):
     assert main(command(tmp_path)) == 0
+
+
+def blobs_run(tmp_path):
+    (tmp_path / "blobs.yaml").write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2}))
+    return ["make-blobs", str(tmp_path / "blobs.yaml"), str(tmp_path / "data")]
+
+
+# (command, the input that is made a directory)
+DIRECTORY_INPUTS = {
+    "run": (csv_run, "config.yaml"),
+    "detect-turning-point": (detect_run, "losses.csv"),
+    "inspect": (inspect_run, "summary.json"),
+    "make-blobs": (blobs_run, "blobs.yaml"),
+    "dataset.train_csv": (csv_run, "train.csv"),
+    "noise.mapping_file": (csv_run, "pairs.txt"),
+}
+
+
+@pytest.mark.parametrize("case", DIRECTORY_INPUTS)
+def test_a_directory_input_exits_one_and_names_it(tmp_path, capsys, case):
+    command, name = DIRECTORY_INPUTS[case]
+    argv = command(tmp_path)
+    path = tmp_path / name
+    path.unlink()
+    path.mkdir()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err, err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_an_input_under_a_file_exits_one_and_names_it(tmp_path, capsys):
+    path = make_losses_csv(tmp_path) / "losses.csv"
+    assert main(["detect-turning-point", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err, err

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,16 +77,16 @@ def test_trial_artifacts_and_summary(tmp_path):
 
     for seed in (1, 2):
         trial = os.path.join(out, f"trial_{seed}")
-        lines = open(os.path.join(trial, "epochs.csv")).read().splitlines()
+        lines = Path(trial, "epochs.csv").read_text().splitlines()
         assert lines[0] == ",".join(EPOCH_COLUMNS)
         assert len(lines) == 4  # header + 3 epochs
         epochs, losses = load_loss_snapshots(os.path.join(trial, "losses.csv"))
         assert list(epochs) == [0, 1, 2]
         assert losses.shape == (3, 60)
-        ledger = open(os.path.join(trial, "metrics.csv")).read().splitlines()
+        ledger = Path(trial, "metrics.csv").read_text().splitlines()
         assert ledger[0] == "epoch,metric_name,value"
         assert len(ledger) == 1 + 3 * 6  # epochs x diagnostics
-        confusion = open(os.path.join(trial, "confusion_epoch_2.csv")).read().splitlines()
+        confusion = Path(trial, "confusion_epoch_2.csv").read_text().splitlines()
         total = sum(int(v) for line in confusion for v in line.split(","))
         assert total == 60
         checkpoint = os.path.join(trial, "targets_final.txt")
@@ -96,7 +97,7 @@ def test_trial_artifacts_and_summary(tmp_path):
         assert np.array_equal(rows[:, 0], np.arange(60))
         assert np.allclose(rows[:, 1:].sum(axis=1), 1.0)
 
-    on_disk = json.load(open(os.path.join(out, "summary.json")))
+    on_disk = json.loads(Path(out, "summary.json").read_text())
     assert on_disk["completed"] == [1, 2]
 
 
@@ -427,10 +428,10 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(cfg)
     files = ["summary.json", "trial_1/epochs.csv", "trial_1/losses.csv",
              "trial_1/metrics.csv", "trial_1/targets_final.txt"]
-    first = {f: open(os.path.join(cfg.out_dir, f), "rb").read() for f in files}
+    first = {f: Path(cfg.out_dir, f).read_bytes() for f in files}
     run_experiment(cfg)
     for f in files:
-        assert open(os.path.join(cfg.out_dir, f), "rb").read() == first[f], f
+        assert Path(cfg.out_dir, f).read_bytes() == first[f], f
 
 
 def test_alpha_sweep_layout(tmp_path):
@@ -445,7 +446,7 @@ def test_alpha_sweep_layout(tmp_path):
         assert os.path.exists(os.path.join(sub, "summary.json"))
         assert os.path.exists(os.path.join(sub, "trial_1", "epochs.csv"))
         assert summary["runs"][tag]["alpha"] == float(tag)
-    root = json.load(open(os.path.join(cfg.out_dir, "summary.json")))
+    root = json.loads(Path(cfg.out_dir, "summary.json").read_text())
     assert root["alpha_sweep"] == ["0.5", "0.9"]
 
 
@@ -455,7 +456,7 @@ def test_selc_plus_stage_outputs(tmp_path):
     summary = run_experiment(cfg)
     plus = summary["plus_last_epoch_test_acc"]
     assert set(plus["per_trial"]) == {"1"}
-    lines = open(os.path.join(cfg.out_dir, "trial_1", "plus_epochs.csv")).read().splitlines()
+    lines = Path(cfg.out_dir, "trial_1", "plus_epochs.csv").read_text().splitlines()
     assert lines[0] == "epoch,lr,train_loss,train_acc,test_acc"
     assert len(lines) == 3  # header + 2 plus epochs
 
