@@ -9,27 +9,35 @@ targets checkpoint for the correcting methods. One ``summary.json`` sits at
 the run root. Reruns with the same config are byte-identical: no
 timestamps, fixed column orders, 6 significant digits, LF endings.
 
-Every trial is two jobs. The train job runs the trial's one main run,
-whose first epochs are the warm phase of an auto activation, rewound to
-the activation epoch, and the SELC+ retrain. The main run's epoch hook
-writes the epoch's per-sample losses into the trial's shared loss matrix
-and its row of every diagnostic but the separation metrics. The diagnose
-job fits the separation metrics to the loss matrix and writes every
-artifact. Diagnostics never feed back into training: correction reads
-only the previous epoch's predictions.
+Every trial is two jobs, and a ``selc_plus`` trial three. The train job
+runs the trial's one main run, whose first epochs are the warm phase of an
+auto activation, rewound to the activation epoch. The main run's epoch
+hook writes the epoch's per-sample losses into the trial's shared loss
+matrix and its row of every diagnostic but the separation metrics. Once
+it is done, two jobs can start that need nothing of each other: the
+diagnose job fits the separation metrics to the loss matrix and writes
+every artifact of the main run, and for ``selc_plus`` the retrain job
+trains a fresh model with mixup on the final targets and writes
+``plus_epochs.csv``. A trial's outcome is put together when both have
+returned; a failed retrain is the trial's failure, but the diagnosis
+still writes its artifacts. Diagnostics never feed back into training:
+correction reads only the previous epoch's predictions.
 
 A run with more than one trial sends its jobs to forked worker processes,
 one per usable core, when ``selc_lab.fork_workers`` allows: every train
-job first, and each diagnose job as soon as its train job completes, so
-diagnoses run beside the trials still training. The data and each
-trial's loss matrix, an anonymous shared mapping, exist before the
-workers fork; only the epoch rows, the final targets and their
-confusion counts pass through the pool's pipe. In one process the same
-two jobs run one after the other, with the same outputs; there the
-diagnose job's mixture fits fan out over the cores
+job first, and a trial's diagnose and retrain jobs as soon as its train
+job completes, so they run beside the trials still training. The data
+and each trial's loss matrix, an anonymous shared mapping, exist before
+the workers fork; only the epoch rows, the final targets and their
+confusion counts pass through the pool's pipe. A run of one trial runs
+its train job in this process; there, a ``selc_plus`` trial's retrain
+runs in this process while a child forked through
+``selc_lab.run_shares`` diagnoses, when ``fork_workers`` allows. Otherwise
+the jobs run one after the other in this process, with the same outputs;
+there the diagnose job's mixture fits fan out over the cores
 (``turning.compute_metric_series``), which they never do inside a pool
-worker. The data of every dataset kind is built at config load, before
-any worker exists.
+worker or a forked child. The data of every dataset kind is built at
+config load, before any worker exists.
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
@@ -41,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fork_workers, shared
+from . import fork_workers, run_shares, shared
 from .config import AUTO, ExperimentConfig, alpha_values
 from .data import TrainView
 from .diagnostics import (
@@ -121,7 +129,7 @@ def _write_json(data, path) -> None:
 class _TrialResult:
     """A completed trial as ``summary.json`` records it: the ``WARM_FIELDS``
     of its warm phase and the last epoch rows of its main run and, for
-    ``selc_plus``, of its retrain."""
+    ``selc_plus``, of its retrain (else None)."""
 
     seed: int
     activation_epoch: int | None
@@ -144,23 +152,22 @@ class _Run:
 @dataclass
 class _Trained:
     """A train job's result: the ``WARM_FIELDS`` of its warm phase, the main
-    run's epoch rows, all but the separation metrics, the retrain's rows of
-    (epoch, lr, train_loss, train_acc, test_acc), the final targets and
-    their confusion counts against the true labels."""
+    run's epoch rows, all but the separation metrics, the final targets
+    and their confusion counts against the true labels."""
 
     activation_epoch: int | None
     warm: dict
     rows: list
     state: EnsembleState | None
     confusion: np.ndarray
-    plus_rows: list | None
 
 
-def _build_model(cfg: ExperimentConfig, view, seed: int, stream_name: str):
-    """A fresh model for ``view``'s features and classes, initialized from
-    ``stream(seed, stream_name)``, and its optimizer from ``cfg.optimizer``;
-    returns (model, opt)."""
-    dims = [view.features.shape[1], *cfg.model.hidden_dims, view.num_classes]
+def _build_model(cfg: ExperimentConfig, seed: int, stream_name: str):
+    """A fresh model for the training features and classes of ``cfg.data``,
+    initialized from ``stream(seed, stream_name)``, and its optimizer from
+    ``cfg.optimizer``; returns (model, opt)."""
+    train_x, *_, num_classes = cfg.data
+    dims = [train_x.shape[1], *cfg.model.hidden_dims, num_classes]
     model = init_mlp(dims, stream(seed, stream_name), activation=cfg.model.activation)
     opt = make_optimizer(model, base_lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
                          weight_decay=cfg.optimizer.weight_decay,
@@ -185,13 +192,13 @@ def _epoch_row(event, model, test_x, test_y) -> dict:
 
 
 def _train_job(run: _Run, k: int) -> _Trained:
-    """Train job ``k``: the main run and, for ``selc_plus``, the retrain.
-    The main run's epoch hook writes the epoch's losses into the shared
-    matrix and its row, all but the separation metrics. An ``auto``
-    activation's warm phase is the run's start, which estimates the
-    turning point as the earliest argmax of its epochs' separation metric.
-    Once ``detector_patience`` epochs pass without a new maximum, or the
-    run ends, the run resumes at the activation epoch, rewound."""
+    """Train job ``k``: the trial's main run. Its epoch hook writes the
+    epoch's losses into the shared matrix and its row, all but the
+    separation metrics. An ``auto`` activation's warm phase is the run's
+    start, which estimates the turning point as the earliest argmax of its
+    epochs' separation metric. Once ``detector_patience`` epochs pass
+    without a new maximum, or the run ends, the run resumes at the
+    activation epoch, rewound."""
     cfg, method = run.cfg, run.cfg.method
     alpha, seed, trial_dir = run.jobs[k]
     losses = run.losses[k]
@@ -208,7 +215,7 @@ def _train_job(run: _Run, k: int) -> _Trained:
     run_cfg = SelcRunConfig(total_epochs=cfg.optimizer.epochs, activation_epoch=activation_epoch or 0,
                             alpha=alpha, bootstrap_beta=method.beta,
                             mixup_beta_param=method.mixup_beta_param)
-    model, opt = _build_model(cfg, view, seed, "init")
+    model, opt = _build_model(cfg, seed, "init")
     noisy_onehot = one_hot(view.noisy_labels, num_classes)
     rows = []
 
@@ -256,25 +263,34 @@ def _train_job(run: _Run, k: int) -> _Trained:
     _, state, _ = run_training(view, model, opt, run_cfg, method.name, cfg.optimizer.batch_size,
                                seed, epoch_hook=record, first_epoch=activation_epoch if auto else 0)
     confusion = confusion_of_corrections(noisy_onehot if state is None else state.targets, train_y)
-
-    plus_rows = None
-    if method.name == "selc_plus":
-        plus_cfg = replace(run_cfg, total_epochs=method.plus_epochs or cfg.optimizer.epochs)
-        plus_model, plus_opt = _build_model(cfg, view, seed, "plus_init")
-        plus_rows = []
-
-        def record_plus(event):
-            plus_rows.append(_epoch_row(event, plus_model, test_x, test_y))
-
-        run_selc_plus(view.features, state.targets, plus_model, plus_opt, plus_cfg,
-                      cfg.optimizer.batch_size, seed, epoch_hook=record_plus)
-    return _Trained(activation_epoch, warm, rows, state, confusion, plus_rows)
+    return _Trained(activation_epoch, warm, rows, state, confusion)
 
 
-def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
-    """Diagnose job ``k``: the per-epoch separation metrics, fitted to the
-    shared loss matrix, and every artifact of the trial."""
+def _retrain_job(run: _Run, k: int, trained: _Trained) -> list:
+    """Retrain job ``k`` of a ``selc_plus`` trial: a fresh model trained
+    with mixup on the main run's final targets, for ``plus_epochs``
+    epochs. Writes ``plus_epochs.csv`` and returns its rows."""
+    cfg, method = run.cfg, run.cfg.method
     _, seed, trial_dir = run.jobs[k]
+    train_x, _, test_x, test_y, _ = cfg.data
+    plus_cfg = SelcRunConfig(total_epochs=method.plus_epochs or cfg.optimizer.epochs,
+                             mixup_beta_param=method.mixup_beta_param)
+    model, opt = _build_model(cfg, seed, "plus_init")
+    rows = []
+
+    def record(event):
+        rows.append(_epoch_row(event, model, test_x, test_y))
+
+    run_selc_plus(train_x, trained.state.targets, model, opt, plus_cfg,
+                  cfg.optimizer.batch_size, seed, epoch_hook=record)
+    _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS, rows)
+    return rows
+
+
+def _diagnose_job(run: _Run, k: int, trained: _Trained) -> None:
+    """Diagnose job ``k``: the per-epoch separation metrics, fitted to the
+    shared loss matrix, and every artifact of the main run."""
+    trial_dir = run.jobs[k][2]
     losses, rows = run.losses[k], trained.rows
     series = compute_metric_series(np.arange(len(losses)), losses)
     for row, *metrics in zip(rows, series.m1, series.m2, series.m3):
@@ -284,18 +300,10 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> _TrialResult:
     save_loss_snapshots(losses, os.path.join(trial_dir, "losses.csv"))
     append_metrics_ledger(os.path.join(trial_dir, "metrics.csv"),
                           [(row["epoch"], name, row[name]) for row in rows for name in LEDGER_METRICS])
-    last = rows[-1]
     write_confusion_csv(trained.confusion,
-                        os.path.join(trial_dir, f"confusion_epoch_{last['epoch']}.csv"))
+                        os.path.join(trial_dir, f"confusion_epoch_{rows[-1]['epoch']}.csv"))
     if trained.state is not None:
         save_state(trained.state, os.path.join(trial_dir, "targets_final.txt"))
-
-    plus_last = None
-    if trained.plus_rows is not None:
-        plus_last = trained.plus_rows[-1]
-        _write_csv(os.path.join(trial_dir, "plus_epochs.csv"), PLUS_EPOCH_COLUMNS,
-                   trained.plus_rows)
-    return _TrialResult(seed, trained.activation_epoch, trained.warm, last, plus_last)
 
 
 def _aggregate(results, column, plus=False):
@@ -319,12 +327,43 @@ def _outcome(job, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _trial_outcome(run: _Run, k: int, trained, retrained, diagnosed):
+    """Trial ``k``'s outcome from those of its jobs: the first failure
+    message of its train, retrain and diagnose jobs, in that order, or its
+    ``_TrialResult``. ``retrained`` is None for a trial with no retrain."""
+    for outcome in (trained, retrained, diagnosed):
+        if isinstance(outcome, str):
+            return outcome
+    return _TrialResult(run.jobs[k][1], trained.activation_epoch, trained.warm, trained.rows[-1],
+                        None if retrained is None else retrained[-1])
+
+
 def _run_trial(run: _Run, k: int):
-    """Trial ``k`` in this process: its train job, then its diagnose job."""
+    """Trial ``k`` in this process: its train job, then its diagnose job
+    and, for ``selc_plus``, its retrain job. When ``fork_workers`` allows,
+    the retrain runs here while a child forked through ``run_shares``
+    diagnoses; if the child does not finish, the diagnosis runs again here
+    for its error text."""
     trained = _outcome(_train_job, run, k)
-    if isinstance(trained, str):
-        return trained
-    return _outcome(_diagnose_job, run, k, trained)
+    diagnosed = retrained = None
+    if isinstance(trained, _Trained):
+        plus = run.cfg.method.name == "selc_plus"
+        forked = False
+        if plus and fork_workers(2) > 1:
+            def share(j):
+                nonlocal retrained
+                if j == 0:
+                    retrained = _outcome(_retrain_job, run, k, trained)
+                else:
+                    _diagnose_job(run, k, trained)
+
+            forked = run_shares(2, share)
+        # what a share did not finish, this process does
+        if not forked:
+            diagnosed = _outcome(_diagnose_job, run, k, trained)
+        if plus and retrained is None:
+            retrained = _outcome(_retrain_job, run, k, trained)
+    return _trial_outcome(run, k, trained, retrained, diagnosed)
 
 
 # the run a forked worker serves, set by its pool's initializer; the
@@ -337,12 +376,10 @@ def _serve(run: _Run) -> None:
     _WORKER_RUN = run
 
 
-def _train_in_worker(k: int):
-    return _outcome(_train_job, _WORKER_RUN, k)
-
-
-def _diagnose_in_worker(k: int, trained: _Trained):
-    return _outcome(_diagnose_job, _WORKER_RUN, k, trained)
+def _in_worker(job: str, k: int, *args):
+    # the job by its name here, so that a worker calls what this module
+    # holds under that name
+    return _outcome(globals()[job], _WORKER_RUN, k, *args)
 
 
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
@@ -350,10 +387,12 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
 
     Jobs go to as many forked worker processes as ``selc_lab.fork_workers``
     allows for the trials: one per usable core, when there is more than one
-    trial and a fork is safe. Every train job is queued first; a trial's
-    diagnose job is queued when its train job completes, and none is
-    queued for a trial whose training failed. Otherwise the trials run one
-    after another in this process.
+    trial and a fork is safe. Every train job is queued first. When a
+    trial's train job completes, its retrain job, for ``selc_plus``, and
+    its diagnose job are queued; neither is for a trial whose training
+    failed. A trial's outcome is put together once all its jobs have
+    returned. Otherwise the trials run one after another through
+    ``_run_trial``.
     """
     if not jobs:
         return []
@@ -371,25 +410,29 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    outcomes = [None] * len(jobs)
+    # each job's outcome, by job name and trial
+    outcomes = {job: [None] * len(jobs) for job in ("_train_job", "_retrain_job", "_diagnose_job")}
+    after_train = (("_retrain_job", "_diagnose_job") if cfg.method.name == "selc_plus"
+                   else ("_diagnose_job",))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_serve, initargs=(run,)) as pool:
-        pending = {pool.submit(_train_in_worker, k): k for k in range(len(jobs))}
+        pending = {pool.submit(_in_worker, "_train_job", k): ("_train_job", k)
+                   for k in range(len(jobs))}
         try:
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    k = pending.pop(future)
-                    outcome = future.result()
+                    job, k = pending.pop(future)
+                    outcome = outcomes[job][k] = future.result()
                     if isinstance(outcome, _Trained):
-                        pending[pool.submit(_diagnose_in_worker, k, outcome)] = k
-                    else:
-                        outcomes[k] = outcome
+                        for then in after_train:
+                            pending[pool.submit(_in_worker, then, k, outcome)] = (then, k)
         finally:
             # a job that raised ends the run; what has not started is dropped
             for future in pending:
                 future.cancel()
-    return outcomes
+    return [_trial_outcome(run, k, *trial)
+            for k, trial in enumerate(zip(*outcomes.values()))]
 
 
 def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes) -> dict:

@@ -15,9 +15,12 @@ exceptions where the per-call overhead outweighs the arithmetic:
   ``model.biases[l]`` become reshaped views of that vector. ``sgd_step``
   then updates every parameter with a handful of whole-vector operations,
   and refuses to run if a model array was rebound after binding. The
-  backward pass applies biases, activations and the softmax in place.
+  backward pass applies biases, activations and the softmax in place, and
+  writes every layer's gradient into views of one flat vector laid out as
+  the optimizer's, which ``sgd_step`` reads as it is.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +62,33 @@ class MlpModel:
 
 @dataclass
 class Gradients:
-    """Per-layer gradients, shaped exactly like the model parameters."""
+    """Per-layer gradients, shaped exactly like the model parameters.
+
+    ``weights[l]`` and ``biases[l]`` are views of ``flat``, one float64
+    vector laid out as ``OptimizerState.params``: the weights of each layer
+    in order, then the biases. Built without ``flat``, the gradients are
+    copied into a new one.
+    """
 
     weights: list
     biases: list
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = np.concatenate(self.weights + self.biases, axis=None, dtype=np.float64)
+            self.weights, self.biases = _views_like(self.flat, self.weights, self.biases)
+
+
+def _views_like(vector: np.ndarray, weights: list, biases: list):
+    """Views of consecutive slices of ``vector``, shaped like ``weights``
+    and then ``biases``; returns (weight views, bias views)."""
+    views = []
+    offset = 0
+    for a in weights + biases:
+        views.append(vector[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views[:len(weights)], views[len(weights):]
 
 
 def init_mlp(layer_dims, rng: "np.random.Generator", activation: str = "tanh") -> MlpModel:
@@ -192,27 +218,28 @@ def backward(model: MlpModel, batch, targets):
     t = np.asarray(targets, dtype=np.float64)
     acts = _forward_cached(model, x)
     # softmax, clamped log and logit gradient in place over the logits,
-    # each the same elementwise operation as ``softmax`` and ``soft_ce_loss``
+    # each the same elementwise operation as ``softmax`` and ``soft_ce_loss``;
+    # the reductions call the ufuncs that ``ndarray.max`` and ``sum`` wrap
     p = acts[-1]
     if t.shape != p.shape:
         raise DimensionError(f"targets shape {t.shape} != logits shape {p.shape}")
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     log_p = np.maximum(p, LOG_EPS)
     np.log(log_p, out=log_p)
     log_p *= t
-    losses = log_p.sum(axis=-1)
+    losses = np.add.reduce(log_p, axis=-1)
     np.negative(losses, out=losses)
     delta = p
-    delta *= t.sum(axis=1, keepdims=True)
+    delta *= np.add.reduce(t, axis=1, keepdims=True)
     delta -= t
     delta /= x.shape[0]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    flat = np.empty(model.num_parameters)
+    grads_w, grads_b = _views_like(flat, model.weights, model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads_w[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
             # acts[l] is this layer's input, not needed past this point
             upstream = delta @ model.weights[l].T
@@ -224,7 +251,7 @@ def backward(model: MlpModel, batch, targets):
                 # relu(z) > 0 exactly where z > 0
                 upstream *= acts[l] > 0
             delta = upstream
-    return Gradients(weights=grads_w, biases=grads_b), losses
+    return Gradients(weights=grads_w, biases=grads_b, flat=flat), losses
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -277,11 +304,7 @@ def make_optimizer(model: MlpModel, base_lr: float = 0.02, momentum: float = 0.9
     array afterwards detaches it; ``sgd_step`` then raises.
     """
     params = np.concatenate(model.weights + model.biases, axis=None, dtype=np.float64)
-    offset = 0
-    for arrs in (model.weights, model.biases):
-        for l, a in enumerate(arrs):
-            arrs[l] = params[offset:offset + a.size].reshape(a.shape)
-            offset += a.size
+    model.weights[:], model.biases[:] = _views_like(params, model.weights, model.biases)
     return OptimizerState(
         momentum=momentum,
         weight_decay=weight_decay,
@@ -296,7 +319,7 @@ def make_optimizer(model: MlpModel, base_lr: float = 0.02, momentum: float = 0.9
 
 
 def lr_at(state: OptimizerState, epoch: int) -> float:
-    drops = sum(1 for m in state.milestones if epoch >= m)
+    drops = bisect.bisect_right(state.milestones, epoch)
     return state.base_lr / state.decay_factor ** drops
 
 
@@ -312,7 +335,7 @@ def sgd_step(model: MlpModel, grads: Gradients, state: OptimizerState, epoch: in
     if len(arrays) != len(state.bound) or any(a is not b for a, b in zip(arrays, state.bound)):
         raise ParameterError("model parameters were rebound after make_optimizer; "
                              "the optimizer would update a stale copy")
-    g = np.concatenate(grads.weights + grads.biases, axis=None)
+    g = grads.flat
     if g.shape != state.params.shape:
         raise DimensionError(f"gradients hold {g.size} values, the model {state.params.size}")
     if not np.isfinite(g).all():

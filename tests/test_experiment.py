@@ -18,6 +18,7 @@ import selc_lab.noise as noise
 from selc_lab.config import config_from_dict
 from selc_lab.data import BlobSpec, TrainView, generate_blobs, save_csv_dataset
 from selc_lab.diagnostics import correction_accuracy, memorization_stats
+from selc_lab.errors import TrainingDivergenceError
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
     _aggregate,
@@ -112,7 +113,7 @@ def test_diagnosed_rows_match_an_inline_epoch_hook(tmp_path, method):
     train_x, train_y, test_x, test_y, num_classes = cfg.data
     noisy = inject_noise(train_y, build_symmetric_q(num_classes, 0.4), 1)
     view = TrainView(train_x, noisy, num_classes)
-    model, opt = experiment._build_model(cfg, view, 1, "init")
+    model, opt = experiment._build_model(cfg, 1, "init")
     noisy_onehot = one_hot(noisy, num_classes)
     rows, losses = [], []
 
@@ -178,7 +179,7 @@ def ce_m1_series(cfg):
         per_sample, _ = soft_ce_loss(noisy_onehot, event.probs)
         m1.append(metric_m1(fit_gmm2(normalize_losses(per_sample))))
 
-    model, opt = experiment._build_model(cfg, view, 1, "init")
+    model, opt = experiment._build_model(cfg, 1, "init")
     run_training(view, model, opt, SelcRunConfig(total_epochs=cfg.optimizer.epochs), "ce",
                  16, 1, epoch_hook=observe)
     return m1
@@ -330,7 +331,7 @@ def test_failing_trial_is_isolated(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(cfg.out_dir, "trial_2", "diagnose_job.pid"))
 
 
-def test_failing_diagnose_job_stays_with_its_trial(tmp_path):
+def test_failing_diagnose_job_stays_with_its_trial(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, trials=[1, 2, 3])
     # a directory where trial 2's epochs.csv belongs makes its write fail
     os.makedirs(os.path.join(cfg.out_dir, "trial_2", "epochs.csv"))
@@ -340,6 +341,54 @@ def test_failing_diagnose_job_stays_with_its_trial(tmp_path):
     assert summary["failed"]["2"].startswith("IsADirectoryError: ")
     for seed in (1, 3):
         assert os.path.exists(os.path.join(cfg.out_dir, f"trial_{seed}", "losses.csv"))
+
+    # one selc_plus trial: the diagnosis fails in its forked child, and
+    # this process diagnoses again for the error text
+    calls = tmp_path / "diagnose_calls"
+    real = experiment._diagnose_job
+
+    def logged(run, k, trained):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(run, k, trained)
+
+    monkeypatch.setattr(experiment, "_diagnose_job", logged)
+    cfg = tiny_config(tmp_path, method={"name": "selc_plus", "plus_epochs": 2}, trials=[1],
+                      out_dir="plus")
+    os.makedirs(os.path.join(cfg.out_dir, "trial_1", "epochs.csv"))
+    summary = run_experiment(cfg)
+    assert summary["completed"] == []
+    assert summary["failed"]["1"].startswith("IsADirectoryError: ")
+    pids = calls.read_text().split()
+    if selc_lab.fork_workers(2) > 1:
+        assert len(pids) == 2 and pids[0] != pids[1] == str(os.getpid())
+    else:
+        assert pids == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("trials", [[1], [1, 2]], ids=["one_trial", "pool"])
+def test_failing_retrain_fails_its_trial_after_its_diagnosis(tmp_path, monkeypatch, trials):
+    real = experiment.run_selc_plus
+
+    def diverging(features, targets, model, opt, cfg, batch_size, seed, **kwargs):
+        if seed == 1:
+            raise TrainingDivergenceError("nonfinite gradient at epoch 0")
+        return real(features, targets, model, opt, cfg, batch_size, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_selc_plus", diverging)
+    cfg = tiny_config(tmp_path, method={"name": "selc_plus", "plus_epochs": 2}, trials=trials)
+    summary = run_experiment(cfg)
+    # the summary a failed retrain has always written
+    assert summary["failed"] == {"1": "TrainingDivergenceError: nonfinite gradient at epoch 0"}
+    assert summary["completed"] == trials[1:]
+    if trials[1:]:
+        assert list(summary["plus_last_epoch_test_acc"]["per_trial"]) == ["2"]
+    else:
+        assert summary["empty"] and summary["plus_last_epoch_test_acc"] is None
+    # the diagnosis of the main run is written all the same
+    trial = Path(cfg.out_dir, "trial_1")
+    assert sorted(os.listdir(trial)) == ["confusion_epoch_2.csv", "epochs.csv", "losses.csv",
+                                         "metrics.csv", "targets_final.txt"]
 
 
 def test_csv_files_parsed_once_per_run(tmp_path, monkeypatch):
@@ -486,9 +535,10 @@ def read_tree(root):
 
 
 def record_pids(monkeypatch):
-    """Make every train and diagnose job write the id of the process that
-    ran it to ``train_job.pid`` and ``diagnose_job.pid`` in its trial."""
-    for name in ("_train_job", "_diagnose_job"):
+    """Make every train, diagnose and retrain job write the id of the
+    process that ran it to ``train_job.pid``, ``diagnose_job.pid`` and
+    ``retrain_job.pid`` in its trial."""
+    for name in ("_train_job", "_diagnose_job", "_retrain_job"):
         real = getattr(experiment, name)
 
         def recording(run, k, *args, real=real, name=name):
@@ -500,9 +550,9 @@ def record_pids(monkeypatch):
         monkeypatch.setattr(experiment, name, recording)
 
 
-def job_pids(cfg, seed):
+def job_pids(cfg, seed, jobs=("train", "diagnose")):
     pids = []
-    for job in ("train", "diagnose"):
+    for job in jobs:
         with open(os.path.join(cfg.out_dir, f"trial_{seed}", f"{job}_job.pid")) as fh:
             pids.append(fh.read())
     return pids
@@ -580,6 +630,27 @@ def test_one_trial_runs_in_process(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, trials=[1])
     run_experiment(cfg)
     assert job_pids(cfg, 1) == [str(os.getpid())] * 2
+
+
+def test_one_selc_plus_trial_diagnoses_beside_its_retrain(tmp_path, monkeypatch):
+    if selc_lab.fork_workers(2) < 2:
+        pytest.skip("trials run in-process here")
+    plus = {"method": {"name": "selc_plus", "plus_epochs": 3}, "trials": [1]}
+    with monkeypatch.context() as patch:
+        record_pids(patch)
+        cfg = tiny_config(tmp_path, **plus, out_dir="forked")
+        run_experiment(cfg)
+        train, diagnose, retrain = job_pids(cfg, 1, ("train", "diagnose", "retrain"))
+        assert train == retrain == str(os.getpid()) != diagnose
+        for job in ("train", "diagnose", "retrain"):
+            os.remove(os.path.join(cfg.out_dir, "trial_1", f"{job}_job.pid"))
+    forked = read_tree(cfg.out_dir)
+
+    monkeypatch.setattr(experiment, "fork_workers", lambda tasks: 1)
+    cfg = tiny_config(tmp_path, **plus, out_dir="in_process")
+    run_experiment(cfg)
+    assert len(forked) == 1 + 6
+    assert forked == read_tree(cfg.out_dir)
 
 
 def import_report(env, numpy_first=False):
