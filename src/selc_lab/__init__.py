@@ -8,18 +8,18 @@ the estimated memorization turning point.
 Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1; a value the
 caller set is kept). The matmuls here are too small to gain from a BLAS
-thread pool; a run's trials, the per-epoch mixture fits of a loss matrix
+thread pool; a run's jobs, the per-epoch mixture fits of a loss matrix
 and the parse of a large losses file go to forked processes instead, one
 per core. The default only takes effect if numpy is not imported yet.
 ``BLAS_PINNED`` records whether BLAS runs one thread: numpy was imported
 after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
-share its work; ``experiment._run_jobs``, ``turning.compute_metric_series``
-and ``turning._load_epoch_shares`` all ask it. ``run_shares`` is the one
-place the last two fork, run a share in each child and reap them, and
-``shared`` makes every array through which a forked process hands its
-results back.
+share its work; ``experiment._run_jobs`` (through ``config.run_workers``),
+``turning.compute_metric_series`` and ``turning._load_epoch_shares`` all
+ask it. ``fork_child`` is the one place that forks, for the job loop of
+``_run_jobs`` and for ``run_shares``, which serves the last two; ``shared``
+makes every array through which a forked process writes its results.
 """
 
 import os
@@ -40,7 +40,7 @@ def _pin_blas_threads() -> bool:
 # importing any selc_lab module runs this first, before its numpy import
 # starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
-# a process with another pid was forked after the import: a pool worker or
+# a process with another pid was forked after the import: a job's child or
 # a fan-out child, whose siblings already hold the other cores
 _IMPORT_PID = os.getpid()
 
@@ -48,7 +48,7 @@ _IMPORT_PID = os.getpid()
 def fork_workers(tasks: int) -> int:
     """How many processes may share ``tasks`` independent tasks: one per
     usable core, at most one per task. It is 1, this process alone, unless
-    a fork is safe and this process is not itself a forked worker. Safe
+    a fork is safe and this process is not itself a forked child. Safe
     means nothing runs beside this thread that a fork could catch holding
     a lock: BLAS runs one thread and no other Python thread is alive; and
     ``os.fork`` and ``os.sched_getaffinity`` exist."""
@@ -58,27 +58,33 @@ def fork_workers(tasks: int) -> int:
     return max(1, min(tasks, len(os.sched_getaffinity(0))))
 
 
+def fork_child(call) -> int:
+    """Fork a child that runs ``call()`` and leaves through ``os._exit``, 0
+    if the call returned and 1 if it raised, so it runs none of this
+    process's exit code; returns its pid, for the caller to reap."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            call()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 def run_shares(workers: int, share) -> bool:
     """Call ``share(j)`` for each j in 0..workers-1: j = 0 in this process,
-    every other j in a forked child that leaves through ``os._exit``, so it
-    runs none of this process's exit code. Every child is reaped before
-    this returns, also when this process's own share raises. True if every
-    share returned; False if a fork failed, a share raised or a child
-    died, and the caller then redoes what is missing. Take ``workers``
-    from ``fork_workers``."""
+    every other j in a child forked through ``fork_child``. Every child is
+    reaped before this returns, also when this process's own share raises.
+    True if every share returned; False if a fork failed, a share raised
+    or a child died, and the caller then redoes what is missing. Take
+    ``workers`` from ``fork_workers``."""
     children = []
     ok = False
     try:
         for j in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    share(j)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append(pid)
+            children.append(fork_child(lambda j=j: share(j)))
         share(0)
         ok = True
     except Exception:

@@ -97,7 +97,7 @@ class ExperimentConfig:
     trials: list[int]
     out_dir: str
     # the run's inputs, built once by validate_config for every trial; a
-    # run's forked workers inherit them: the dataset's (train_x, train_y,
+    # run's forked children inherit them: the dataset's (train_x, train_y,
     # test_x, test_y, num_classes) and the noise model
     data: tuple | None = field(default=None, repr=False, compare=False)
     transition: TransitionMatrix | None = field(default=None, repr=False, compare=False)
@@ -243,28 +243,42 @@ def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_clas
 
     The estimate is a floor of what the run maps at once: the data; the
     (epochs, n) float64 loss matrices of ``experiment._run_jobs``, one per
-    trial when trials run in forked workers; in each process that trains
-    at once, the snapshot buffers of ``mlp.predict_proba`` (n rows of
-    every layer's width) and the weights, with their momentum, scratch
-    and gradient vectors; and a C x C matrix, which bounds the noise model
-    and each trial's confusion counts."""
+    trial when its jobs run in forked children (``run_workers``); in each
+    process that trains at once, at most one per trial, the snapshot
+    buffers of ``mlp.predict_proba`` (n rows of every layer's width) and
+    the weights, with their momentum, scratch and gradient vectors; and a
+    C x C matrix, which bounds the noise model and each trial's confusion
+    counts."""
     epochs, hidden = cfg.optimizer.epochs, cfg.model.hidden_dims
     widths = [*hidden, num_classes]
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip([dim, *hidden], widths))
-    alphas = len(alpha_values(cfg.method)) if METHODS[cfg.method.name] is not None else 1
-    jobs = alphas * len(cfg.trials)
-    workers = fork_workers(jobs)
+    trials = _trial_count(cfg)
+    workers = run_workers(cfg)
+    training = min(workers, trials)
     n_field, dim_field, class_field = fields
     # the layer widths are named by the classes once they outnumber the
     # hidden units
     width_field = class_field if num_classes > sum(hidden) else "model.hidden_dims"
     check_memory([
         data_memory(n, test_n, dim, (n_field, dim_field)),
-        (8 * (jobs if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
-        (8 * workers * n * sum(widths), {n_field: n, width_field: sum(widths)}),
-        (8 * workers * 4 * params, {dim_field: dim, width_field: max(widths)}),
+        (8 * (trials if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
+        (8 * training * n * sum(widths), {n_field: n, width_field: sum(widths)}),
+        (8 * training * 4 * params, {dim_field: dim, width_field: max(widths)}),
         (8 * num_classes**2, {class_field: num_classes}),
     ])
+
+
+def _trial_count(cfg: ExperimentConfig) -> int:
+    """Every seed of ``cfg``, times every alpha of a correcting method."""
+    alphas = len(alpha_values(cfg.method)) if METHODS[cfg.method.name] is not None else 1
+    return alphas * len(cfg.trials)
+
+
+def run_workers(cfg: ExperimentConfig) -> int:
+    """How many processes run a run's jobs at once: ``fork_workers`` of the
+    most jobs that can be ready at once, two per ``selc_plus`` trial (retrain
+    and diagnose) and one per other trial. Below 2, none forks."""
+    return fork_workers(_trial_count(cfg) * (2 if cfg.method.name == "selc_plus" else 1))
 
 
 def data_memory(n: int, test_n: int, dim: int, fields):

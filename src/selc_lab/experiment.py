@@ -11,46 +11,40 @@ timestamps, fixed column orders, 6 significant digits, LF endings.
 
 Every trial is two jobs, and a ``selc_plus`` trial three. The train job
 runs the trial's one main run, whose first epochs are the warm phase of an
-auto activation, rewound to the activation epoch. The main run's epoch
-hook writes the epoch's per-sample losses into the trial's shared loss
-matrix and its row of every diagnostic but the separation metrics. Once
-it is done, two jobs can start that need nothing of each other: the
-diagnose job fits the separation metrics to the loss matrix and writes
-every artifact of the main run, and for ``selc_plus`` the retrain job
-trains a fresh model with mixup on the final targets and writes
-``plus_epochs.csv``. A trial's outcome is put together when both have
-returned; a failed retrain is the trial's failure, but the diagnosis
-still writes its artifacts. Diagnostics never feed back into training:
-correction reads only the previous epoch's predictions.
+auto activation, rewound to the activation epoch; its epoch hook writes
+the epoch's per-sample losses into the trial's shared loss matrix and its
+row of every diagnostic but the separation metrics. Then two jobs can run
+that need nothing of each other: the diagnose job fits the separation
+metrics to the loss matrix and writes every artifact of the main run, and
+for ``selc_plus`` the retrain job trains a fresh model with mixup on the
+final targets and writes ``plus_epochs.csv``. A failed retrain is the
+trial's failure, but the diagnosis still writes its artifacts. Diagnostics
+never feed back into training: correction reads only the previous epoch's
+predictions.
 
-A run with more than one trial sends its jobs to forked worker processes,
-one per usable core, when ``selc_lab.fork_workers`` allows: every train
-job first, and a trial's diagnose and retrain jobs as soon as its train
-job completes, so they run beside the trials still training. The data
-and each trial's loss matrix, an anonymous shared mapping, exist before
-the workers fork; only the epoch rows, the final targets and their
-confusion counts pass through the pool's pipe. A run of one trial runs
-its train job in this process; there, a ``selc_plus`` trial's retrain
-runs in this process while a child forked through
-``selc_lab.run_shares`` diagnoses, when ``fork_workers`` allows. Otherwise
-the jobs run one after the other in this process, with the same outputs;
-there the diagnose job's mixture fits fan out over the cores
-(``turning.compute_metric_series``), which they never do inside a pool
-worker or a forked child. The data of every dataset kind is built at
-config load, before any worker exists.
+When ``config.run_workers`` allows, each job runs in a child forked for it
+alone: first every train job, then a trial's retrain and diagnose jobs as
+soon as its train job returns, beside the trials still training. The data
+and each trial's loss matrix, a shared mapping, exist before the first
+fork; only a job's outcome comes back, pickled through the child's pipe.
+Otherwise each trial runs its jobs one after the other in this process,
+with the same outputs; only there do the diagnose job's mixture fits fan
+out over the cores (``turning.compute_metric_series``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
 
 import json
 import os
+import pickle
+import select
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fork_workers, run_shares, shared
-from .config import AUTO, ExperimentConfig, alpha_values
+from . import fork_child, shared
+from .config import AUTO, ExperimentConfig, alpha_values, run_workers
 from .data import TrainView
 from .diagnostics import (
     append_metrics_ledger,
@@ -320,7 +314,7 @@ def _aggregate(results, column, plus=False):
 
 def _outcome(job, *args):
     """Call a job; a failure comes back as its message, so it stays with
-    its trial whether the job ran in a worker or in-process."""
+    its trial whether the job ran in a child or in-process."""
     try:
         return job(*args)
     except (ValueError, RuntimeError, OSError) as exc:
@@ -340,97 +334,84 @@ def _trial_outcome(run: _Run, k: int, trained, retrained, diagnosed):
 
 def _run_trial(run: _Run, k: int):
     """Trial ``k`` in this process: its train job, then its diagnose job
-    and, for ``selc_plus``, its retrain job. When ``fork_workers`` allows,
-    the retrain runs here while a child forked through ``run_shares``
-    diagnoses; if the child does not finish, the diagnosis runs again here
-    for its error text."""
+    and, for ``selc_plus``, its retrain job."""
     trained = _outcome(_train_job, run, k)
     diagnosed = retrained = None
     if isinstance(trained, _Trained):
-        plus = run.cfg.method.name == "selc_plus"
-        forked = False
-        if plus and fork_workers(2) > 1:
-            def share(j):
-                nonlocal retrained
-                if j == 0:
-                    retrained = _outcome(_retrain_job, run, k, trained)
-                else:
-                    _diagnose_job(run, k, trained)
-
-            forked = run_shares(2, share)
-        # what a share did not finish, this process does
-        if not forked:
-            diagnosed = _outcome(_diagnose_job, run, k, trained)
-        if plus and retrained is None:
+        diagnosed = _outcome(_diagnose_job, run, k, trained)
+        if run.cfg.method.name == "selc_plus":
             retrained = _outcome(_retrain_job, run, k, trained)
     return _trial_outcome(run, k, trained, retrained, diagnosed)
 
 
-# the run a forked worker serves, set by its pool's initializer; the
-# fork hands the run over without pickling its data or shared mappings
-_WORKER_RUN = None
-
-
-def _serve(run: _Run) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = run
-
-
-def _in_worker(job: str, k: int, *args):
-    # the job by its name here, so that a worker calls what this module
-    # holds under that name
-    return _outcome(globals()[job], _WORKER_RUN, k, *args)
+def _send(pipe: int, job, run: _Run, k: int, args) -> None:
+    """A job's child: pickle into the write end ``pipe`` the job's outcome,
+    or the exception that ``_outcome`` let through."""
+    try:
+        outcome = _outcome(job, run, k, *args)
+    except Exception as exc:
+        outcome = exc
+    with open(pipe, "wb") as fh:
+        pickle.dump(outcome, fh)
 
 
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
-    Jobs go to as many forked worker processes as ``selc_lab.fork_workers``
-    allows for the trials: one per usable core, when there is more than one
-    trial and a fork is safe. Every train job is queued first. When a
-    trial's train job completes, its retrain job, for ``selc_plus``, and
-    its diagnose job are queued; neither is for a trial whose training
-    failed. A trial's outcome is put together once all its jobs have
-    returned. Otherwise the trials run one after another through
-    ``_run_trial``.
+    With ``config.run_workers`` of 2 or more, one loop forks a child per
+    job, at most that many at once: every train job first, then a trial's
+    retrain (for ``selc_plus``) and diagnose jobs once it has trained. It
+    reads each pipe while its child runs, as an outcome can outgrow a pipe,
+    then reaps the child. Otherwise ``_run_trial`` runs each trial here.
     """
     if not jobs:
         return []
-    workers = fork_workers(len(jobs))
+    workers = run_workers(cfg)
     shape = (cfg.optimizer.epochs, cfg.data[0].shape[0])
-    # made before the workers fork, so that a trial's two jobs see the same
-    # pages; trials in this process run one at a time and share one matrix
+    # made before the first fork, so that a trial's jobs see the same pages;
+    # trials in this process run one at a time and share one matrix
     losses = ([shared(shape, np.float64) for _ in jobs] if workers > 1
               else [shared(shape, np.float64)] * len(jobs))
     run = _Run(cfg, jobs, losses)
     if workers < 2:
         return [_run_trial(run, k) for k in range(len(jobs))]
-    # imported only here: at module level they would lengthen the start-up
-    # of every selc-lab command
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    # each job's outcome, by job name and trial
-    outcomes = {job: [None] * len(jobs) for job in ("_train_job", "_retrain_job", "_diagnose_job")}
-    after_train = (("_retrain_job", "_diagnose_job") if cfg.method.name == "selc_plus"
-                   else ("_diagnose_job",))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_serve, initargs=(run,)) as pool:
-        pending = {pool.submit(_in_worker, "_train_job", k): ("_train_job", k)
-                   for k in range(len(jobs))}
-        try:
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    job, k = pending.pop(future)
-                    outcome = outcomes[job][k] = future.result()
-                    if isinstance(outcome, _Trained):
-                        for then in after_train:
-                            pending[pool.submit(_in_worker, then, k, outcome)] = (then, k)
-        finally:
-            # a job that raised ends the run; what has not started is dropped
-            for future in pending:
-                future.cancel()
+    by_name = {"train": _train_job, "retrain": _retrain_job, "diagnose": _diagnose_job}
+    outcomes = {name: [None] * len(jobs) for name in by_name}
+    after_train = ("retrain", "diagnose") if cfg.method.name == "selc_plus" else ("diagnose",)
+    ready = deque(("train", k, ()) for k in range(len(jobs)))
+    running = {}  # a child's read end: (pid, job name, trial, what it sent so far)
+    try:
+        while ready or running:
+            while ready and len(running) < workers:
+                name, k, args = ready.popleft()
+                read_end, write_end = os.pipe()
+                pid = fork_child(lambda: _send(write_end, by_name[name], run, k, args))
+                os.close(write_end)
+                running[read_end] = (pid, name, k, bytearray())
+            for read_end in select.select(list(running), [], [])[0]:
+                chunk = os.read(read_end, 1 << 16)
+                if chunk:
+                    running[read_end][3].extend(chunk)
+                    continue
+                pid, name, k, sent = running.pop(read_end)
+                os.close(read_end)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code:
+                    ended = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
+                    outcome = f"ChildProcessError: the process of the {name} job {ended}"
+                else:
+                    outcome = pickle.loads(sent)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                outcomes[name][k] = outcome
+                if isinstance(outcome, _Trained):
+                    ready.extend((then, k, (outcome,)) for then in after_train)
+    finally:
+        # what has not started is dropped
+        for read_end, (pid, *_) in running.items():
+            os.close(read_end)  # a child blocked on its full pipe gets EPIPE
+            os.waitpid(pid, 0)
     return [_trial_outcome(run, k, *trial)
             for k, trial in enumerate(zip(*outcomes.values()))]
 
@@ -438,13 +419,9 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
 def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes) -> dict:
     """Write and return one alpha's ``summary.json`` from its trial outcomes,
     given in ``cfg.trials`` order."""
-    ordered = []
-    failures = {}
-    for seed, outcome in zip(cfg.trials, outcomes):
-        if isinstance(outcome, str):
-            failures[str(seed)] = outcome
-        else:
-            ordered.append(outcome)
+    failures = {str(seed): outcome for seed, outcome in zip(cfg.trials, outcomes)
+                if isinstance(outcome, str)}
+    ordered = [outcome for outcome in outcomes if not isinstance(outcome, str)]
 
     summary = {
         "empty": len(ordered) == 0,

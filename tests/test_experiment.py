@@ -2,6 +2,8 @@ import csv
 import itertools
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -12,6 +14,7 @@ import pytest
 import yaml
 
 import selc_lab
+import selc_lab.config as config
 import selc_lab.data as data
 import selc_lab.experiment as experiment
 import selc_lab.noise as noise
@@ -342,8 +345,8 @@ def test_failing_diagnose_job_stays_with_its_trial(tmp_path, monkeypatch):
     for seed in (1, 3):
         assert os.path.exists(os.path.join(cfg.out_dir, f"trial_{seed}", "losses.csv"))
 
-    # one selc_plus trial: the diagnosis fails in its forked child, and
-    # this process diagnoses again for the error text
+    # one selc_plus trial: the diagnosis fails once, in its own child when
+    # a fork is safe, and the trial fails with its message
     calls = tmp_path / "diagnose_calls"
     real = experiment._diagnose_job
 
@@ -360,10 +363,8 @@ def test_failing_diagnose_job_stays_with_its_trial(tmp_path, monkeypatch):
     assert summary["completed"] == []
     assert summary["failed"]["1"].startswith("IsADirectoryError: ")
     pids = calls.read_text().split()
-    if selc_lab.fork_workers(2) > 1:
-        assert len(pids) == 2 and pids[0] != pids[1] == str(os.getpid())
-    else:
-        assert pids == [str(os.getpid())]
+    assert len(pids) == 1
+    assert (pids[0] == str(os.getpid())) is (selc_lab.fork_workers(2) < 2)
 
 
 @pytest.mark.parametrize("trials", [[1], [1, 2]], ids=["one_trial", "pool"])
@@ -535,26 +536,28 @@ def read_tree(root):
 
 
 def record_pids(monkeypatch):
-    """Make every train, diagnose and retrain job write the id of the
+    """Make every train, diagnose and retrain job append the id of the
     process that ran it to ``train_job.pid``, ``diagnose_job.pid`` and
-    ``retrain_job.pid`` in its trial."""
+    ``retrain_job.pid`` in its trial, one line each time it runs."""
     for name in ("_train_job", "_diagnose_job", "_retrain_job"):
         real = getattr(experiment, name)
 
         def recording(run, k, *args, real=real, name=name):
             result = real(run, k, *args)
-            with open(os.path.join(run.jobs[k][2], name.strip("_") + ".pid"), "w") as fh:
-                fh.write(str(os.getpid()))
+            with open(os.path.join(run.jobs[k][2], name.strip("_") + ".pid"), "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return result
 
         monkeypatch.setattr(experiment, name, recording)
 
 
 def job_pids(cfg, seed, jobs=("train", "diagnose")):
+    """The pid that ran each of ``jobs`` of trial ``seed``; a job that ran
+    twice gives two lines, which no pid equals."""
     pids = []
     for job in jobs:
         with open(os.path.join(cfg.out_dir, f"trial_{seed}", f"{job}_job.pid")) as fh:
-            pids.append(fh.read())
+            pids.append(fh.read().strip())
     return pids
 
 
@@ -580,7 +583,7 @@ def test_cli_run_matches_in_process_trials(tmp_path, monkeypatch):
     {"name": "ce"},
 ])
 def test_three_trial_cli_run_matches_in_process_trials(tmp_path, monkeypatch, method):
-    # three trials on a pool of two workers: a diagnose job runs beside the
+    # three trials, two children at a time: a diagnose job runs beside the
     # third train job
     overrides = {"method": method, "trials": [1, 2, 3]}
     path = tmp_path / "config.yaml"
@@ -640,17 +643,125 @@ def test_one_selc_plus_trial_diagnoses_beside_its_retrain(tmp_path, monkeypatch)
         record_pids(patch)
         cfg = tiny_config(tmp_path, **plus, out_dir="forked")
         run_experiment(cfg)
-        train, diagnose, retrain = job_pids(cfg, 1, ("train", "diagnose", "retrain"))
-        assert train == retrain == str(os.getpid()) != diagnose
+        # each job once, in a child of its own, and none in this process
+        pids = job_pids(cfg, 1, ("train", "diagnose", "retrain"))
+        assert len({*pids, str(os.getpid())}) == 4
+        assert all(pid.isdigit() for pid in pids)
         for job in ("train", "diagnose", "retrain"):
             os.remove(os.path.join(cfg.out_dir, "trial_1", f"{job}_job.pid"))
     forked = read_tree(cfg.out_dir)
 
-    monkeypatch.setattr(experiment, "fork_workers", lambda tasks: 1)
+    monkeypatch.setattr(config, "fork_workers", lambda tasks: 1)
     cfg = tiny_config(tmp_path, **plus, out_dir="in_process")
     run_experiment(cfg)
     assert len(forked) == 1 + 6
     assert forked == read_tree(cfg.out_dir)
+
+
+@pytest.mark.parametrize("death, ended", [
+    (lambda: os._exit(3), "exited with code 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit_code", "signal"])
+def test_dead_child_fails_only_its_trial(tmp_path, monkeypatch, death, ended):
+    cfg = tiny_config(tmp_path, trials=[1, 2, 3])
+    if config.run_workers(cfg) < 2:
+        pytest.skip("trials run in-process here")
+    real = experiment._train_job
+    this = os.getpid()
+
+    def dying(run, k):
+        if run.jobs[k][1] == 2 and os.getpid() != this:
+            death()
+        return real(run, k)
+
+    monkeypatch.setattr(experiment, "_train_job", dying)
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 3]
+    assert summary["failed"] == {"2": f"ChildProcessError: the process of the train job {ended}"}
+    # a trial whose training died gets no diagnose job
+    assert not os.path.exists(os.path.join(cfg.out_dir, "trial_2", "epochs.csv"))
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+def test_uncaught_job_exception_ends_the_run(tmp_path, monkeypatch, forked):
+    real = experiment._diagnose_job
+
+    def broken(run, k, trained):
+        if run.jobs[k][1] == 2:
+            raise KeyError("injected")
+        return real(run, k, trained)
+
+    monkeypatch.setattr(experiment, "_diagnose_job", broken)
+    if not forked:
+        monkeypatch.setattr(config, "fork_workers", lambda tasks: 1)
+    cfg = tiny_config(tmp_path, trials=[1, 2, 3])
+    with pytest.raises(KeyError, match="injected"):
+        run_experiment(cfg)
+    assert not os.path.exists(os.path.join(cfg.out_dir, "summary.json"))
+    # every child was reaped before the exception left the run
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_outcomes_larger_than_a_pipe_come_back_whole(tmp_path, monkeypatch):
+    big = {"dataset": {"n": 3000}, "trials": [1, 2]}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(tiny_config_data(**big, out_dir="cli")))
+    # a parent that read no pipe before reaping would wait here for ever
+    subprocess.run([sys.executable, "-c", RUN_CLI, "run", str(path)],
+                   env=child_env(), check=True, timeout=120, capture_output=True)
+
+    sizes = []
+    real = experiment._train_job
+
+    def sized(run, k):
+        trained = real(run, k)
+        sizes.append(len(pickle.dumps(trained)))
+        return trained
+
+    monkeypatch.setattr(experiment, "_train_job", sized)
+    monkeypatch.setattr(config, "fork_workers", lambda tasks: 1)
+    cfg = tiny_config(tmp_path, **big, out_dir="in_process")
+    run_experiment(cfg)
+    assert len(sizes) == 2 and min(sizes) > 64 * 1024  # more than a pipe buffer holds
+    in_process = read_tree(cfg.out_dir)
+    assert len(in_process) == 1 + 2 * 5
+    assert read_tree(tmp_path / "cli") == in_process
+
+
+def test_a_run_imports_no_process_pool(tmp_path):
+    code = """
+import json, sys
+import selc_lab.experiment as experiment
+from selc_lab.config import config_from_dict
+
+cfg = config_from_dict(json.loads(sys.argv[1]), base_dir=sys.argv[2])
+summary = experiment.run_experiment(cfg)
+print(summary["completed"], [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+"""
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(tiny_config_data(trials=[1, 2, 3])),
+                          str(tmp_path)], env=child_env(), check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[0] == "[1, 2, 3] []"
+
+
+@pytest.mark.parametrize("overrides, ready", [
+    ({"method": {"name": "selc_plus", "plus_epochs": 2}, "trials": [1]}, 2),
+    ({"trials": [1, 2, 3]}, 3),
+    ({"method": {"alpha": [0.5, 0.9]}}, 4),
+], ids=["one_selc_plus_trial", "three_selc_trials", "two_alpha_sweep"])
+def test_memory_floor_and_job_loop_ask_for_one_worker_count(tmp_path, monkeypatch, overrides,
+                                                            ready):
+    asked = []
+
+    def recording(tasks):
+        asked.append(tasks)
+        return 1
+
+    monkeypatch.setattr(config, "fork_workers", recording)
+    cfg = tiny_config(tmp_path, **overrides)  # the memory check asks first
+    run_experiment(cfg)
+    assert asked == [ready, ready]
 
 
 def import_report(env, numpy_first=False):
