@@ -344,9 +344,12 @@ def _run_trial(run: _Run, k: int):
     return _trial_outcome(run, k, trained, retrained, diagnosed)
 
 
-def _send(pipe: int, job, run: _Run, k: int, args) -> None:
-    """A job's child: pickle into the write end ``pipe`` the job's outcome,
-    or the exception that ``_outcome`` let through."""
+def _send(pipe: int, read_ends, job, run: _Run, k: int, args) -> None:
+    """A job's child: close the ``read_ends`` of its own and its older
+    siblings' pipes, so that the parent is each pipe's one reader; then
+    pickle into ``pipe`` the job's outcome or what ``_outcome`` let through."""
+    for read_end in read_ends:
+        os.close(read_end)
     try:
         outcome = _outcome(job, run, k, *args)
     except Exception as exc:
@@ -362,7 +365,8 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     job, at most that many at once: every train job first, then a trial's
     retrain (for ``selc_plus``) and diagnose jobs once it has trained. It
     reads each pipe while its child runs, as an outcome can outgrow a pipe,
-    then reaps the child. Otherwise ``_run_trial`` runs each trial here.
+    then reaps the child. A job whose child dies or does not start fails
+    its trial. Otherwise ``_run_trial`` runs each trial here.
     """
     if not jobs:
         return []
@@ -386,9 +390,17 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
             while ready and len(running) < workers:
                 name, k, args = ready.popleft()
                 read_end, write_end = os.pipe()
-                pid = fork_child(lambda: _send(write_end, by_name[name], run, k, args))
-                os.close(write_end)
-                running[read_end] = (pid, name, k, bytearray())
+                read_ends = [*running, read_end]
+                try:
+                    pid = fork_child(lambda: _send(write_end, read_ends, by_name[name], run, k, args))
+                    running[read_end] = (pid, name, k, bytearray())
+                except OSError as exc:
+                    os.close(read_end)
+                    outcomes[name][k] = f"OSError: the process of the {name} job did not start: {exc}"
+                finally:
+                    os.close(write_end)
+            if not running:
+                break  # the last jobs did not start
             for read_end in select.select(list(running), [], [])[0]:
                 chunk = os.read(read_end, 1 << 16)
                 if chunk:

@@ -525,6 +525,22 @@ def child_env(**extra):
     return env
 
 
+def run_bounded(args, timeout=120):
+    """Run ``args`` in a session of its own and return its stdout; on a
+    timeout, kill the whole session, the job children included, so that
+    none is left blocked on its pipe."""
+    proc = subprocess.Popen(args, env=child_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    return out
+
+
 def read_tree(root):
     tree = {}
     for dirpath, _, files in os.walk(root):
@@ -703,13 +719,68 @@ def test_uncaught_job_exception_ends_the_run(tmp_path, monkeypatch, forked):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_uncaught_exception_beside_big_outcomes_ends_the_run(tmp_path):
+    # three children at once: trial 3's train job raises while trials 1
+    # and 2 train towards outcomes larger than a pipe holds; a child that
+    # kept a copy of its own read end or an older sibling's would stay
+    # blocked on its full pipe, and the run would wait for ever
+    code = """
+import json, sys, time
+import selc_lab.config as config
+import selc_lab.experiment as experiment
+from selc_lab.config import config_from_dict
+
+config.fork_workers = lambda tasks: 3
+real = experiment._train_job
+
+def broken(run, k):
+    if run.jobs[k][1] == 3:
+        raise KeyError("injected")
+    time.sleep(1)  # still training when the exception comes back
+    return real(run, k)
+
+experiment._train_job = broken
+cfg = config_from_dict(json.loads(sys.argv[1]), base_dir=sys.argv[2])
+try:
+    experiment.run_experiment(cfg)
+except KeyError as exc:
+    print("raised", exc)
+"""
+    big = tiny_config_data(dataset={"n": 3000}, trials=[1, 2, 3])
+    out = run_bounded([sys.executable, "-c", code, json.dumps(big), str(tmp_path)])
+    assert out == "raised 'injected'\n"
+    assert not (tmp_path / big["out_dir"] / "summary.json").exists()
+
+
+def test_failed_fork_fails_only_its_trial(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, trials=[1, 2, 3])
+    if config.run_workers(cfg) < 2:
+        pytest.skip("trials run in-process here")
+    real = experiment.fork_child
+    calls = []
+
+    def failing(call):
+        calls.append(call)
+        if len(calls) == 2:  # trial 2's train job: the train jobs fork first
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real(call)
+
+    monkeypatch.setattr(experiment, "fork_child", failing)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    summary = run_experiment(cfg)
+    assert summary["completed"] == [1, 3]
+    assert summary["failed"] == {
+        "2": "OSError: the process of the train job did not start: "
+             "[Errno 11] Resource temporarily unavailable"}
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # its pipe was closed
+
+
 def test_outcomes_larger_than_a_pipe_come_back_whole(tmp_path, monkeypatch):
     big = {"dataset": {"n": 3000}, "trials": [1, 2]}
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(tiny_config_data(**big, out_dir="cli")))
     # a parent that read no pipe before reaping would wait here for ever
-    subprocess.run([sys.executable, "-c", RUN_CLI, "run", str(path)],
-                   env=child_env(), check=True, timeout=120, capture_output=True)
+    run_bounded([sys.executable, "-c", RUN_CLI, "run", str(path)])
 
     sizes = []
     real = experiment._train_job
