@@ -252,9 +252,8 @@ def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_clas
     epochs, hidden = cfg.optimizer.epochs, cfg.model.hidden_dims
     widths = [*hidden, num_classes]
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip([dim, *hidden], widths))
-    trials = _trial_count(cfg)
+    trials = len(run_alphas(cfg)) * len(cfg.trials)
     workers = run_workers(cfg)
-    training = min(workers, trials)
     n_field, dim_field, class_field = fields
     # the layer widths are named by the classes once they outnumber the
     # hidden units
@@ -262,23 +261,25 @@ def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_clas
     check_memory([
         data_memory(n, test_n, dim, (n_field, dim_field)),
         (8 * (trials if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
-        (8 * training * n * sum(widths), {n_field: n, width_field: sum(widths)}),
-        (8 * training * 4 * params, {dim_field: dim, width_field: max(widths)}),
+        (8 * min(workers, trials) * n * sum(widths), {n_field: n, width_field: sum(widths)}),
+        (8 * min(workers, trials) * 4 * params, {dim_field: dim, width_field: max(widths)}),
         (8 * num_classes**2, {class_field: num_classes}),
     ])
 
 
-def _trial_count(cfg: ExperimentConfig) -> int:
-    """Every seed of ``cfg``, times every alpha of a correcting method."""
-    alphas = len(alpha_values(cfg.method)) if METHODS[cfg.method.name] is not None else 1
-    return alphas * len(cfg.trials)
+def run_alphas(cfg: ExperimentConfig) -> list:
+    """The alphas at which a run trains every seed: each alpha of a
+    correcting method, else the first one, which the method does not read."""
+    alphas = alpha_values(cfg.method)
+    return alphas if METHODS[cfg.method.name] is not None else alphas[:1]
 
 
 def run_workers(cfg: ExperimentConfig) -> int:
     """How many processes run a run's jobs at once: ``fork_workers`` of the
     most jobs that can be ready at once, two per ``selc_plus`` trial (retrain
     and diagnose) and one per other trial. Below 2, none forks."""
-    return fork_workers(_trial_count(cfg) * (2 if cfg.method.name == "selc_plus" else 1))
+    return fork_workers(len(run_alphas(cfg)) * len(cfg.trials)
+                        * (2 if cfg.method.name == "selc_plus" else 1))
 
 
 def data_memory(n: int, test_n: int, dim: int, fields):

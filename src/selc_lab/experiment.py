@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fork_child, shared
-from .config import AUTO, ExperimentConfig, alpha_values, run_workers
+from .config import AUTO, ExperimentConfig, run_alphas, run_workers
 from .data import TrainView
 from .diagnostics import (
     append_metrics_ledger,
@@ -362,12 +362,10 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
     With ``config.run_workers`` of 2 or more, one loop forks a child per
-    job, at most that many at once: every train job first, then a trial's
-    retrain (for ``selc_plus``) and diagnose jobs once it has trained. It
-    reads each pipe while its child runs, as an outcome can outgrow a pipe,
-    then reaps the child. A job whose child dies or does not start fails
-    its trial. Otherwise ``_run_trial`` runs each trial here.
-    """
+    job, at most that many at once, in the order of the module docstring.
+    It reads each pipe while its child runs, as an outcome can outgrow a
+    pipe, then reaps the child. A job whose child dies or does not start
+    fails its trial. Otherwise ``_run_trial`` runs each trial here."""
     if not jobs:
         return []
     workers = run_workers(cfg)
@@ -389,16 +387,19 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
         while ready or running:
             while ready and len(running) < workers:
                 name, k, args = ready.popleft()
-                read_end, write_end = os.pipe()
-                read_ends = [*running, read_end]
                 try:
-                    pid = fork_child(lambda: _send(write_end, read_ends, by_name[name], run, k, args))
+                    read_end, write_end = os.pipe()
+                    read_ends = [*running, read_end]
+                    try:
+                        pid = fork_child(lambda: _send(write_end, read_ends, by_name[name], run, k, args))
+                    except OSError:
+                        os.close(read_end)
+                        raise
+                    finally:
+                        os.close(write_end)
                     running[read_end] = (pid, name, k, bytearray())
                 except OSError as exc:
-                    os.close(read_end)
                     outcomes[name][k] = f"OSError: the process of the {name} job did not start: {exc}"
-                finally:
-                    os.close(write_end)
             if not running:
                 break  # the last jobs did not start
             for read_end in select.select(list(running), [], [])[0]:
@@ -461,10 +462,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Every (alpha, seed) trial of the run is one trial for ``_run_jobs``.
     """
     out_dir = os.environ.get("SELC_OUT_DIR") or cfg.out_dir
-    alphas = alpha_values(cfg.method)
-    sweep = METHODS[cfg.method.name] is not None and len(alphas) > 1
-    if not sweep:
-        alphas = alphas[:1]
+    alphas = run_alphas(cfg)
+    sweep = len(alphas) > 1
     alpha_dirs = [os.path.join(out_dir, f"alpha_{a:g}") if sweep else out_dir for a in alphas]
     for alpha_dir in alpha_dirs:
         os.makedirs(alpha_dir, exist_ok=True)

@@ -752,27 +752,31 @@ except KeyError as exc:
     assert not (tmp_path / big["out_dir"] / "summary.json").exists()
 
 
-def test_failed_fork_fails_only_its_trial(tmp_path, monkeypatch):
+@pytest.mark.parametrize("step", ["pipe", "fork_child"])
+def test_a_job_that_does_not_start_fails_only_its_trial(tmp_path, monkeypatch, step):
+    # trial 2's train job, whose pipe does not open or whose child does not
+    # fork: the train jobs start first
     cfg = tiny_config(tmp_path, trials=[1, 2, 3])
     if config.run_workers(cfg) < 2:
         pytest.skip("trials run in-process here")
-    real = experiment.fork_child
+    owner = os if step == "pipe" else experiment
+    real = getattr(owner, step)
     calls = []
 
-    def failing(call):
-        calls.append(call)
-        if len(calls) == 2:  # trial 2's train job: the train jobs fork first
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
             raise BlockingIOError(11, "Resource temporarily unavailable")
-        return real(call)
+        return real(*args)
 
-    monkeypatch.setattr(experiment, "fork_child", failing)
+    monkeypatch.setattr(owner, step, failing)
     open_fds = len(os.listdir("/proc/self/fd"))
     summary = run_experiment(cfg)
     assert summary["completed"] == [1, 3]
     assert summary["failed"] == {
         "2": "OSError: the process of the train job did not start: "
              "[Errno 11] Resource temporarily unavailable"}
-    assert len(os.listdir("/proc/self/fd")) == open_fds  # its pipe was closed
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # no pipe was left open
 
 
 def test_outcomes_larger_than_a_pipe_come_back_whole(tmp_path, monkeypatch):
