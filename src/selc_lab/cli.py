@@ -9,8 +9,8 @@ import json
 import os
 import sys
 
-from .config import check_memory, data_memory, load_config, read_yaml
-from .data import BlobSpec, generate_blobs, held_out_n, save_csv_dataset
+from .config import check_memory, data_memory, from_mapping, load_config, read_yaml
+from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
 from .experiment import WARM_FIELDS, run_experiment
 from .turning import (
@@ -166,15 +166,12 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_make_blobs(args) -> int:
     raw = read_yaml(args.spec)
-    if not isinstance(raw, dict):
-        raise ParameterError(f"{args.spec}: expected a mapping of blob fields")
     try:
-        spec = BlobSpec(**raw)
-        test_n = held_out_n(spec.n, spec.test_n)
-        check_memory([data_memory(spec.n, test_n, spec.dim, ("n", "dim"))])
+        spec = from_mapping(BlobSpec, raw, "the blob spec")
+        check_memory([data_memory(spec.n, spec.test_n, spec.dim, ("n", "dim"))])
         # both splits exist before either file is written
         splits = [(split, *generate_blobs(spec, split=split)) for split in ("train", "test")]
-    except (ParameterError, TypeError) as exc:
+    except ParameterError as exc:
         raise ParameterError(f"{args.spec}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     for split, features, labels in splits:

@@ -13,11 +13,11 @@ values of that type only; an integer is a float too.
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import fork_workers
-from .data import BlobSpec, check_field_types, generate_blobs, held_out_n, load_dataset_files
-from .errors import ParameterError
+from .data import BlobSpec, check_field_types, generate_blobs, load_dataset_files
+from .errors import ParameterError, require
 from .mlp import ACTIVATIONS
 from .noise import TransitionMatrix, build_asymmetric_q, build_symmetric_q, load_mapping
 from .rng import check_seed
@@ -110,75 +110,76 @@ def alpha_values(method: MethodSpecConfig) -> list:
     return [float(method.alpha)]
 
 
-def _require(cond, message):
-    if not cond:
-        raise ParameterError(message)
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
+    """Check ``cfg`` and build its ``data`` and ``transition``: first
+    ``out_dir`` and the field types, then, with relative paths resolved
+    against ``base_dir``, the values."""
     ds, noise, model, opt, method = cfg.dataset, cfg.noise, cfg.model, cfg.optimizer, cfg.method
+    # checked before the paths resolve: "" would normalize into base_dir
+    # itself, and only a string is a path
+    require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
     check_field_types(cfg)
-    check_seed(ds.seed, "dataset.seed")
+    _resolve_paths(cfg, base_dir)
     for seed in cfg.trials:
         check_seed(seed, "trials")
-    _require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
+    require(ds.kind in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
     if ds.kind == "blobs":
-        _require(ds.num_classes >= 2, f"dataset.num_classes must be >= 2, got {ds.num_classes}")
-        _require(ds.n >= max(ds.num_classes, MIN_SAMPLES),
-                 f"dataset.n must be >= num_classes and >= {MIN_SAMPLES}, got {ds.n}")
-        test_n = held_out_n(ds.n, ds.test_n)
-        _require(test_n >= ds.num_classes,
-                 f"dataset.test_n (default n // 4) must be >= num_classes, got {test_n}")
-        _require(ds.dim >= 1, f"dataset.dim must be >= 1, got {ds.dim}")
-        _require(ds.cluster_std > 0, f"dataset.cluster_std must be positive, got {ds.cluster_std}")
+        # the turning-point fit's floor; BlobSpec checks n against num_classes
+        require(ds.n >= MIN_SAMPLES, f"dataset.n must be >= num_classes and >= {MIN_SAMPLES}, got {ds.n}")
+        try:
+            spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
+                            cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
+        except ParameterError as exc:
+            raise ParameterError(f"dataset.{exc}") from exc
         num_classes = ds.num_classes
     else:
+        check_seed(ds.seed, "dataset.seed")  # read by blobs only, where BlobSpec checks it
         names = (("train_images", "train_labels", "test_images", "test_labels")
                  if ds.kind == "idx" else ("train_csv", "test_csv"))
         for name in names:
             path = getattr(ds, name)
-            _require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
-            _require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
+            require(path is not None, f"dataset.{name} is required for kind {ds.kind!r}")
+            require(os.path.exists(path), f"dataset.{name}: no such file: {path}")
         cfg.data = load_dataset_files(ds)
-        _require(cfg.data[1].size >= MIN_SAMPLES,
-                 f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
-                 f"got {cfg.data[1].size}")
+        require(cfg.data[1].size >= MIN_SAMPLES,
+                f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
+                f"got {cfg.data[1].size}")
         num_classes = cfg.data[4]
 
-    _require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
+    require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
-        _require(0.0 <= noise.eta < 1.0, f"noise.eta must be in [0, 1), got {noise.eta}")
+        require(0.0 <= noise.eta < 1.0, f"noise.eta must be in [0, 1), got {noise.eta}")
     if noise.kind == "asymmetric":
-        _require(noise.mapping_file is not None, "noise.mapping_file is required for asymmetric noise")
-        _require(os.path.exists(noise.mapping_file),
-                 f"noise.mapping_file: no such file: {noise.mapping_file}")
+        require(noise.mapping_file is not None, "noise.mapping_file is required for asymmetric noise")
+        require(os.path.exists(noise.mapping_file),
+                f"noise.mapping_file: no such file: {noise.mapping_file}")
         mapping = load_mapping(noise.mapping_file)
 
-    _require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
-    _require(all(h >= 1 for h in model.hidden_dims),
-             f"model.hidden_dims must be positive, got {model.hidden_dims}")
-    _require(model.activation in ACTIVATIONS,
-             f"model.activation must be one of {ACTIVATIONS}, got {model.activation!r}")
+    require(len(model.hidden_dims) >= 1, "model.hidden_dims must list at least one layer width")
+    require(all(h >= 1 for h in model.hidden_dims),
+            f"model.hidden_dims must be positive, got {model.hidden_dims}")
+    require(model.activation in ACTIVATIONS,
+            f"model.activation must be one of {ACTIVATIONS}, got {model.activation!r}")
 
-    _require(opt.lr > 0, f"optimizer.lr must be positive, got {opt.lr}")
-    _require(0.0 <= opt.momentum < 1.0, f"optimizer.momentum must be in [0, 1), got {opt.momentum}")
-    _require(opt.weight_decay >= 0, f"optimizer.weight_decay must be >= 0, got {opt.weight_decay}")
-    _require(opt.decay_factor > 1.0, f"optimizer.decay_factor must exceed 1, got {opt.decay_factor}")
-    _require(opt.batch_size >= 1, f"optimizer.batch_size must be >= 1, got {opt.batch_size}")
-    _require(opt.epochs >= 1, f"optimizer.epochs must be >= 1, got {opt.epochs}")
+    require(opt.lr > 0, f"optimizer.lr must be positive, got {opt.lr}")
+    require(0.0 <= opt.momentum < 1.0, f"optimizer.momentum must be in [0, 1), got {opt.momentum}")
+    require(opt.weight_decay >= 0, f"optimizer.weight_decay must be >= 0, got {opt.weight_decay}")
+    require(opt.decay_factor > 1.0, f"optimizer.decay_factor must exceed 1, got {opt.decay_factor}")
+    require(opt.batch_size >= 1, f"optimizer.batch_size must be >= 1, got {opt.batch_size}")
+    require(opt.epochs >= 1, f"optimizer.epochs must be >= 1, got {opt.epochs}")
     ms = list(opt.milestones)
-    _require(all(m >= 0 for m in ms), f"optimizer.milestones must be >= 0, got {ms}")
-    _require(ms == sorted(ms) and len(set(ms)) == len(ms),
-             f"optimizer.milestones must be strictly increasing, got {ms}")
+    require(all(m >= 0 for m in ms), f"optimizer.milestones must be >= 0, got {ms}")
+    require(ms == sorted(ms) and len(set(ms)) == len(ms),
+            f"optimizer.milestones must be strictly increasing, got {ms}")
 
-    _require(method.name in METHODS,
-             f"method.name must be one of {tuple(METHODS)}, got {method.name!r}")
+    require(method.name in METHODS,
+            f"method.name must be one of {tuple(METHODS)}, got {method.name!r}")
     # every method's SelcRunConfig takes all three
     for a in alpha_values(method):
-        _require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
-    _require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
-    _require(method.mixup_beta_param > 0,
-             f"method.mixup_beta_param must be positive, got {method.mixup_beta_param}")
+        require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
+    require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
+    require(method.mixup_beta_param > 0,
+            f"method.mixup_beta_param must be positive, got {method.mixup_beta_param}")
     if METHODS[method.name] is not None:
         sweep_dirs = {}  # a sweep writes the trials of alpha a to alpha_{a:g}
         for a in alpha_values(method):
@@ -189,18 +190,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
             sweep_dirs[name] = a
         ae = method.activation_epoch
         if ae != AUTO:
-            _require(isinstance(ae, int) and not isinstance(ae, bool) and ae >= 0,
-                     f"method.activation_epoch must be 'auto' or an int >= 0, got {ae!r}")
-        _require(method.detector_patience >= 1,
-                 f"method.detector_patience must be >= 1, got {method.detector_patience}")
-        _require(method.metric_choice in METRIC_NAMES,
-                 f"method.metric_choice must be m1, m2 or m3, got {method.metric_choice!r}")
+            require(isinstance(ae, int) and not isinstance(ae, bool) and ae >= 0,
+                    f"method.activation_epoch must be 'auto' or an int >= 0, got {ae!r}")
+        require(method.detector_patience >= 1,
+                f"method.detector_patience must be >= 1, got {method.detector_patience}")
+        require(method.metric_choice in METRIC_NAMES,
+                f"method.metric_choice must be m1, m2 or m3, got {method.metric_choice!r}")
     if method.name == "selc_plus" and method.plus_epochs is not None:
-        _require(method.plus_epochs >= 1,
-                 f"method.plus_epochs must be >= 1, got {method.plus_epochs}")
+        require(method.plus_epochs >= 1,
+                f"method.plus_epochs must be >= 1, got {method.plus_epochs}")
 
-    _require(len(set(cfg.trials)) == len(cfg.trials), f"trial seeds must be unique, got {cfg.trials}")
-    _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
+    require(len(set(cfg.trials)) == len(cfg.trials), f"trials must be unique seeds, got {cfg.trials}")
 
     # the noise model and the blobs are built only once the run they are
     # for is known to fit
@@ -214,21 +214,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check_memory(cfg, train_x.shape[0], test_x.shape[0], train_x.shape[1], num_classes,
                       (field, field, f"dataset.{labels}"))
     else:
-        _check_memory(cfg, ds.n, test_n, ds.dim, num_classes,
+        _check_memory(cfg, ds.n, spec.test_n, ds.dim, num_classes,
                       ("dataset.n", "dataset.dim", "dataset.num_classes"))
     if noise.kind == "asymmetric":
-        try:
-            cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
-        except ParameterError as exc:
-            raise ParameterError(f"{noise.mapping_file}: {exc}") from exc
+        cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
     else:
         eta = noise.eta if noise.kind == "symmetric" else 0.0
         cfg.transition = build_symmetric_q(num_classes, eta, exclude_true_class=noise.exclude_true_class)
     if ds.kind != "blobs":
         return
-    spec = BlobSpec(n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-                    cluster_std=ds.cluster_std, seed=ds.seed, test_n=ds.test_n)
-    try:  # the splits are checked above; what fails here is placing the centers
+    try:  # BlobSpec checked the splits; what fails here is placing the centers
         splits = [generate_blobs(spec, split=split) for split in ("train", "test")]
     except ParameterError as exc:
         raise ParameterError(f"dataset.cluster_std: {exc}") from exc
@@ -325,39 +320,33 @@ def _resolve_paths(cfg: ExperimentConfig, base_dir: str) -> None:
         cfg.out_dir = os.path.normpath(os.path.join(base_dir, cfg.out_dir))
 
 
-def _build_section(cls, data, section):
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ParameterError(f"config section {section!r} must be a mapping")
+def from_mapping(cls, data, what: str):
+    """The dataclass ``cls`` built from the mapping ``data`` (None is
+    empty), which ``what`` names in an error: a key that names no field of
+    ``cls``, or a field without a default that is missing, is a
+    ``ParameterError``."""
+    data = {} if data is None else data
+    require(isinstance(data, dict), f"{what} must be a mapping")
     unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ParameterError(f"unknown keys in config section {section!r}: "
-                             f"{sorted(unknown, key=str)}")
+    require(not unknown, f"unknown keys in {what}: {sorted(unknown, key=str)}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    require(not missing, f"missing keys in {what}: {missing}")
     return cls(**data)
 
 
+SECTIONS = {"dataset": DatasetSpecConfig, "noise": NoiseSpecConfig, "model": ModelSpecConfig,
+            "optimizer": OptimizerSpecConfig, "method": MethodSpecConfig}
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ParameterError("config root must be a mapping")
-    unknown = set(data) - {"dataset", "noise", "model", "optimizer", "method", "trials", "out_dir"}
-    if unknown:
-        raise ParameterError(f"unknown top-level config keys: {sorted(unknown, key=str)}")
-    cfg = ExperimentConfig(
-        dataset=_build_section(DatasetSpecConfig, data.get("dataset"), "dataset"),
-        noise=_build_section(NoiseSpecConfig, data.get("noise"), "noise"),
-        model=_build_section(ModelSpecConfig, data.get("model"), "model"),
-        optimizer=_build_section(OptimizerSpecConfig, data.get("optimizer"), "optimizer"),
-        method=_build_section(MethodSpecConfig, data.get("method"), "method"),
-        trials=data.get("trials", [0]),
-        out_dir=data.get("out_dir", "out"),
-    )
-    # checked before the paths resolve: "" would normalize into base_dir
-    # itself, and only a string is a path
-    _require(isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir must be a nonempty string")
-    check_field_types(cfg)
-    _resolve_paths(cfg, base_dir)
-    validate_config(cfg)
+    require(isinstance(data, dict), "config root must be a mapping")
+    unknown = set(data) - {*SECTIONS, "trials", "out_dir"}
+    require(not unknown, f"unknown top-level config keys: {sorted(unknown, key=str)}")
+    cfg = ExperimentConfig(**{name: from_mapping(cls, data.get(name), f"config section {name!r}")
+                              for name, cls in SECTIONS.items()},
+                           trials=data.get("trials", [0]), out_dir=data.get("out_dir", "out"))
+    validate_config(cfg, base_dir)
     return cfg
 
 
@@ -389,8 +378,4 @@ def load_config(path) -> ExperimentConfig:
     data = read_yaml(path)
     if data is None:
         raise ParameterError(f"{path}: empty config")
-    try:
-        return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
-    except TypeError as exc:
-        # dataclass kwargs mismatch surfaces as TypeError
-        raise ParameterError(f"{path}: {exc}") from exc
+    return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError, require
 from .rng import check_seed, stream
 from .tables import line_of_row, open_text, read_rows
 
@@ -69,29 +69,29 @@ def check_field_types(spec, prefix: str = "") -> None:
 
 @dataclass
 class BlobSpec:
-    """Isotropic Gaussian clusters around well-separated random centers."""
+    """Isotropic Gaussian clusters around well-separated random centers.
+
+    Building one checks every rule of a blob dataset, each error naming its
+    field; a ``test_n`` of None becomes ``n // 4``."""
 
     n: int
     dim: int
     num_classes: int
     cluster_std: float = 1.0
     seed: int = 0
-    test_n: int | None = None  # defaults to n // 4 (held_out_n)
+    test_n: int | None = None
 
     def __post_init__(self):
         check_field_types(self)
         check_seed(self.seed, "seed")
-        if self.num_classes < 2:
-            raise ParameterError(f"need at least 2 classes, got {self.num_classes}")
-        if self.n < self.num_classes:
-            raise ParameterError(f"n={self.n} smaller than the number of classes")
-        if self.dim < 1 or self.cluster_std <= 0:
-            raise ParameterError("dim must be >= 1 and cluster_std positive")
-
-
-def held_out_n(n: int, test_n: int | None) -> int:
-    """The size of a blob test split: ``test_n``, or ``n // 4`` if None."""
-    return n // 4 if test_n is None else test_n
+        require(self.num_classes >= 2, f"num_classes must be >= 2, got {self.num_classes}")
+        require(self.n >= self.num_classes, f"n must be >= num_classes, got {self.n}")
+        if self.test_n is None:
+            self.test_n = self.n // 4
+        require(self.test_n >= self.num_classes,
+                f"test_n (default n // 4) must be >= num_classes, got {self.test_n}")
+        require(self.dim >= 1, f"dim must be >= 1, got {self.dim}")
+        require(self.cluster_std > 0, f"cluster_std must be positive, got {self.cluster_std}")
 
 
 # Fixed center box; cluster_std against it sets task hardness. At std=1.0
@@ -136,9 +136,7 @@ def generate_blobs(spec: BlobSpec, split: str = "train"):
     """
     if split not in ("train", "test"):
         raise ParameterError(f"split must be 'train' or 'test', got {split!r}")
-    n = spec.n if split == "train" else held_out_n(spec.n, spec.test_n)
-    if n < spec.num_classes:
-        raise ParameterError(f"{split} split of size {n} cannot balance {spec.num_classes} classes")
+    n = spec.n if split == "train" else spec.test_n
     centers = _blob_centers(spec)
     labels = _balanced_labels(n, spec.num_classes)
     rng = stream(spec.seed, "blobs", split)
@@ -248,14 +246,15 @@ def load_dataset_files(ds):
 
     Returns (train_x, train_y, test_x, test_y, num_classes), where the
     class count is one past the largest label. A split with no samples is
-    a ``FormatError``; splits of different widths are a ``ParameterError``.
+    a ``FormatError``; splits of different widths, or labels of fewer than
+    2 classes, are a ``ParameterError``.
     """
     if ds.kind == "idx":
-        train_path, test_path = ds.train_images, ds.test_images
+        train_path, test_path, labels_path = ds.train_images, ds.test_images, ds.train_labels
         train_x, train_y = load_idx(ds.train_images, ds.train_labels)
         test_x, test_y = load_idx(ds.test_images, ds.test_labels)
     else:
-        train_path, test_path = ds.train_csv, ds.test_csv
+        train_path, test_path, labels_path = ds.train_csv, ds.test_csv, ds.train_csv
         train_x, train_y = load_csv_dataset(ds.train_csv)
         test_x, test_y = load_csv_dataset(ds.test_csv)
     for path, labels in ((train_path, train_y), (test_path, test_y)):
@@ -264,4 +263,7 @@ def load_dataset_files(ds):
     if train_x.shape[1] != test_x.shape[1]:
         raise ParameterError(f"{train_path} has {train_x.shape[1]} features per sample but "
                              f"{test_path} has {test_x.shape[1]}")
-    return train_x, train_y, test_x, test_y, int(max(train_y.max(), test_y.max())) + 1
+    num_classes = int(max(train_y.max(), test_y.max())) + 1
+    # below 2, every label is 0, so the training labels set the count
+    require(num_classes >= 2, f"{labels_path}: labels must span at least 2 classes, got {num_classes}")
+    return train_x, train_y, test_x, test_y, num_classes

@@ -9,6 +9,12 @@ class ParameterError(ValueError):
     """A value is outside its allowed range."""
 
 
+def require(cond, message: str) -> None:
+    """Raise ``ParameterError(message)`` unless ``cond`` holds."""
+    if not cond:
+        raise ParameterError(message)
+
+
 class FormatError(ValueError):
     """A file does not match its expected format."""
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError, require
 from .rng import stream
 from .tables import open_text
 
@@ -29,9 +29,10 @@ class TransitionMatrix:
             raise ParameterError(f"q rows must sum to 1 within {ROW_SUM_TOL}")
 
 
-def _check_eta(eta: float) -> float:
-    if not 0.0 <= eta < 1.0:
-        raise ParameterError(f"eta must be in [0, 1), got {eta}")
+def _checked_eta(num_classes: int, eta: float) -> float:
+    """``eta`` as a float, once it and ``num_classes`` fit a noise model."""
+    require(0.0 <= eta < 1.0, f"eta must be in [0, 1), got {eta}")
+    require(num_classes >= 2, f"num_classes must be >= 2, got {num_classes}")
     return float(eta)
 
 
@@ -44,9 +45,7 @@ def build_symmetric_q(num_classes: int, eta: float, exclude_true_class: bool = F
     ``exclude_true_class`` spreads eta over the other classes only
     (diagonal 1 - eta), the other common convention.
     """
-    eta = _check_eta(eta)
-    if num_classes < 2:
-        raise ParameterError(f"need at least 2 classes, got {num_classes}")
+    eta = _checked_eta(num_classes, eta)
     if exclude_true_class:
         q = np.full((num_classes, num_classes), eta / (num_classes - 1))
         np.fill_diagonal(q, 1.0 - eta)
@@ -58,23 +57,27 @@ def build_symmetric_q(num_classes: int, eta: float, exclude_true_class: bool = F
 
 def build_asymmetric_q(num_classes: int, eta: float, mapping) -> TransitionMatrix:
     """Pairwise flips: each mapped source class i -> target j gets
-    q[i, i] = 1 - eta and q[i, j] = eta; unmapped classes stay clean."""
-    eta = _check_eta(eta)
-    if num_classes < 2:
-        raise ParameterError(f"need at least 2 classes, got {num_classes}")
+    q[i, i] = 1 - eta and q[i, j] = eta; unmapped classes stay clean.
+    ``mapping`` holds (src, dst) pairs, or is ``load_mapping``'s dict of
+    them, whose errors then name the pair's file and line."""
+    eta = _checked_eta(num_classes, eta)
     q = np.eye(num_classes)
     seen = set()
-    for src, dst in mapping:
+    located = mapping.items() if isinstance(mapping, dict) else ((None, pair) for pair in mapping)
+    for where, (src, dst) in located:
         src, dst = int(src), int(dst)
         if not (0 <= src < num_classes and 0 <= dst < num_classes):
-            raise ParameterError(f"mapping {src}->{dst} outside [0, {num_classes})")
-        if src == dst:
-            raise ParameterError(f"mapping {src}->{dst} maps a class to itself")
-        if src in seen:
-            raise ParameterError(f"class {src} appears twice as a mapping source")
-        seen.add(src)
-        q[src, src] = 1.0 - eta
-        q[src, dst] = eta
+            problem = f"mapping {src}->{dst} outside [0, {num_classes})"
+        elif src == dst:
+            problem = f"mapping {src}->{dst} maps a class to itself"
+        elif src in seen:
+            problem = f"class {src} appears twice as a mapping source"
+        else:
+            seen.add(src)
+            q[src, src] = 1.0 - eta
+            q[src, dst] = eta
+            continue
+        raise ParameterError(problem if where is None else f"{where}: {problem}")
     return TransitionMatrix(num_classes=num_classes, q=q)
 
 
@@ -100,8 +103,9 @@ def empirical_noise_rate(noisy_labels, true_labels) -> float:
 def load_mapping(path):
     """Read asymmetric flip pairs, one "src dst" or "src,dst" pair of
     decimal ints per line; # starts a comment. The file is printable ASCII
-    text (see ``tables.open_text``)."""
-    pairs = []
+    text (see ``tables.open_text``). Returns {"path:line": (src, dst)} in
+    file order."""
+    pairs = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -114,5 +118,5 @@ def load_mapping(path):
                 src = None
             if src is None or "_" in line:  # Python's int also reads 1_000
                 raise FormatError(f"{path}:{lineno}: bad mapping line {line!r}")
-            pairs.append((src, dst))
+            pairs[f"{path}:{lineno}"] = (src, dst)
     return pairs

@@ -8,7 +8,7 @@ consumer cannot silently shift another.
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import require
 
 
 def _label_word(label) -> int:
@@ -24,8 +24,7 @@ def check_seed(seed: int, name: str) -> None:
     """Reject a root seed that would share its streams with another:
     ``stream`` keeps the two 32-bit words of a seed's 64-bit two's
     complement, which tell apart exactly the seeds in [-2**63, 2**63)."""
-    if not -2**63 <= seed < 2**63:
-        raise ParameterError(f"{name} must be in [-2**63, 2**63), got {seed}")
+    require(-2**63 <= seed < 2**63, f"{name} must be in [-2**63, 2**63), got {seed}")
 
 
 # the annotation is a string, so that importing this module does not load

@@ -249,6 +249,26 @@ def test_run_verb_bad_csv_data_is_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+def test_run_verb_one_class_labels_name_the_labels_file(tmp_path, capsys, kind):
+    # 20 training rows, every label 0
+    if kind == "csv":
+        for split, n in (("train", 20), ("test", 5)):
+            save_csv_dataset(tmp_path / f"{split}.csv", np.zeros((n, 3)), np.zeros(n, dtype=int))
+        dataset, labels = {"kind": "csv", "train_csv": "train.csv", "test_csv": "test.csv"}, "train.csv"
+    else:
+        for split, n in (("train", 20), ("test", 5)):
+            write_idx(tmp_path / f"{split}-img", tmp_path / f"{split}-lbl",
+                      np.zeros((n, 2, 2), dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+        dataset = {"kind": "idx", "train_images": "train-img", "train_labels": "train-lbl",
+                   "test_images": "test-img", "test_labels": "test-lbl"}
+        labels = "train-lbl"
+    assert main(["run", str(write_tiny_config(tmp_path, dataset=dataset))]) == 1
+    assert capsys.readouterr().err == (f"config error: {tmp_path / labels}: labels must span "
+                                       "at least 2 classes, got 1\n")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_run_verb_nan_csv_feature_is_config_error(tmp_path, capsys):
     rng = stream(0, "csv")
     for split in ("train", "test"):
@@ -513,18 +533,52 @@ def test_make_blobs_verb(tmp_path, capsys):
     assert test_feats.shape == (10, 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n: 40\nnum_classes: 2\n", "missing keys in the blob spec: ['dim']"),
+    ("", "missing keys in the blob spec: ['n', 'dim', 'num_classes']"),
+    ("- 40\n", "the blob spec must be a mapping"),
+], ids=["missing", "empty", "list"])
+def test_make_blobs_names_a_missing_key(tmp_path, capsys, text, message):
+    spec = tmp_path / "blobs.yaml"
+    spec.write_text(text)
+    assert main(["make-blobs", str(spec), str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"config error: {spec}: {message}\n"
+    assert not os.path.exists(tmp_path / "d")
+
+
 def test_make_blobs_rejects_unknown_keys(tmp_path, capsys):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2, "shape": "moons"}))
     assert main(["make-blobs", str(spec), str(tmp_path / "d")]) == 1
-    assert "shape" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {spec}: unknown keys in the blob spec: ['shape']\n"
+
+
+# BlobSpec holds every blob rule, so run and make-blobs word each alike
+@pytest.mark.parametrize("fields, message", [
+    ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+    ({"n": 5, "num_classes": 6}, "n must be >= num_classes, got 5"),
+    ({"test_n": 1}, "test_n (default n // 4) must be >= num_classes, got 1"),
+    ({"dim": 0}, "dim must be >= 1, got 0"),
+    ({"cluster_std": 0}, "cluster_std must be positive, got 0"),
+    ({"seed": 2**64}, "seed must be in [-2**63, 2**63), got 18446744073709551616"),
+], ids=["one_class", "n_below_num_classes", "test_split_too_small", "no_dim",
+        "no_cluster_std", "seed_past_64_bits"])
+def test_run_and_make_blobs_word_a_blob_rule_alike(tmp_path, capsys, fields, message):
+    blob = {"n": 40, "dim": 3, "num_classes": 2, "cluster_std": 0.2, "seed": 4, **fields}
+    spec = tmp_path / "blobs.yaml"
+    spec.write_text(yaml.safe_dump(blob))
+    assert main(["make-blobs", str(spec), str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"config error: {spec}: {message}\n"
+    assert main(["run", str(write_tiny_config(tmp_path, dataset=blob))]) == 1
+    assert capsys.readouterr().err == f"config error: dataset.{message}\n"
+    assert not os.path.exists(tmp_path / "d") and not os.path.exists(tmp_path / "run")
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"n": 10.5}, "n must be an integer, got 10.5"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"dim": True}, "dim must be an integer, got True"),
-    ({"test_n": 1}, "test split of size 1 cannot balance 2 classes"),
+    ({"test_n": 1}, "test_n (default n // 4) must be >= num_classes, got 1"),
     ({"cluster_std": "wide"}, "cluster_std must be a number, got 'wide'"),
     ({"seed": 2**64}, "seed must be in [-2**63, 2**63), got 18446744073709551616"),
     ({"n": 10**11}, "n must be smaller"),

@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import yaml
 
 from selc_lab.config import (
     AUTO,
+    DATASET_KINDS,
+    NOISE_KINDS,
+    SECTIONS,
     MethodSpecConfig,
     alpha_values,
     config_from_dict,
@@ -14,6 +19,9 @@ from selc_lab.config import (
 )
 from selc_lab.data import save_csv_dataset, write_idx
 from selc_lab.errors import FormatError, ParameterError
+from selc_lab.mlp import ACTIVATIONS
+from selc_lab.training import METHODS
+from selc_lab.turning import METRIC_NAMES
 
 
 def minimal_dict(**overrides):
@@ -91,7 +99,7 @@ def test_dataset_files_parsed_on_load(tmp_path):
     # the labels give the class count, so a mapping class outside it fails here
     (tmp_path / "map.csv").write_text("0,1\n1,2\n")
     mapped = dict(data, noise={"kind": "asymmetric", "eta": 0.4, "mapping_file": "map.csv"})
-    with pytest.raises(ParameterError, match=r"map\.csv: mapping 1->2"):
+    with pytest.raises(ParameterError, match=r"map\.csv:2: mapping 1->2"):
         config_from_dict(mapped, base_dir=str(tmp_path))
     lines = (tmp_path / "train.csv").read_text().splitlines()
     lines[2] = "1,abc,0.0"
@@ -127,30 +135,41 @@ def test_alpha_list_forms():
     assert alpha_values(cfg.method) == [0.7, 0.9, 0.99]
 
 
+def blobs(**fields):
+    return {"dataset": {**minimal_dict()["dataset"], **fields}}
+
+
 def test_validation_catches_bad_values():
     cases = [
-        {"dataset": {"kind": "parquet"}},
-        {"noise": {"kind": "speckle"}},
-        {"noise": {"kind": "symmetric", "eta": 1.0}},
-        {"model": {"hidden_dims": []}},
-        {"model": {"hidden_dims": [8], "activation": "swish"}},
-        {"optimizer": {"lr": 0.0}},
-        {"optimizer": {"milestones": [5, 3]}},
-        {"optimizer": {"epochs": 0}},
-        {"method": {"name": "selc", "alpha": 1.0}},
-        {"method": {"name": "selc", "activation_epoch": "soon"}},
-        {"method": {"name": "selc", "activation_epoch": True}},
-        {"method": {"name": "selc", "metric_choice": "m9"}},
-        {"method": {"name": "selc", "detector_patience": 0}},
-        {"method": {"name": "bootstrap", "beta": 1.5}},
-        {"method": {"name": "selc_plus", "plus_epochs": 0}},
-        {"trials": [1, 1]},
-        {"trials": [1, True]},
-        {"out_dir": ""},
+        ({"dataset": {"kind": "parquet"}}, "dataset.kind"),
+        (blobs(num_classes=1), "dataset.num_classes"),
+        (blobs(n=5, num_classes=6), "dataset.n"),
+        (blobs(test_n=1), "dataset.test_n"),
+        (blobs(dim=0), "dataset.dim"),
+        (blobs(cluster_std=0), "dataset.cluster_std"),
+        (blobs(seed=2**64), "dataset.seed"),
+        ({"noise": {"kind": "speckle"}}, "noise.kind"),
+        ({"noise": {"kind": "symmetric", "eta": 1.0}}, "noise.eta"),
+        ({"model": {"hidden_dims": []}}, "model.hidden_dims"),
+        ({"model": {"hidden_dims": [8], "activation": "swish"}}, "model.activation"),
+        ({"optimizer": {"lr": 0.0}}, "optimizer.lr"),
+        ({"optimizer": {"milestones": [5, 3]}}, "optimizer.milestones"),
+        ({"optimizer": {"epochs": 0}}, "optimizer.epochs"),
+        ({"method": {"name": "selc", "alpha": 1.0}}, "method.alpha"),
+        ({"method": {"name": "selc", "activation_epoch": "soon"}}, "method.activation_epoch"),
+        ({"method": {"name": "selc", "activation_epoch": True}}, "method.activation_epoch"),
+        ({"method": {"name": "selc", "metric_choice": "m9"}}, "method.metric_choice"),
+        ({"method": {"name": "selc", "detector_patience": 0}}, "method.detector_patience"),
+        ({"method": {"name": "bootstrap", "beta": 1.5}}, "method.beta"),
+        ({"method": {"name": "selc_plus", "plus_epochs": 0}}, "method.plus_epochs"),
+        ({"trials": [1, 1]}, "trials"),
+        ({"trials": [1, True]}, "trials"),
+        ({"out_dir": ""}, "out_dir"),
     ]
-    for overrides in cases:
-        with pytest.raises(ParameterError):
+    for overrides, name in cases:
+        with pytest.raises(ParameterError) as err:
             config_from_dict(minimal_dict(**overrides))
+        assert str(err.value).startswith(f"{name} "), str(err.value)
 
 
 def test_unknown_method_name_lists_every_method():
@@ -193,10 +212,14 @@ def test_asymmetric_mapping_checked_on_load(tmp_path):
     mapping.write_text("0,1\n1\n")
     with pytest.raises(FormatError, match=r"map\.csv:2:"):
         config_from_dict(data, base_dir=str(tmp_path))
-    # blob class count is known at load, so out-of-range classes fail there too
-    mapping.write_text("0,1\n1,99\n")
-    with pytest.raises(ParameterError, match=r"map\.csv: mapping 1->99"):
-        config_from_dict(data, base_dir=str(tmp_path))
+    # blob class count is known at load, so out-of-range classes fail there
+    # too, as do a self-map and a repeated source, each naming its line
+    for text, message in (("0,1\n1,99\n", r"map\.csv:2: mapping 1->99 outside \[0, 3\)"),
+                          ("0,1\n# self\n2 2\n", r"map\.csv:3: mapping 2->2 maps a class to itself"),
+                          ("0,1\n1,2\n0,2\n", r"map\.csv:3: class 0 appears twice as a mapping source")):
+        mapping.write_text(text)
+        with pytest.raises(ParameterError, match=message):
+            config_from_dict(data, base_dir=str(tmp_path))
 
 
 def test_load_config_bad_yaml(tmp_path):
@@ -224,6 +247,17 @@ def test_validate_config_direct_call():
     cfg.optimizer.batch_size = 0
     with pytest.raises(ParameterError):
         validate_config(cfg)
+
+
+def test_readme_config_block_names_every_field_and_choice():
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Config format", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    words = set(re.findall(r"\w+", block))
+    names = [f.name for cls in SECTIONS.values() for f in fields(cls)]
+    names += [*DATASET_KINDS, *NOISE_KINDS, *METHODS, *ACTIVATIONS, *METRIC_NAMES]
+    assert [name for name in names if name not in words] == []
 
 
 def test_repo_desk_benchmark_config_loads():

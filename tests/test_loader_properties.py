@@ -114,10 +114,11 @@ def mapping_files(draw):
 @PROPERTY
 @given(mapping=mapping_files())
 def test_mapping_loads_back_exactly(tmp_path, mapping):
-    text, pairs, _ = mapping
+    text, pairs, where = mapping
     path = tmp_path / "pairs.txt"
     path.write_text(text)
-    assert load_mapping(path) == pairs
+    assert list(load_mapping(path).items()) == [(f"{path}:{line}", pair)
+                                                for line, pair in zip(where, pairs)]
 
 
 @PROPERTY

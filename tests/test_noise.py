@@ -125,9 +125,10 @@ def test_empirical_noise_rate_edges():
 def test_load_mapping(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("# confusable pairs\n9 1\n2 0\n\n4 7\n")
-    assert load_mapping(path) == [(9, 1), (2, 0), (4, 7)]
+    assert list(load_mapping(path).items()) == [(f"{path}:2", (9, 1)), (f"{path}:3", (2, 0)),
+                                                (f"{path}:5", (4, 7))]
     path.write_text("0,1\n2, 3  # spaced\n")
-    assert load_mapping(path) == [(0, 1), (2, 3)]
+    assert list(load_mapping(path).items()) == [(f"{path}:1", (0, 1)), (f"{path}:2", (2, 3))]
 
 
 @pytest.mark.parametrize("line", ["1 2 3", "0,1,2", "0,", "a,b", "0 1,2", "7"])
