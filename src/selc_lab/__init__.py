@@ -8,18 +8,18 @@ the estimated memorization turning point.
 Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1; a value the
 caller set is kept). The matmuls here are too small to gain from a BLAS
-thread pool; a run's jobs, the per-epoch mixture fits of a loss matrix
-and the parse of a large losses file go to forked processes instead, one
-per core. The default only takes effect if numpy is not imported yet.
+thread pool; a run's jobs and the epoch shares of a large losses file,
+each parsed and fitted where it is read, go to forked processes instead,
+one per core. The default only takes effect if numpy is not imported yet.
 ``BLAS_PINNED`` records whether BLAS runs one thread: numpy was imported
 after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
-share its work; ``experiment._run_jobs`` (through ``config.run_workers``),
-``turning.compute_metric_series`` and ``turning._load_epoch_shares`` all
-ask it. ``fork_child`` is the one place that forks, for the job loop of
-``_run_jobs`` and for ``run_shares``, which serves the last two; ``shared``
-makes every array through which a forked process writes its results.
+share its work; ``experiment._run_jobs`` (through ``config.run_workers``)
+and ``turning._epoch_share_series`` ask it. ``fork_child`` is the one
+place that forks, for the job loop of ``_run_jobs`` and for
+``run_shares``, which serves the epoch shares; ``shared`` makes every
+array through which a forked process writes its results.
 """
 
 import os
@@ -41,7 +41,7 @@ def _pin_blas_threads() -> bool:
 # starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
 # a process with another pid was forked after the import: a job's child or
-# a fan-out child, whose siblings already hold the other cores
+# an epoch share's child, whose siblings already hold the other cores
 _IMPORT_PID = os.getpid()
 
 

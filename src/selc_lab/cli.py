@@ -13,13 +13,7 @@ from .config import check_memory, data_memory, from_mapping, load_config, read_y
 from .data import BlobSpec, generate_blobs, save_csv_dataset
 from .errors import FormatError, ParameterError
 from .experiment import WARM_FIELDS, run_experiment
-from .turning import (
-    METRIC_NAMES,
-    compute_metric_series,
-    estimate_turning_point,
-    load_loss_snapshots,
-    save_metric_series,
-)
+from .turning import METRIC_NAMES, estimate_turning_point, losses_file_series, save_metric_series
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,10 +81,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    epochs, losses = load_loss_snapshots(args.losses_csv)
-    if epochs.size == 0:
-        raise FormatError(f"{args.losses_csv}: no losses after the header")
-    series = compute_metric_series(epochs, losses)
+    # checked before the load and the fits, which take the verb's time
+    folder = os.path.dirname(args.series_out or "")
+    if folder and not os.path.isdir(folder):
+        raise ParameterError(f"--series-out {args.series_out}: no directory {folder}")
+    series = losses_file_series(args.losses_csv)
     if args.series_out:
         save_metric_series(series, args.series_out)
     for name in METRIC_NAMES:

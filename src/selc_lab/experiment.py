@@ -28,8 +28,8 @@ soon as its train job returns, beside the trials still training. The data
 and each trial's loss matrix, a shared mapping, exist before the first
 fork; only a job's outcome comes back, pickled through the child's pipe.
 Otherwise each trial runs its jobs one after the other in this process,
-with the same outputs; only there do the diagnose job's mixture fits fan
-out over the cores (``turning.compute_metric_series``).
+with the same outputs. Either way the diagnose job fits its epochs one
+after another (``turning.compute_metric_series``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """

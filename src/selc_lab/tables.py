@@ -6,8 +6,8 @@ LF may appear in it.
 ``read_rows`` parses a file, or a window of its lines, with one
 ``np.loadtxt`` call in this process. The scan of its bytes that
 ``open_text`` makes anyway counts its lines and tells whether each LF
-ends one row, which is what a parse in windows of lines needs
-(``turning.load_loss_snapshots``)."""
+ends one row, which is what a parse in windows of lines needs (the epoch
+shares of ``turning.losses_file_series``)."""
 
 import math
 import warnings

@@ -14,12 +14,12 @@ The turning point is the argmax epoch of a metric series (m1 by default).
 Per-epoch losses are one (epochs, n) float64 matrix everywhere: row i
 holds epoch i's loss of sample j in column j. ``save_loss_snapshots``
 writes it as ``losses.csv``, ``load_loss_snapshots`` reads it back with
-its epoch numbers, and ``compute_metric_series`` turns it into the three
-series, normalizing one row at a time and sharing the rows between
-forked processes when the matrix is large. A large losses file in rising
-epoch blocks, as ``run`` writes it, is loaded the same way, each share a
-small losses file (``_load_epoch_shares``). Every array through which a
-forked process hands its results back comes from ``selc_lab.shared``.
+its epoch numbers, and ``compute_metric_series`` fits the three series
+to it one row after another. ``losses_file_series`` gives the series of
+a losses file. A large one in rising epoch blocks, as ``run`` writes it,
+is cut into shares of whole epochs, each parsed as a small losses file
+and fitted in its own forked process (``_epoch_share_series``); only
+the series come back, through arrays from ``selc_lab.shared``.
 """
 
 import math
@@ -44,19 +44,12 @@ MIN_SAMPLES = 4
 LOSSES_HEADER = "epoch,sample_id,loss"
 LOSSES_COLUMNS = np.dtype([("epoch", int), ("sample_id", int), ("loss", float)])
 SERIES_HEADER = "epoch,m1,m2,m3"
-# compute_metric_series forks only for a loss matrix this large. On 2
-# vCPUs, a fit of a 6000-sample epoch of perfbench's planted losses takes
-# about 0.6 us per loss, and a fork, the child's exit and its reaping
-# take 2-4 ms in a process that holds such a 100 x 6000 matrix. At the
-# cut-off the fits take about 30 ms, and the half that moves to a second
-# core saves several times what the fork costs.
-FAN_OUT_MIN_ELEMENTS = 50_000
-# a losses file is loaded in epoch shares only from this size on. On 2
-# vCPUs (fresh processes, 15 alternating runs each way) the shares took
-# about the CPU time of one process and 1-5 MB less peak RSS, but in wall
-# time lost at 2.5 MB (80 against 76 ms), tied at 4 MiB (120 and 115 ms,
-# within 5 ms either way in five such sets) and won at 16 MB (0.40 s
-# against 0.45 s).
+# a losses file is parsed and fitted in epoch shares only from this size
+# on. On 2 vCPUs (fresh processes, 12-20 alternating runs each way, on
+# prefixes of a desk losses.csv) the shares lost to one process at up to
+# 2.1 MB in every set (0.287 against 0.262 s there), won or lost from 3.2
+# to 5.3 MB with the host's load, and won at 6.4 MB (0.470 against
+# 0.566 s) and on perfbench's 16 MB planted file.
 FAN_OUT_MIN_BYTES = 1 << 22
 
 
@@ -255,42 +248,18 @@ class MetricSeries:
         return getattr(self, metric_choice)
 
 
-def _fit_rows(losses, rows, metrics, done) -> None:
-    # metrics[:, i] and done[i] of each row i in turn
-    for i in rows:
-        metrics[:, i] = separation_metrics(normalize_losses(losses[i]))
-        done[i] = True
-
-
 def compute_metric_series(epochs, losses) -> MetricSeries:
     """The three metrics of each row of an (epochs, n) loss matrix whose row
-    i holds epoch ``epochs[i]``; epochs must be strictly increasing.
-
-    The fits are independent, so a matrix of at least
-    ``FAN_OUT_MIN_ELEMENTS`` losses is shared between this process and
-    forked children, as many in all as ``selc_lab.fork_workers`` allows.
-    Of ``w`` processes, process j fits rows j, j + w, ...: EM needs more
-    iterations in some epochs than in others, and interleaved shares even
-    that out. The children write their metrics to an anonymous shared
-    mapping and are reaped before this returns. A row that no process
-    fitted, because a child failed or a share stopped at a row that
-    raised, is fitted here afterwards, in row order, so an error is the
-    one the first failing row raises in one process.
-    """
+    i holds epoch ``epochs[i]``, fitted one row after another in this
+    process; epochs must be strictly increasing."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 2 or losses.shape[0] != len(epochs):
         raise ParameterError(f"need one loss row per epoch, got {len(epochs)} epochs "
                              f"and losses of shape {losses.shape}")
     if len(epochs) == 0:
         raise ParameterError("need at least one epoch of losses")
-    rows = losses.shape[0]
-    workers = fork_workers(rows) if losses.size >= FAN_OUT_MIN_ELEMENTS else 1
-    metrics = shared((3, rows), np.float64)
-    done = shared(rows, np.bool_)
-    run_shares(workers, lambda j: _fit_rows(losses, range(j, rows, workers), metrics, done))
-    # the rows left are fitted here, where the first bad one raises again
-    _fit_rows(losses, np.flatnonzero(~done), metrics, done)
-    return MetricSeries(epochs, *metrics.copy())
+    metrics = [separation_metrics(normalize_losses(row)) for row in losses]
+    return MetricSeries(epochs, *zip(*metrics))
 
 
 def _median3(values: np.ndarray) -> np.ndarray:
@@ -342,16 +311,39 @@ def load_loss_snapshots(path):
     Lines may come in any order. Every epoch must hold the sample ids
     0..n-1 once each, with the same n >= ``MIN_SAMPLES`` in every epoch.
     A header-only file is an empty run: no epochs and a (0, 0) matrix.
+    The file is parsed whole by ``_epoch_rows`` in this process, and its
+    matrix is a view of the parsed rows."""
+    with _open_losses(path) as fh:
+        return _epoch_rows(path, fh)
 
-    A file of at least ``FAN_OUT_MIN_BYTES`` is first loaded in shares of
-    whole epochs (``_load_epoch_shares``) into a C-contiguous matrix. Any
-    other file, or one whose shares do not all load, is parsed whole by
-    ``_epoch_rows`` in this process, and its matrix is a view of the
-    parsed rows."""
-    with open_text(path) as fh:
-        if fh.readline().rstrip("\n") != LOSSES_HEADER:
-            raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
-        return _load_epoch_shares(path, fh) or _epoch_rows(path, fh)
+
+def losses_file_series(path) -> MetricSeries:
+    """The metric series of a losses CSV: ``compute_metric_series`` of what
+    ``load_loss_snapshots`` loads, with the same errors; a header-only file
+    is a ``FormatError``.
+
+    A file of at least ``FAN_OUT_MIN_BYTES`` is first parsed and fitted in
+    shares of whole epochs (``_epoch_share_series``), so that its loss
+    matrix is never built here. Any other file, or one whose shares do not
+    all return, is loaded whole and fitted one epoch after another in this
+    process."""
+    with _open_losses(path) as fh:
+        series = _epoch_share_series(path, fh)
+        if series is not None:
+            return series
+        epochs, losses = _epoch_rows(path, fh)
+    if epochs.size == 0:
+        raise FormatError(f"{path}: no losses after the header")
+    return compute_metric_series(epochs, losses)
+
+
+def _open_losses(path):
+    # path open by tables.open_text and read past its checked header
+    fh = open_text(path)
+    if fh.readline().rstrip("\n") != LOSSES_HEADER:
+        fh.close()
+        raise FormatError(f"{path}: expected header '{LOSSES_HEADER}'")
+    return fh
 
 
 def _epoch_rows(path, source, **window):
@@ -395,16 +387,18 @@ def _group_epochs(path, epochs, ids, losses):
     return starts, n
 
 
-def _load_epoch_shares(path, fh):
-    """(epochs, losses) as ``load_loss_snapshots`` returns them, loaded in
-    shares of whole epochs of n rows, n the count at the top with the
-    first row's epoch; or None. Only a ``plain`` file of at least
-    ``FAN_OUT_MIN_BYTES`` is shared: ``max_rows`` of ``np.loadtxt`` does
-    not count a line that it skips. Each share's process
-    (``selc_lab.run_shares``) loads its lines as a small losses file
-    (``_epoch_rows``) into shared arrays. A share that does not load n
-    samples of each of its epochs, a dead child, or epochs that do not
-    rise from share to share give None, and the whole parse follows."""
+def _epoch_share_series(path, fh):
+    """The series of ``losses_file_series``, parsed and fitted in shares of
+    whole epochs of n rows, n the count at the top with the first row's
+    epoch; or None. Only a ``plain`` file of at least ``FAN_OUT_MIN_BYTES``
+    is shared: ``max_rows`` of ``np.loadtxt`` does not count a line that it
+    skips. Each share's process (``selc_lab.run_shares``) loads its lines
+    as a small losses file (``_epoch_rows``), fits them
+    (``compute_metric_series``) and writes their epochs and metrics into
+    shared arrays. A share that does not load n samples of each of its
+    epochs or whose fit raises, a dead child, or epochs that do not rise
+    from share to share give None, and the whole parse and the fits in
+    one process follow."""
     lines = fh.lines
     total = lines.count - 1
     workers = fork_workers(total) if lines.plain and lines.size >= FAN_OUT_MIN_BYTES else 1
@@ -417,22 +411,23 @@ def _load_epoch_shares(path, fh):
     workers = min(workers, count)
     # share j is epochs cuts[j] .. cuts[j + 1] - 1, counted from the top
     cuts = [j * count // workers for j in range(workers + 1)]
-    losses = shared((count, n), np.float64)
     epochs = shared(count, np.int64)
+    metrics = shared((3, count), np.float64)
     # an absolute path, which np.loadtxt cannot take for a URL
     source = os.path.abspath(path)
 
-    def load(j):
+    def fit(j):
         first, stop = cuts[j], cuts[j + 1]
-        share_epochs, share_losses = _epoch_rows(path, source, skiprows=1 + first * n,
-                                                 max_rows=(stop - first) * n)
-        if share_losses.shape != (stop - first, n):
+        share_epochs, losses = _epoch_rows(path, source, skiprows=1 + first * n,
+                                           max_rows=(stop - first) * n)
+        if losses.shape != (stop - first, n):
             raise FormatError(f"{path}: a share of other than {stop - first} epochs of {n}")
-        losses[first:stop] = share_losses
-        epochs[first:stop] = share_epochs
+        series = compute_metric_series(share_epochs, losses)
+        epochs[first:stop] = series.epochs
+        metrics[:, first:stop] = series.m1, series.m2, series.m3
 
-    rise = run_shares(workers, load) and (epochs[1:] > epochs[:-1]).all()
-    return (epochs, losses) if rise else None
+    rise = run_shares(workers, fit) and (epochs[1:] > epochs[:-1]).all()
+    return MetricSeries(epochs, *metrics) if rise else None
 
 
 def _first_epoch_rows(path, limit):

@@ -9,6 +9,7 @@ import yaml
 
 import selc_lab
 import selc_lab.cli as cli
+import selc_lab.turning as turning
 from selc_lab.cli import main
 from selc_lab.data import BlobSpec, generate_blobs, load_csv_dataset, save_csv_dataset, write_idx
 from selc_lab.rng import stream
@@ -312,6 +313,24 @@ def test_detect_verb_series_out_and_metric(tmp_path, capsys):
     assert list(series[:, 0]) == [0, 1, 2, 3, 4]
 
 
+def test_detect_verb_checks_the_series_out_directory_before_any_fit(tmp_path, capsys,
+                                                                    monkeypatch):
+    fits = []
+    real = turning.separation_metrics
+
+    def counting(normalized_losses):
+        fits.append(1)
+        return real(normalized_losses)
+
+    monkeypatch.setattr(turning, "separation_metrics", counting)
+    series_path = tmp_path / "missing" / "series.csv"
+    assert main(["detect-turning-point", str(make_losses_csv(tmp_path)),
+                 "--series-out", str(series_path)]) == 1
+    assert capsys.readouterr().err == (f"config error: --series-out {series_path}: "
+                                       f"no directory {tmp_path / 'missing'}\n")
+    assert fits == []
+
+
 def test_detect_verb_reloads_written_losses_bit_for_bit(tmp_path, capsys):
     losses = stream(8, "reload").lognormal(0.0, 1.5, size=(6, 40))
     losses[0, :3] = [0.0, 5e-324, 27.631021115928547]
@@ -605,7 +624,7 @@ def array_memory_error():
 
 @pytest.mark.parametrize("callee, error, message", [
     ("run_experiment", MemoryError(), "MemoryError"),
-    ("compute_metric_series", array_memory_error(), "Unable to allocate 8.00 TiB"),
+    ("losses_file_series", array_memory_error(), "Unable to allocate 8.00 TiB"),
 ], ids=["run_bare", "detect_numpy"])
 def test_memory_error_is_one_runtime_error_line(tmp_path, capsys, monkeypatch, callee, error,
                                                 message):

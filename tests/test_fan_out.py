@@ -1,8 +1,9 @@
-"""The fork fan-outs of ``compute_metric_series`` and
-``load_loss_snapshots``: the same series and arrays as in one process, the
-same error, no child left behind, and no fork where the rule in
-``selc_lab.fork_workers`` or a size cut-off forbids one. ``tables.read_rows``
-never forks."""
+"""The fork fan-out of ``turning.losses_file_series``, whose epoch shares
+each parse and fit a window of a large losses file: the same series as in
+one process, the same error, no child left behind, and no fork where the
+rule in ``selc_lab.fork_workers`` or the size cut-off forbids one.
+``tables.read_rows``, ``load_loss_snapshots`` and ``compute_metric_series``
+never fork."""
 
 import mmap
 import os
@@ -21,17 +22,13 @@ from selc_lab.errors import FormatError, ParameterError
 from selc_lab.rng import stream
 from selc_lab.turning import (
     FAN_OUT_MIN_BYTES,
-    FAN_OUT_MIN_ELEMENTS,
     compute_metric_series,
     load_loss_snapshots,
+    losses_file_series,
     normalize_losses,
     save_loss_snapshots,
     separation_metrics,
 )
-
-ROWS = 6
-# the fewest samples per epoch that put the matrix over the cut-off
-N_OVER = FAN_OUT_MIN_ELEMENTS // ROWS + 1
 
 
 def two_mode_losses(rows, n, seed=5):
@@ -49,10 +46,6 @@ def in_process_series(losses):
     # the metrics of each row in turn, fitted in this process
     m1, m2, m3 = zip(*(separation_metrics(normalize_losses(row)) for row in losses))
     return np.array(m1), np.array(m2), np.array(m3)
-
-
-def fans_out():
-    return selc_lab.fork_workers(ROWS) > 1
 
 
 def assert_no_child_left():
@@ -111,110 +104,13 @@ def test_a_shared_array_shows_the_parent_what_a_child_wrote(forks, shape, dtype)
     assert_no_child_left()
 
 
-# --- the fan-out of compute_metric_series ---
-
-def test_fanned_out_series_equals_in_process_series(forks):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    losses = two_mode_losses(ROWS, N_OVER)
-    series = compute_metric_series(np.arange(ROWS), losses)
-    assert len(forks) == selc_lab.fork_workers(ROWS) - 1
-    for got, want in zip((series.m1, series.m2, series.m3), in_process_series(losses)):
-        assert got.tobytes() == want.tobytes()
-    assert_no_child_left()
-
-
-# a row's first loss picks the error it raises: row 3 falls to a child
-# (rows 1, 3 and 5 of 6 for two processes), row 4 to this process
-@pytest.mark.parametrize("bad_rows", [{3: "child row"}, {3: "child row", 4: "parent row"},
-                                      {4: "parent row"}],
-                         ids=["child", "child_and_parent", "parent"])
-def test_a_failing_row_raises_as_in_one_process(monkeypatch, forks, bad_rows):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    losses = two_mode_losses(ROWS, N_OVER)
-    for row in bad_rows:
-        losses[row, 0] = -float(row)
-    real = turning.normalize_losses
-
-    def failing(row):
-        if row[0] < 0:
-            raise ParameterError(bad_rows[int(-row[0])])
-        return real(row)
-
-    monkeypatch.setattr(turning, "normalize_losses", failing)
-    with pytest.raises(ParameterError) as serial:
-        [failing(row) for row in losses]
-    with pytest.raises(ParameterError) as fanned:
-        compute_metric_series(np.arange(ROWS), losses)
-    assert len(forks) == selc_lab.fork_workers(ROWS) - 1
-    assert str(fanned.value) == str(serial.value) == bad_rows[min(bad_rows)]
-    assert_no_child_left()
-
-
-def test_a_failed_fork_fits_every_row_here(monkeypatch):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    losses = two_mode_losses(ROWS, N_OVER)
-
-    def failing_fork():
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    series = compute_metric_series(np.arange(ROWS), losses)
-    assert series.m1.tobytes() == in_process_series(losses)[0].tobytes()
-
-
-def test_no_fork_below_the_cut_off(no_fork):
-    losses = two_mode_losses(ROWS, N_OVER - 1)
-    assert losses.size < FAN_OUT_MIN_ELEMENTS
-    series = compute_metric_series(np.arange(ROWS), losses)
-    assert no_fork == []
-    assert series.m3.tobytes() == in_process_series(losses)[2].tobytes()
-
-
-def test_no_fork_beside_another_python_thread(no_fork):
-    losses = two_mode_losses(ROWS, N_OVER)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait, args=(60,))
-    other.start()
-    try:
-        assert selc_lab.fork_workers(ROWS) == 1
-        series = compute_metric_series(np.arange(ROWS), losses)
-    finally:
-        stop.set()
-        other.join(timeout=60)
-    assert no_fork == []
-    assert series.m2.tobytes() == in_process_series(losses)[1].tobytes()
-
-
-def fit_in_worker(losses):
-    attempts = []
-
-    def refusing_fork():
-        attempts.append(1)
-        raise OSError("fork attempted")
-
-    os.fork = refusing_fork  # this worker process only
-    series = compute_metric_series(np.arange(len(losses)), losses)
-    return selc_lab.fork_workers(len(losses)), len(attempts), series.m1.tobytes()
-
-
-def test_no_fork_inside_a_pool_worker():
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    losses = two_mode_losses(ROWS, N_OVER)
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        workers, attempts, m1 = pool.submit(fit_in_worker, losses).result(timeout=120)
-    assert (workers, attempts) == (1, 0)
-    assert m1 == in_process_series(losses)[0].tobytes()
-
-
-# --- tables.read_rows, and the faults and fork rules of the epoch shares ---
-
 LOSSES = [("epoch", int), ("sample_id", int), ("loss", float)]
 # a losses.csv of 40 epochs of 4200 samples is about 4.4 MB
 BIG_EPOCHS, BIG_N = 40, 4200
+
+
+def fans_out():
+    return selc_lab.fork_workers(BIG_EPOCHS) > 1
 
 
 def read_losses_rows(path):
@@ -268,16 +164,96 @@ def edit_line(path, lineno, text):
     path.write_bytes(b"\n".join(lines))
 
 
+def series_bytes(series):
+    return tuple(getattr(series, name).tobytes() for name in ("epochs", "m1", "m2", "m3"))
+
+
+def assert_series_as_one_process(path):
+    """``losses_file_series(path)`` gives the series, or raises the error,
+    that a load and fits in one process do; the series, or the error's
+    text."""
+    try:
+        want = one_process(losses_file_series, path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            losses_file_series(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    series = losses_file_series(path)
+    assert series_bytes(series) == series_bytes(want)
+    return series
+
+
+def assert_fits_the_written_losses(series):
+    """``series`` holds the metrics of ``big_losses``' epochs, each fitted
+    in this process."""
+    assert series.epochs.tolist() == list(range(BIG_EPOCHS))
+    want = in_process_series(two_mode_losses(BIG_EPOCHS, BIG_N))
+    assert [m.tobytes() for m in (series.m1, series.m2, series.m3)] == [m.tobytes() for m in want]
+
+
+# --- the fork rules of losses_file_series ---
+
+def test_a_failed_fork_fits_every_row_here(monkeypatch, big_losses):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+
+    def failing_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert_fits_the_written_losses(losses_file_series(big_losses[0]))
+
+
+def test_no_fork_beside_another_python_thread(big_losses, no_fork):
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        assert selc_lab.fork_workers(BIG_EPOCHS) == 1
+        series = losses_file_series(big_losses[0])
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert no_fork == []
+    assert_fits_the_written_losses(series)
+
+
+def fit_in_worker(path):
+    attempts = []
+
+    def refusing_fork():
+        attempts.append(1)
+        raise OSError("fork attempted")
+
+    os.fork = refusing_fork  # this worker process only
+    series = losses_file_series(path)
+    return selc_lab.fork_workers(BIG_EPOCHS), len(attempts), series
+
+
+def test_no_fork_inside_a_pool_worker(big_losses):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        workers, attempts, series = pool.submit(fit_in_worker, big_losses[0]).result(timeout=120)
+    assert (workers, attempts) == (1, 0)
+    assert_fits_the_written_losses(series)
+
+
+# --- tables.read_rows, and the faults and fork rules of the epoch shares ---
+
 def test_shared_parse_equals_one_process_parse(big_losses, forks):
     path, want = big_losses
     got = read_losses_rows(path)
-    # read_rows parses a file over the cut-off in this process alone
+    # read_rows and load_loss_snapshots parse a file over the cut-off in
+    # this process alone
     assert got.tobytes() == want
     assert len(got) == line_count(path) - 1
+    assert load_loss_snapshots(path)[1].tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
     assert forks == []
     # the shared parse left is that of the epoch shares
     if fans_out():
-        assert_loads_as_one_process(path)
+        assert_series_as_one_process(path)
         assert forks
         assert_no_child_left()
 
@@ -301,7 +277,7 @@ def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where)
     for lineno in bad:
         edit_line(path, lineno, b"0,1,1.5x")
     with pytest.raises(FormatError) as exc:
-        load_loss_snapshots(path)
+        losses_file_series(path)
     assert str(exc.value) == f"{path}:{bad[0]}: could not convert string to float: '1.5x'"
     assert forks
     assert_no_child_left()
@@ -327,7 +303,7 @@ def test_a_share_that_raises_on_good_rows_is_parsed_again_here(monkeypatch, big_
         pytest.skip("this process may not fork")
     path = big_losses[0]
     sources = counting_loadtxt(monkeypatch, raise_in_child=True)
-    assert_loads_as_one_process(path)
+    assert_series_as_one_process(path)
     # the load in one process from the handle, this process's share from the
     # path, then, as a child's share raised, the whole parse from the handle
     assert [isinstance(source, str) for source in sources] == [False, True, False]
@@ -342,7 +318,7 @@ def test_a_non_finite_loss_in_a_child_share(tmp_path, big_losses, forks):
     lineno = line_count(path) - 1
     edit_line(path, lineno, f"{BIG_EPOCHS - 1},{BIG_N - 2},nan".encode())
     with pytest.raises(FormatError) as exc:
-        load_loss_snapshots(path)
+        losses_file_series(path)
     assert str(exc.value) == f"{path}:{lineno}: loss must be finite, got nan"
     assert forks
     assert_no_child_left()
@@ -360,7 +336,7 @@ def test_a_child_that_dies_is_read_again_here(monkeypatch, big_losses, forks):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", dying_in_a_child)
-    assert_loads_as_one_process(path)
+    assert_series_as_one_process(path)
     assert forks
     assert_no_child_left()
 
@@ -401,7 +377,7 @@ def test_other_line_ends_load_the_same_arrays(tmp_path, big_losses, edit):
 def test_no_shared_parse_unless_every_lf_ends_a_row(tmp_path, big_losses, no_fork, edit):
     path = tmp_path / "losses.csv"
     path.write_bytes(edit(big_losses[0].read_bytes()))
-    assert_loads_as_one_process(path)
+    assert_series_as_one_process(path)
     assert no_fork == []
 
 
@@ -409,7 +385,7 @@ def test_no_shared_parse_below_the_cut_off(tmp_path, no_fork):
     path = tmp_path / "losses.csv"
     save_loss_snapshots(two_mode_losses(10, 1000), path)
     assert os.path.getsize(path) < FAN_OUT_MIN_BYTES
-    assert assert_loads_as_one_process(path)[1].shape == (10, 1000)
+    assert assert_series_as_one_process(path).epochs.tolist() == list(range(10))
     assert no_fork == []
 
 
@@ -419,7 +395,7 @@ def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
     other = threading.Thread(target=stop.wait, args=(60,))
     other.start()
     try:
-        assert_loads_as_one_process(path)
+        assert_series_as_one_process(path)
     finally:
         stop.set()
         other.join(timeout=60)
@@ -430,7 +406,7 @@ def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
 def test_a_failed_fork_parses_here(big_losses, no_fork):
     if not fans_out():
         pytest.skip("this process may not fork")
-    assert_loads_as_one_process(big_losses[0])
+    assert_series_as_one_process(big_losses[0])
     assert len(no_fork) == 1
 
 
@@ -442,19 +418,20 @@ def parse_in_worker(path):
         raise OSError("fork attempted")
 
     os.fork = refusing_fork  # this worker process only
-    losses = assert_loads_as_one_process(path)[1]
-    return len(attempts), losses.tobytes()
+    series = assert_series_as_one_process(path)
+    return len(attempts), series
 
 
 def test_no_shared_parse_inside_a_pool_worker(big_losses):
     if not fans_out():
         pytest.skip("this process may not fork")
     with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        attempts, got = pool.submit(parse_in_worker, big_losses[0]).result(timeout=120)
-    assert (attempts, got) == (0, two_mode_losses(BIG_EPOCHS, BIG_N).tobytes())
+        attempts, series = pool.submit(parse_in_worker, big_losses[0]).result(timeout=120)
+    assert attempts == 0
+    assert_fits_the_written_losses(series)
 
 
-# --- the epoch shares of turning.load_loss_snapshots ---
+# --- the epoch shares of turning.losses_file_series ---
 
 def big_losses_lines(big_losses):
     header, *lines = big_losses[0].read_bytes().splitlines(keepends=True)
@@ -487,38 +464,26 @@ def fully_shuffled(lines):
     return [lines[i] for i in stream(12, "fully_shuffled").permutation(len(lines))]
 
 
-def assert_loads_as_one_process(path):
-    """``load_loss_snapshots(path)`` gives the arrays, or raises the error,
-    that a load in one process does; the arrays, or the error's text."""
-    try:
-        want = one_process(load_loss_snapshots, path)
-    except FormatError as exc:
-        with pytest.raises(FormatError) as got:
-            load_loss_snapshots(path)
-        assert str(got.value) == str(exc)
-        return str(exc)
-    epochs, losses = load_loss_snapshots(path)
-    assert (epochs.dtype, losses.dtype, losses.shape) == (want[0].dtype, want[1].dtype,
-                                                          want[1].shape)
-    assert epochs.tobytes() == want[0].tobytes()
-    assert losses.tobytes() == want[1].tobytes()
-    return epochs, losses
-
-
 @pytest.mark.parametrize("order", [in_order, ids_shuffled, epochs_reversed, fully_shuffled])
 def test_epoch_share_load_equals_one_process_load(tmp_path, big_losses, forks, order):
     if not fans_out():
         pytest.skip("this process may not fork")
     header, lines = big_losses_lines(big_losses)
     path = write_lines(tmp_path / "losses.csv", header, order(lines))
-    epochs, losses = assert_loads_as_one_process(path)
-    assert epochs.tolist() == list(range(BIG_EPOCHS))
-    assert losses.tobytes() == two_mode_losses(BIG_EPOCHS, BIG_N).tobytes()
+    assert_fits_the_written_losses(assert_series_as_one_process(path))
     # fully shuffled lines hold no epoch block to cut shares at
     if order is fully_shuffled:
         assert not forks
     else:
         assert forks
+    assert_no_child_left()
+
+
+def test_epoch_share_series_equals_one_process_series(big_losses, forks):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    assert_fits_the_written_losses(losses_file_series(big_losses[0]))
+    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS) - 1
     assert_no_child_left()
 
 
@@ -530,17 +495,27 @@ def shared_mapping(array):
 
 
 @pytest.mark.parametrize("order", [in_order, ids_shuffled])
-def test_epoch_shares_keep_only_the_losses(tmp_path, big_losses, order):
+def test_epoch_shares_keep_only_the_losses(monkeypatch, tmp_path, big_losses, order):
+    # each share keeps only its own epochs' losses, and hands back their series
     if not fans_out():
         pytest.skip("this process may not fork")
     header, lines = big_losses_lines(big_losses)
     path = write_lines(tmp_path / "losses.csv", header, order(lines))
-    epochs, losses = load_loss_snapshots(path)
-    assert losses.flags.c_contiguous
-    mapping = shared_mapping(losses)
-    assert isinstance(mapping, mmap.mmap)
-    assert len(mapping) == BIG_EPOCHS * BIG_N * 8
-    assert epochs.dtype == np.int64 and epochs.shape == (BIG_EPOCHS,)
+    fitted, real = [], turning.compute_metric_series
+
+    def recording(epochs, losses):
+        fitted.append(np.shape(losses))
+        return real(epochs, losses)
+
+    monkeypatch.setattr(turning, "compute_metric_series", recording)
+    series = losses_file_series(path)
+    # this process fits its own share's epochs only
+    assert fitted == [(BIG_EPOCHS // selc_lab.fork_workers(BIG_EPOCHS), BIG_N)]
+    metrics = shared_mapping(series.m1)
+    assert isinstance(metrics, mmap.mmap) and len(metrics) == 3 * BIG_EPOCHS * 8
+    assert shared_mapping(series.m3) is metrics
+    assert len(shared_mapping(series.epochs)) == BIG_EPOCHS * 8
+    assert series.epochs.dtype == np.int64 and series.epochs.shape == (BIG_EPOCHS,)
 
 
 def uneven_in_a_child_share(lines):
@@ -590,15 +565,15 @@ def test_epoch_share_faults_load_as_in_one_process(tmp_path, big_losses, forks, 
         pytest.skip("this process may not fork")
     header, lines = big_losses_lines(big_losses)
     path = write_lines(tmp_path / "losses.csv", header, edit(lines))
-    loaded = assert_loads_as_one_process(path)
+    loaded = assert_series_as_one_process(path)
     if error is None:
-        assert loaded[1].shape == (1, BIG_EPOCHS * BIG_N)
+        assert loaded.epochs.tolist() == [0]
         # an epoch longer than half the file leaves no epoch shares to cut
         assert not forks
     else:
         assert isinstance(loaded, str)
         with pytest.raises(FormatError, match=error):
-            load_loss_snapshots(path)
+            losses_file_series(path)
         assert forks
     assert_no_child_left()
 
@@ -613,8 +588,7 @@ def test_a_failed_share_round_is_followed_by_one_parse_here(monkeypatch, tmp_pat
     path = write_lines(tmp_path / "losses.csv", header, edit(lines))
     sources = counting_loadtxt(monkeypatch)
     try:
-        epochs, losses = load_loss_snapshots(path)
-        got = epochs.tobytes(), losses.tobytes()
+        got = series_bytes(losses_file_series(path))
     except FormatError as exc:
         got = str(exc)
     # one round of shares, this process's own from the path, then the
@@ -622,5 +596,37 @@ def test_a_failed_share_round_is_followed_by_one_parse_here(monkeypatch, tmp_pat
     assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS) - 1
     assert [isinstance(source, str) for source in sources] == [True, False]
     assert_no_child_left()
-    want = assert_loads_as_one_process(path)
-    assert got == (want if isinstance(want, str) else (want[0].tobytes(), want[1].tobytes()))
+    want = assert_series_as_one_process(path)
+    assert got == (want if isinstance(want, str) else series_bytes(want))
+
+
+# a row's first loss picks the error its fit raises: epoch 0 falls in this
+# process's share, the last epoch in the last child's
+@pytest.mark.parametrize("bad_rows", [{BIG_EPOCHS - 1: "child row"},
+                                      {0: "parent row", BIG_EPOCHS - 1: "child row"},
+                                      {0: "parent row"}],
+                         ids=["child", "child_and_parent", "parent"])
+def test_a_share_whose_fit_raises_gives_the_one_process_error(monkeypatch, tmp_path, forks,
+                                                              bad_rows):
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    losses = two_mode_losses(BIG_EPOCHS, BIG_N)
+    for row in bad_rows:
+        losses[row, 0] = -1.0 - row
+    path = tmp_path / "losses.csv"
+    save_loss_snapshots(losses, path)
+    real = turning.normalize_losses
+
+    def failing(row):
+        if row[0] < 0:
+            raise ParameterError(bad_rows[int(-1.0 - row[0])])
+        return real(row)
+
+    monkeypatch.setattr(turning, "normalize_losses", failing)
+    with pytest.raises(ParameterError) as shared_fits:
+        losses_file_series(path)
+    assert forks
+    assert_no_child_left()
+    with pytest.raises(ParameterError) as fits_here:
+        one_process(losses_file_series, path)
+    assert str(shared_fits.value) == str(fits_here.value) == bad_rows[min(bad_rows)]
