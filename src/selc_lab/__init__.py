@@ -16,15 +16,19 @@ after the default, or every variable already read 1.
 
 ``fork_workers`` holds the one rule for when this process may fork to
 share its work; ``experiment._run_jobs`` (through ``config.run_workers``)
-and ``turning._epoch_share_series`` ask it. ``fork_child`` is the one
-place that forks, for the job loop of ``_run_jobs`` and for
-``run_shares``, which serves the epoch shares; ``shared`` makes every
-array through which a forked process writes its results.
+and ``turning._epoch_share_series`` ask it. ``fork_jobs`` is the one
+place that forks, pipes, waits and reaps, for the jobs of ``_run_jobs``
+and for the epoch shares; ``shared`` makes the arrays that a trial's
+jobs write in place.
 """
 
 import os
+import pickle
+import select
+import signal
 import sys
 import threading
+from collections import deque
 
 
 def _pin_blas_threads() -> bool:
@@ -58,41 +62,70 @@ def fork_workers(tasks: int) -> int:
     return max(1, min(tasks, len(os.sched_getaffinity(0))))
 
 
-def fork_child(call) -> int:
-    """Fork a child that runs ``call()`` and leaves through ``os._exit``, 0
-    if the call returned and 1 if it raised, so it runs none of this
-    process's exit code; returns its pid, for the caller to reap."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            call()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
-def run_shares(workers: int, share) -> bool:
-    """Call ``share(j)`` for each j in 0..workers-1: j = 0 in this process,
-    every other j in a child forked through ``fork_child``. Every child is
-    reaped before this returns, also when this process's own share raises.
-    True if every share returned; False if a fork failed, a share raised
-    or a child died, and the caller then redoes what is missing. Take
-    ``workers`` from ``fork_workers``."""
-    children = []
-    ok = False
+def fork_jobs(jobs, workers: int, run, done) -> None:
+    """Run ``run(job)`` for each job in a child forked for it alone, at most
+    ``workers`` at once, in queue order: ``jobs``, then the jobs that
+    ``done(job, outcome)`` returns as it runs here when a job ends. The
+    outcome is what ``run`` returned or raised, pickled back through the
+    child's pipe, which is read while the child runs; or a
+    ``ChildProcessError`` ("exited with code 3") for a child that died, or
+    the ``OSError`` that kept a job from starting. If ``done`` raises, the
+    children still running are killed and reaped before the exception
+    leaves. Take ``workers`` from ``fork_workers``."""
+    ready = deque(jobs)
+    running = {}  # a child's read end: (pid, job, what it sent so far)
     try:
-        for j in range(1, workers):
-            children.append(fork_child(lambda j=j: share(j)))
-        share(0)
-        ok = True
-    except Exception:
-        pass  # the caller redoes the work of a share that did not finish
+        while ready or running:
+            while ready and len(running) < workers:
+                job, pipe = ready.popleft(), ()
+                try:
+                    pipe = os.pipe()
+                    pid = os.fork()
+                except OSError as exc:
+                    for end in pipe:
+                        os.close(end)
+                    ready.extend(done(job, exc))
+                    continue
+                read_end, write_end = pipe
+                if pid == 0:
+                    _child(job, run, write_end, [*running, read_end])
+                os.close(write_end)
+                running[read_end] = (pid, job, bytearray())
+            # with none running, the last jobs did not start
+            for read_end in select.select(list(running), [], [])[0] if running else ():
+                chunk = os.read(read_end, 1 << 16)
+                if chunk:
+                    running[read_end][2].extend(chunk)
+                    continue
+                pid, job, sent = running.pop(read_end)
+                os.close(read_end)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                outcome = pickle.loads(sent) if code == 0 else ChildProcessError(
+                    f"exited with code {code}" if code > 0 else f"was killed by signal {-code}")
+                ready.extend(done(job, outcome))
     finally:
-        for pid in children:
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
+        # what has not started is dropped
+        for read_end, (pid, *_) in running.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(job, run, pipe: int, read_ends) -> None:
+    # closes the read_ends, so that the parent is each pipe's one reader,
+    # and leaves through os._exit, so it runs none of the parent's exit code
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        try:
+            outcome = run(job)
+        except Exception as exc:
+            outcome = exc
+        with open(pipe, "wb") as fh:
+            pickle.dump(outcome, fh)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def shared(shape, dtype):

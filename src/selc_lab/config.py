@@ -11,6 +11,7 @@ the run. Fields annotated ``int``, ``float``, ``bool`` or ``str`` take
 values of that type only; an integer is a float too.
 """
 
+import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -161,10 +162,12 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     require(model.activation in ACTIVATIONS,
             f"model.activation must be one of {ACTIVATIONS}, got {model.activation!r}")
 
-    require(opt.lr > 0, f"optimizer.lr must be positive, got {opt.lr}")
+    require(0 < opt.lr < math.inf, f"optimizer.lr must be positive and finite, got {opt.lr}")
     require(0.0 <= opt.momentum < 1.0, f"optimizer.momentum must be in [0, 1), got {opt.momentum}")
-    require(opt.weight_decay >= 0, f"optimizer.weight_decay must be >= 0, got {opt.weight_decay}")
-    require(opt.decay_factor > 1.0, f"optimizer.decay_factor must exceed 1, got {opt.decay_factor}")
+    require(0 <= opt.weight_decay < math.inf,
+            f"optimizer.weight_decay must be >= 0 and finite, got {opt.weight_decay}")
+    require(1.0 < opt.decay_factor < math.inf,
+            f"optimizer.decay_factor must exceed 1 and be finite, got {opt.decay_factor}")
     require(opt.batch_size >= 1, f"optimizer.batch_size must be >= 1, got {opt.batch_size}")
     require(opt.epochs >= 1, f"optimizer.epochs must be >= 1, got {opt.epochs}")
     ms = list(opt.milestones)
@@ -178,8 +181,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     for a in alpha_values(method):
         require(0.0 <= a < 1.0, f"method.alpha values must be in [0, 1), got {a}")
     require(0.0 <= method.beta <= 1.0, f"method.beta must be in [0, 1], got {method.beta}")
-    require(method.mixup_beta_param > 0,
-            f"method.mixup_beta_param must be positive, got {method.mixup_beta_param}")
+    require(0 < method.mixup_beta_param < math.inf,
+            f"method.mixup_beta_param must be positive and finite, got {method.mixup_beta_param}")
     if METHODS[method.name] is not None:
         sweep_dirs = {}  # a sweep writes the trials of alpha a to alpha_{a:g}
         for a in alpha_values(method):

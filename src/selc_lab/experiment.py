@@ -22,11 +22,11 @@ trial's failure, but the diagnosis still writes its artifacts. Diagnostics
 never feed back into training: correction reads only the previous epoch's
 predictions.
 
-When ``config.run_workers`` allows, each job runs in a child forked for it
-alone: first every train job, then a trial's retrain and diagnose jobs as
-soon as its train job returns, beside the trials still training. The data
-and each trial's loss matrix, a shared mapping, exist before the first
-fork; only a job's outcome comes back, pickled through the child's pipe.
+When ``config.run_workers`` allows, ``selc_lab.fork_jobs`` runs each job
+in a child of its own: first every train job, then a trial's retrain and
+diagnose jobs as soon as its train job returns, beside the trials still
+training. The data and each trial's loss matrix, a shared mapping, exist
+before the first fork; only a job's outcome comes back, pickled.
 Otherwise each trial runs its jobs one after the other in this process,
 with the same outputs. Either way the diagnose job fits its epochs one
 after another (``turning.compute_metric_series``).
@@ -36,14 +36,12 @@ Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 
 import json
 import os
-import pickle
-import select
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fork_child, shared
+from . import fork_jobs, shared
 from .config import AUTO, ExperimentConfig, run_alphas, run_workers
 from .data import TrainView
 from .diagnostics import (
@@ -344,28 +342,13 @@ def _run_trial(run: _Run, k: int):
     return _trial_outcome(run, k, trained, retrained, diagnosed)
 
 
-def _send(pipe: int, read_ends, job, run: _Run, k: int, args) -> None:
-    """A job's child: close the ``read_ends`` of its own and its older
-    siblings' pipes, so that the parent is each pipe's one reader; then
-    pickle into ``pipe`` the job's outcome or what ``_outcome`` let through."""
-    for read_end in read_ends:
-        os.close(read_end)
-    try:
-        outcome = _outcome(job, run, k, *args)
-    except Exception as exc:
-        outcome = exc
-    with open(pipe, "wb") as fh:
-        pickle.dump(outcome, fh)
-
-
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
-    With ``config.run_workers`` of 2 or more, one loop forks a child per
-    job, at most that many at once, in the order of the module docstring.
-    It reads each pipe while its child runs, as an outcome can outgrow a
-    pipe, then reaps the child. A job whose child dies or does not start
-    fails its trial. Otherwise ``_run_trial`` runs each trial here."""
+    With ``config.run_workers`` of 2 or more, ``selc_lab.fork_jobs`` runs
+    each job in a child of its own, at most that many at once, in the
+    order of the module docstring. A job whose child dies or does not
+    start fails its trial. Otherwise ``_run_trial`` runs each trial here."""
     if not jobs:
         return []
     workers = run_workers(cfg)
@@ -381,50 +364,21 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     by_name = {"train": _train_job, "retrain": _retrain_job, "diagnose": _diagnose_job}
     outcomes = {name: [None] * len(jobs) for name in by_name}
     after_train = ("retrain", "diagnose") if cfg.method.name == "selc_plus" else ("diagnose",)
-    ready = deque(("train", k, ()) for k in range(len(jobs)))
-    running = {}  # a child's read end: (pid, job name, trial, what it sent so far)
-    try:
-        while ready or running:
-            while ready and len(running) < workers:
-                name, k, args = ready.popleft()
-                try:
-                    read_end, write_end = os.pipe()
-                    read_ends = [*running, read_end]
-                    try:
-                        pid = fork_child(lambda: _send(write_end, read_ends, by_name[name], run, k, args))
-                    except OSError:
-                        os.close(read_end)
-                        raise
-                    finally:
-                        os.close(write_end)
-                    running[read_end] = (pid, name, k, bytearray())
-                except OSError as exc:
-                    outcomes[name][k] = f"OSError: the process of the {name} job did not start: {exc}"
-            if not running:
-                break  # the last jobs did not start
-            for read_end in select.select(list(running), [], [])[0]:
-                chunk = os.read(read_end, 1 << 16)
-                if chunk:
-                    running[read_end][3].extend(chunk)
-                    continue
-                pid, name, k, sent = running.pop(read_end)
-                os.close(read_end)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code:
-                    ended = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
-                    outcome = f"ChildProcessError: the process of the {name} job {ended}"
-                else:
-                    outcome = pickle.loads(sent)
-                if isinstance(outcome, Exception):
-                    raise outcome
-                outcomes[name][k] = outcome
-                if isinstance(outcome, _Trained):
-                    ready.extend((then, k, (outcome,)) for then in after_train)
-    finally:
-        # what has not started is dropped
-        for read_end, (pid, *_) in running.items():
-            os.close(read_end)  # a child blocked on its full pipe gets EPIPE
-            os.waitpid(pid, 0)
+
+    def done(job, outcome):
+        # _outcome turned every OSError of the job itself into its message
+        name, k, _ = job
+        if isinstance(outcome, ChildProcessError):
+            outcome = f"ChildProcessError: the process of the {name} job {outcome}"
+        elif isinstance(outcome, OSError):
+            outcome = f"OSError: the process of the {name} job did not start: {outcome}"
+        elif isinstance(outcome, Exception):
+            raise outcome
+        outcomes[name][k] = outcome
+        return [(then, k, (outcome,)) for then in after_train] if isinstance(outcome, _Trained) else []
+
+    fork_jobs([("train", k, ()) for k in range(len(jobs))], workers,
+              lambda job: _outcome(by_name[job[0]], run, job[1], *job[2]), done)
     return [_trial_outcome(run, k, *trial)
             for k, trial in enumerate(zip(*outcomes.values()))]
 

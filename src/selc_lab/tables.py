@@ -4,10 +4,10 @@ row per line; empty lines are skipped. Only printable ASCII, tab, CR and
 LF may appear in it.
 
 ``read_rows`` parses a file, or a window of its lines, with one
-``np.loadtxt`` call in this process. The scan of its bytes that
-``open_text`` makes anyway counts its lines and tells whether each LF
-ends one row, which is what a parse in windows of lines needs (the epoch
-shares of ``turning.losses_file_series``)."""
+``np.loadtxt`` call in the process that calls it. The scan of its bytes
+that ``open_text`` makes anyway counts its lines and tells whether each
+LF ends one row, which a parse in windows of lines needs (the epoch
+shares of ``turning.losses_file_series``, each in a child of its own)."""
 
 import math
 import warnings

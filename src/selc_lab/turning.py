@@ -18,8 +18,8 @@ its epoch numbers, and ``compute_metric_series`` fits the three series
 to it one row after another. ``losses_file_series`` gives the series of
 a losses file. A large one in rising epoch blocks, as ``run`` writes it,
 is cut into shares of whole epochs, each parsed as a small losses file
-and fitted in its own forked process (``_epoch_share_series``); only
-the series come back, through arrays from ``selc_lab.shared``.
+and fitted in a child forked for it alone (``_epoch_share_series``);
+only each share's series comes back, pickled through the child's pipe.
 """
 
 import math
@@ -30,7 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import fork_workers, run_shares, shared
+from . import fork_jobs, fork_workers
 from .errors import FormatError, ParameterError
 from .tables import open_text, read_rows
 
@@ -392,13 +392,12 @@ def _epoch_share_series(path, fh):
     whole epochs of n rows, n the count at the top with the first row's
     epoch; or None. Only a ``plain`` file of at least ``FAN_OUT_MIN_BYTES``
     is shared: ``max_rows`` of ``np.loadtxt`` does not count a line that it
-    skips. Each share's process (``selc_lab.run_shares``) loads its lines
-    as a small losses file (``_epoch_rows``), fits them
-    (``compute_metric_series``) and writes their epochs and metrics into
-    shared arrays. A share that does not load n samples of each of its
-    epochs or whose fit raises, a dead child, or epochs that do not rise
-    from share to share give None, and the whole parse and the fits in
-    one process follow."""
+    skips. Each share's child (``selc_lab.fork_jobs``) loads its lines as
+    a small losses file (``_epoch_rows``), fits them and sends back their
+    series, which this process checks as it comes. The first share that
+    does not load n samples of each epoch, raises, dies or does not start,
+    or whose epochs do not rise from share to share, ends the round with
+    None, its other children killed; the whole parse follows."""
     lines = fh.lines
     total = lines.count - 1
     workers = fork_workers(total) if lines.plain and lines.size >= FAN_OUT_MIN_BYTES else 1
@@ -411,10 +410,9 @@ def _epoch_share_series(path, fh):
     workers = min(workers, count)
     # share j is epochs cuts[j] .. cuts[j + 1] - 1, counted from the top
     cuts = [j * count // workers for j in range(workers + 1)]
-    epochs = shared(count, np.int64)
-    metrics = shared((3, count), np.float64)
     # an absolute path, which np.loadtxt cannot take for a URL
     source = os.path.abspath(path)
+    shares = [None] * workers
 
     def fit(j):
         first, stop = cuts[j], cuts[j + 1]
@@ -422,12 +420,23 @@ def _epoch_share_series(path, fh):
                                            max_rows=(stop - first) * n)
         if losses.shape != (stop - first, n):
             raise FormatError(f"{path}: a share of other than {stop - first} epochs of {n}")
-        series = compute_metric_series(share_epochs, losses)
-        epochs[first:stop] = series.epochs
-        metrics[:, first:stop] = series.m1, series.m2, series.m3
+        return compute_metric_series(share_epochs, losses)
 
-    rise = run_shares(workers, fit) and (epochs[1:] > epochs[:-1]).all()
-    return MetricSeries(epochs, *metrics) if rise else None
+    def keep(j, series):
+        if isinstance(series, Exception):
+            raise series
+        shares[j] = series
+        for before, after in zip(shares, shares[1:]):
+            if before is not None and after is not None and before.epochs[-1] >= after.epochs[0]:
+                raise FormatError(f"{path}: epochs do not rise from share to share")
+        return []
+
+    try:
+        fork_jobs(range(workers), workers, fit, keep)
+    except Exception:
+        return None  # the whole parse raises what a share raised
+    return MetricSeries(*(np.concatenate([getattr(series, name) for series in shares])
+                          for name in ("epochs", *METRIC_NAMES)))
 
 
 def _first_epoch_rows(path, limit):

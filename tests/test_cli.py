@@ -146,8 +146,9 @@ def test_run_verb_non_integer_field_is_config_error(monkeypatch, tmp_path, capsy
     ({"name": "ce", "alpha": 1.5}, "method.alpha"),
     ({"name": "bootstrap", "alpha": 1.5}, "method.alpha"),
     ({"name": "ce", "mixup_beta_param": -1}, "method.mixup_beta_param"),
+    ({"name": "selc", "mixup_beta_param": float("inf")}, "method.mixup_beta_param"),
 ], ids=["selc_beta", "selc_mixup_beta_param", "ce_alpha", "bootstrap_alpha",
-        "ce_mixup_beta_param"])
+        "ce_mixup_beta_param", "selc_infinite_mixup_beta_param"])
 def test_run_verb_out_of_range_method_field_is_config_error(tmp_path, capsys, method, field):
     cfg = write_tiny_config(tmp_path, trials=[1, 2], method=method)
     assert main(["run", str(cfg)]) == 1

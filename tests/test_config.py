@@ -1,3 +1,4 @@
+import math
 import os
 import re
 from dataclasses import fields
@@ -153,6 +154,9 @@ def test_validation_catches_bad_values():
         ({"model": {"hidden_dims": []}}, "model.hidden_dims"),
         ({"model": {"hidden_dims": [8], "activation": "swish"}}, "model.activation"),
         ({"optimizer": {"lr": 0.0}}, "optimizer.lr"),
+        ({"optimizer": {"lr": math.inf}}, "optimizer.lr"),
+        ({"optimizer": {"weight_decay": math.inf}}, "optimizer.weight_decay"),
+        ({"optimizer": {"decay_factor": math.inf}}, "optimizer.decay_factor"),
         ({"optimizer": {"milestones": [5, 3]}}, "optimizer.milestones"),
         ({"optimizer": {"epochs": 0}}, "optimizer.epochs"),
         ({"method": {"name": "selc", "alpha": 1.0}}, "method.alpha"),
@@ -161,6 +165,7 @@ def test_validation_catches_bad_values():
         ({"method": {"name": "selc", "metric_choice": "m9"}}, "method.metric_choice"),
         ({"method": {"name": "selc", "detector_patience": 0}}, "method.detector_patience"),
         ({"method": {"name": "bootstrap", "beta": 1.5}}, "method.beta"),
+        ({"method": {"name": "selc", "mixup_beta_param": math.inf}}, "method.mixup_beta_param"),
         ({"method": {"name": "selc_plus", "plus_epochs": 0}}, "method.plus_epochs"),
         ({"trials": [1, 1]}, "trials"),
         ({"trials": [1, True]}, "trials"),

@@ -1,3 +1,4 @@
+import ast
 import csv
 import itertools
 import json
@@ -759,8 +760,8 @@ def test_a_job_that_does_not_start_fails_only_its_trial(tmp_path, monkeypatch, s
     cfg = tiny_config(tmp_path, trials=[1, 2, 3])
     if config.run_workers(cfg) < 2:
         pytest.skip("trials run in-process here")
-    owner = os if step == "pipe" else experiment
-    real = getattr(owner, step)
+    call = {"pipe": "pipe", "fork_child": "fork"}[step]
+    real = getattr(os, call)
     calls = []
 
     def failing(*args):
@@ -769,7 +770,7 @@ def test_a_job_that_does_not_start_fails_only_its_trial(tmp_path, monkeypatch, s
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return real(*args)
 
-    monkeypatch.setattr(owner, step, failing)
+    monkeypatch.setattr(os, call, failing)
     open_fds = len(os.listdir("/proc/self/fd"))
     summary = run_experiment(cfg)
     assert summary["completed"] == [1, 3]
@@ -818,6 +819,23 @@ print(summary["completed"], [m for m in ("multiprocessing", "concurrent.futures"
                           str(tmp_path)], env=child_env(), check=True, timeout=120,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[0] == "[1, 2, 3] []"
+
+
+def test_only_the_package_init_forks():
+    # selc_lab.fork_jobs is the one place that forks, pipes, waits and reaps
+    calls = {("os", "fork"), ("os", "pipe"), ("select", "select"), ("os", "waitpid")}
+    callers = set()
+    for source in Path(selc_lab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                named = {(node.value.id, node.attr)}
+            elif isinstance(node, ast.ImportFrom):
+                named = {(node.module, alias.name) for alias in node.names}
+            else:
+                continue
+            if named & calls:
+                callers.add(source.name)
+    assert callers == {"__init__.py"}
 
 
 @pytest.mark.parametrize("overrides, ready", [

@@ -1,13 +1,14 @@
 """The fork fan-out of ``turning.losses_file_series``, whose epoch shares
-each parse and fit a window of a large losses file: the same series as in
-one process, the same error, no child left behind, and no fork where the
-rule in ``selc_lab.fork_workers`` or the size cut-off forbids one.
+each parse and fit a window of a large losses file in a child of
+``selc_lab.fork_jobs``: the same series as in one process, the same
+error, no child left behind, and no fork where the rule in
+``selc_lab.fork_workers`` or the size cut-off forbids one.
 ``tables.read_rows``, ``load_loss_snapshots`` and ``compute_metric_series``
 never fork."""
 
-import mmap
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -82,7 +83,7 @@ def no_fork(monkeypatch):
     return attempts
 
 
-# --- selc_lab.shared, the arrays through which a child hands back results ---
+# --- selc_lab.shared, the arrays that a trial's jobs write in place ---
 
 @pytest.mark.parametrize("shape, dtype", [((3, 5), np.float64), (7, np.int64), (4, np.bool_)],
                          ids=["matrix", "vector", "flags"])
@@ -94,11 +95,13 @@ def test_a_shared_array_shows_the_parent_what_a_child_wrote(forks, shape, dtype)
     # every element nonzero, so that each one the child missed shows
     want = (np.arange(array.size) + 1).astype(dtype).reshape(shape)
 
-    def write_in_the_child(j):
-        if j == 1:
-            array[...] = want
+    def write_in_the_child(job):
+        array[...] = want
 
-    assert selc_lab.run_shares(2, write_in_the_child)
+    outcomes = []
+    selc_lab.fork_jobs(["write"], 1, write_in_the_child,
+                       lambda job, outcome: outcomes.append((job, outcome)) or [])
+    assert outcomes == [("write", None)]
     assert len(forks) == 1
     assert array.tobytes() == want.tobytes()
     assert_no_child_left()
@@ -265,8 +268,8 @@ def test_shared_parse_of_a_csv_dataset(big_csv, forks):
     assert forks == []
 
 
-# line 3 falls in this process's share, the next-to-last line in the last
-# child's; the error names the first bad line, as a read in one process does
+# line 3 falls in the first share, the next-to-last line in the last
+# share; the error names the first bad line, as a read in one process does
 @pytest.mark.parametrize("where", ["parent", "child", "both"])
 def test_a_bad_line_raises_as_in_one_process(tmp_path, big_losses, forks, where):
     if not fans_out():
@@ -304,9 +307,9 @@ def test_a_share_that_raises_on_good_rows_is_parsed_again_here(monkeypatch, big_
     path = big_losses[0]
     sources = counting_loadtxt(monkeypatch, raise_in_child=True)
     assert_series_as_one_process(path)
-    # the load in one process from the handle, this process's share from the
-    # path, then, as a child's share raised, the whole parse from the handle
-    assert [isinstance(source, str) for source in sources] == [False, True, False]
+    # the load in one process from the handle, then, as every share
+    # raised in its child, the whole parse from the handle
+    assert [isinstance(source, str) for source in sources] == [False, False]
     assert forks
     assert_no_child_left()
 
@@ -356,7 +359,7 @@ def blank_line(raw):
 
 
 def early_blank_line(raw):
-    # an empty line after line 2, in this process's share
+    # an empty line after line 2, in the first share
     first, second, rest = raw.split(b"\n", 2)
     return first + b"\n" + second + b"\n\n" + rest
 
@@ -483,15 +486,8 @@ def test_epoch_share_series_equals_one_process_series(big_losses, forks):
     if not fans_out():
         pytest.skip("this process may not fork")
     assert_fits_the_written_losses(losses_file_series(big_losses[0]))
-    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS) - 1
+    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS)
     assert_no_child_left()
-
-
-def shared_mapping(array):
-    # the mmap under an array made by np.frombuffer, or None
-    while array is not None and not isinstance(array, memoryview):
-        array = array.base
-    return None if array is None else array.obj
 
 
 @pytest.mark.parametrize("order", [in_order, ids_shuffled])
@@ -509,13 +505,9 @@ def test_epoch_shares_keep_only_the_losses(monkeypatch, tmp_path, big_losses, or
 
     monkeypatch.setattr(turning, "compute_metric_series", recording)
     series = losses_file_series(path)
-    # this process fits its own share's epochs only
-    assert fitted == [(BIG_EPOCHS // selc_lab.fork_workers(BIG_EPOCHS), BIG_N)]
-    metrics = shared_mapping(series.m1)
-    assert isinstance(metrics, mmap.mmap) and len(metrics) == 3 * BIG_EPOCHS * 8
-    assert shared_mapping(series.m3) is metrics
-    assert len(shared_mapping(series.epochs)) == BIG_EPOCHS * 8
-    assert series.epochs.dtype == np.int64 and series.epochs.shape == (BIG_EPOCHS,)
+    # every share fits in its child, and this process fits no epoch
+    assert fitted == []
+    assert series.epochs.dtype == np.int64 and series.epochs.tolist() == list(range(BIG_EPOCHS))
 
 
 def uneven_in_a_child_share(lines):
@@ -542,7 +534,7 @@ def duplicated_epoch(lines, copied=29):
 
 
 def duplicated_epoch_in_another_share(lines):
-    # epoch 10 falls in this process's share, its copy in a child's
+    # epoch 10 falls in the first share, its copy in the last
     return duplicated_epoch(lines, copied=10)
 
 
@@ -591,17 +583,17 @@ def test_a_failed_share_round_is_followed_by_one_parse_here(monkeypatch, tmp_pat
         got = series_bytes(losses_file_series(path))
     except FormatError as exc:
         got = str(exc)
-    # one round of shares, this process's own from the path, then the
-    # whole parse of the open file here
-    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS) - 1
-    assert [isinstance(source, str) for source in sources] == [True, False]
+    # one round of shares, each in its child, then the whole parse of the
+    # open file here
+    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS)
+    assert [isinstance(source, str) for source in sources] == [False]
     assert_no_child_left()
     want = assert_series_as_one_process(path)
     assert got == (want if isinstance(want, str) else series_bytes(want))
 
 
-# a row's first loss picks the error its fit raises: epoch 0 falls in this
-# process's share, the last epoch in the last child's
+# a row's first loss picks the error its fit raises: epoch 0 falls in the
+# first share, the last epoch in the last
 @pytest.mark.parametrize("bad_rows", [{BIG_EPOCHS - 1: "child row"},
                                       {0: "parent row", BIG_EPOCHS - 1: "child row"},
                                       {0: "parent row"}],
@@ -630,3 +622,28 @@ def test_a_share_whose_fit_raises_gives_the_one_process_error(monkeypatch, tmp_p
     with pytest.raises(ParameterError) as fits_here:
         one_process(losses_file_series, path)
     assert str(shared_fits.value) == str(fits_here.value) == bad_rows[min(bad_rows)]
+
+
+def test_an_abandoned_share_round_stops_waiting(monkeypatch, tmp_path, big_losses, forks):
+    # the first share sleeps, wherever it runs, while the last one fails
+    if not fans_out():
+        pytest.skip("this process may not fork")
+    header, lines = big_losses_lines(big_losses)
+    path = write_lines(tmp_path / "losses.csv", header, bad_float_in_a_child_share(lines))
+    with pytest.raises(FormatError) as one:
+        one_process(losses_file_series, path)
+    real = turning._epoch_rows
+
+    def sleeping_first_share(path, source, **window):
+        if window.get("skiprows") == 1:
+            time.sleep(60)
+        return real(path, source, **window)
+
+    monkeypatch.setattr(turning, "_epoch_rows", sleeping_first_share)
+    start = time.perf_counter()
+    with pytest.raises(FormatError) as exc:
+        losses_file_series(path)
+    assert time.perf_counter() - start < 15
+    assert str(exc.value) == str(one.value)
+    assert len(forks) == selc_lab.fork_workers(BIG_EPOCHS)
+    assert_no_child_left()
