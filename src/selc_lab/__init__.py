@@ -44,8 +44,8 @@ def _pin_blas_threads() -> bool:
 # importing any selc_lab module runs this first, before its numpy import
 # starts the BLAS library
 BLAS_PINNED = _pin_blas_threads()
-# a process with another pid was forked after the import: a job's child or
-# an epoch share's child, whose siblings already hold the other cores
+# a process with another pid was forked after the import, such as a worker
+# of a caller's process pool, whose siblings may already hold the other cores
 _IMPORT_PID = os.getpid()
 
 

@@ -163,7 +163,7 @@ def _cmd_make_blobs(args) -> int:
     raw = read_yaml(args.spec)
     try:
         spec = from_mapping(BlobSpec, raw, "the blob spec")
-        check_memory([data_memory(spec.n, spec.test_n, spec.dim, ("n", "dim"))])
+        check_memory([data_memory(spec.n, spec.test_n, spec.dim, ("n", "test_n", "dim"))])
         # both splits exist before either file is written
         splits = [(split, *generate_blobs(spec, split=split)) for split in ("train", "test")]
     except ParameterError as exc:

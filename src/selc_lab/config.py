@@ -133,6 +133,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         except ParameterError as exc:
             raise ParameterError(f"dataset.{exc}") from exc
         num_classes = ds.num_classes
+        sizes = (ds.n, spec.test_n, ds.dim, num_classes)
+        size_fields = ("n", "test_n", "dim", "num_classes")
     else:
         check_seed(ds.seed, "dataset.seed")  # read by blobs only, where BlobSpec checks it
         names = (("train_images", "train_labels", "test_images", "test_labels")
@@ -145,7 +147,13 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         require(cfg.data[1].size >= MIN_SAMPLES,
                 f"dataset.{names[0]}: need at least {MIN_SAMPLES} training samples, "
                 f"got {cfg.data[1].size}")
-        num_classes = cfg.data[4]
+        train_x, train_y, test_x, _, num_classes = cfg.data
+        sizes = (train_x.shape[0], test_x.shape[0], train_x.shape[1], num_classes)
+        # names lists the training files, then the test files; a split's sizes
+        # are named by its first file, C by the file whose largest label sets it
+        train_labels, test_labels = (name for name in names if not name.endswith("images"))
+        labels = train_labels if train_y.max() + 1 == num_classes else test_labels
+        size_fields = (names[0], names[len(names) // 2], names[0], labels)
 
     require(noise.kind in NOISE_KINDS, f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
     if noise.kind != "none":
@@ -207,18 +215,7 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
 
     # the noise model and the blobs are built only once the run they are
     # for is known to fit
-    if ds.kind != "blobs":
-        # the files are read already; their sizes hold for the estimate
-        train_x, train_y, test_x = cfg.data[:3]
-        field = f"dataset.{names[0]}"
-        # the file whose largest label sets the class count
-        train_labels, test_labels = (name for name in names if not name.endswith("images"))
-        labels = train_labels if train_y.max() + 1 == num_classes else test_labels
-        _check_memory(cfg, train_x.shape[0], test_x.shape[0], train_x.shape[1], num_classes,
-                      (field, field, f"dataset.{labels}"))
-    else:
-        _check_memory(cfg, ds.n, spec.test_n, ds.dim, num_classes,
-                      ("dataset.n", "dataset.dim", "dataset.num_classes"))
+    _check_memory(cfg, *sizes, [f"dataset.{name}" for name in size_fields])
     if noise.kind == "asymmetric":
         cfg.transition = build_asymmetric_q(num_classes, noise.eta, mapping)
     else:
@@ -229,15 +226,15 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     try:  # BlobSpec checked the splits; what fails here is placing the centers
         splits = [generate_blobs(spec, split=split) for split in ("train", "test")]
     except ParameterError as exc:
-        raise ParameterError(f"dataset.cluster_std: {exc}") from exc
+        raise ParameterError(f"dataset.{exc}") from exc
     cfg.data = (*splits[0], *splits[1], ds.num_classes)
 
 
 def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_classes: int,
                   fields) -> None:
     """Reject a run that cannot fit in physical memory (``check_memory``);
-    ``fields`` name the fields that set the sample count, the feature
-    count and the class count C.
+    ``fields`` name the fields that set ``n``, ``test_n``, ``dim`` and the
+    class count C.
 
     The estimate is a floor of what the run maps at once: the data; the
     (epochs, n) float64 loss matrices of ``experiment._run_jobs``, one per
@@ -252,12 +249,12 @@ def _check_memory(cfg: ExperimentConfig, n: int, test_n: int, dim: int, num_clas
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip([dim, *hidden], widths))
     trials = len(run_alphas(cfg)) * len(cfg.trials)
     workers = run_workers(cfg)
-    n_field, dim_field, class_field = fields
+    n_field, test_field, dim_field, class_field = fields
     # the layer widths are named by the classes once they outnumber the
     # hidden units
     width_field = class_field if num_classes > sum(hidden) else "model.hidden_dims"
     check_memory([
-        data_memory(n, test_n, dim, (n_field, dim_field)),
+        data_memory(n, test_n, dim, (n_field, test_field, dim_field)),
         (8 * (trials if workers > 1 else 1) * epochs * n, {"optimizer.epochs": epochs, n_field: n}),
         (8 * min(workers, trials) * n * sum(widths), {n_field: n, width_field: sum(widths)}),
         (8 * min(workers, trials) * 4 * params, {dim_field: dim, width_field: max(widths)}),
@@ -272,20 +269,24 @@ def run_alphas(cfg: ExperimentConfig) -> list:
     return alphas if METHODS[cfg.method.name] is not None else alphas[:1]
 
 
+def after_train(cfg: ExperimentConfig) -> tuple:
+    """The jobs queued after each train job of a run, in order."""
+    return ("retrain", "diagnose") if cfg.method.name == "selc_plus" else ("diagnose",)
+
+
 def run_workers(cfg: ExperimentConfig) -> int:
     """How many processes run a run's jobs at once: ``fork_workers`` of the
-    most jobs that can be ready at once, two per ``selc_plus`` trial (retrain
-    and diagnose) and one per other trial. Below 2, none forks."""
-    return fork_workers(len(run_alphas(cfg)) * len(cfg.trials)
-                        * (2 if cfg.method.name == "selc_plus" else 1))
+    most jobs that can be ready at once, those that follow every trial's
+    train job (``after_train``). Below 2, none forks."""
+    return fork_workers(len(run_alphas(cfg)) * len(cfg.trials) * len(after_train(cfg)))
 
 
 def data_memory(n: int, test_n: int, dim: int, fields):
     """The memory term of a dataset's float64 features and int64 labels,
     ``n + test_n`` samples of ``dim`` features, for ``check_memory``;
-    ``fields`` name the fields that set the sample and feature counts."""
-    n_field, dim_field = fields
-    return 8 * (n + test_n) * (dim + 1), {n_field: n + test_n, dim_field: dim}
+    ``fields`` name the fields that set ``n``, ``test_n`` and ``dim``."""
+    n_field, test_field, dim_field = fields
+    return 8 * (n + test_n) * (dim + 1), {n_field: n, test_field: test_n, dim_field: dim}
 
 
 def check_memory(terms) -> None:

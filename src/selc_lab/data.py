@@ -115,9 +115,9 @@ def _blob_centers(spec: BlobSpec) -> np.ndarray:
                 break
         else:
             raise ParameterError(
-                f"could not place {spec.num_classes} centers at pairwise distance "
-                f">= {min_dist} in {spec.dim}-D after {_CENTER_ATTEMPTS} attempts; "
-                "cluster_std too large for this dimension"
+                f"cluster_std too large for this dimension: could not place "
+                f"{spec.num_classes} centers at pairwise distance >= {min_dist} in "
+                f"{spec.dim}-D after {_CENTER_ATTEMPTS} attempts"
             )
     return np.stack(centers)
 

@@ -22,14 +22,16 @@ trial's failure, but the diagnosis still writes its artifacts. Diagnostics
 never feed back into training: correction reads only the previous epoch's
 predictions.
 
+One plan orders the jobs of every run: each train job first, then the
+jobs that ``config.after_train`` names, queued as the train job returns.
 When ``config.run_workers`` allows, ``selc_lab.fork_jobs`` runs each job
-in a child of its own: first every train job, then a trial's retrain and
-diagnose jobs as soon as its train job returns, beside the trials still
-training. The data and each trial's loss matrix, a shared mapping, exist
-before the first fork; only a job's outcome comes back, pickled.
-Otherwise each trial runs its jobs one after the other in this process,
-with the same outputs. Either way the diagnose job fits its epochs one
-after another (``turning.compute_metric_series``).
+in a child of its own, so a trial's retrain and diagnose jobs run beside
+the trials still training. The data and each trial's loss matrix, a
+shared mapping, exist before the first fork; only a job's outcome comes
+back, pickled. Otherwise ``_run_trial`` runs each trial's jobs in this
+process from the same queue, one after another, with the same outputs.
+Either way the diagnose job fits its epochs one after another
+(``turning.compute_metric_series``).
 
 Environment: ``SELC_OUT_DIR`` overrides the config's output directory.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fork_jobs, shared
-from .config import AUTO, ExperimentConfig, run_alphas, run_workers
+from .config import AUTO, ExperimentConfig, after_train, run_alphas, run_workers
 from .data import TrainView
 from .diagnostics import (
     append_metrics_ledger,
@@ -115,19 +117,6 @@ def _write_json(data, path) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(_round6(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@dataclass
-class _TrialResult:
-    """A completed trial as ``summary.json`` records it: the ``WARM_FIELDS``
-    of its warm phase and the last epoch rows of its main run and, for
-    ``selc_plus``, of its retrain (else None)."""
-
-    seed: int
-    activation_epoch: int | None
-    warm: dict
-    last: dict
-    plus_last: dict | None
 
 
 @dataclass
@@ -298,13 +287,13 @@ def _diagnose_job(run: _Run, k: int, trained: _Trained) -> None:
         save_state(trained.state, os.path.join(trial_dir, "targets_final.txt"))
 
 
-def _aggregate(results, column, plus=False):
-    """The ``column`` value of each trial's last main-run row, or with
-    ``plus`` its last retrain row, with their mean and sample stddev; None
-    when no trial completed."""
-    if not results:
+def _aggregate(last_rows: dict, column):
+    """The ``column`` value of each trial's row in ``last_rows`` (str(seed)
+    -> row), with their mean and sample stddev; None when no trial
+    completed."""
+    if not last_rows:
         return None
-    per_trial = {str(r.seed): (r.plus_last if plus else r.last)[column] for r in results}
+    per_trial = {seed: row[column] for seed, row in last_rows.items()}
     values = list(per_trial.values())
     stddev = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return {"per_trial": per_trial, "mean": float(np.mean(values)), "stddev": stddev}
@@ -319,36 +308,36 @@ def _outcome(job, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _trial_outcome(run: _Run, k: int, trained, retrained, diagnosed):
-    """Trial ``k``'s outcome from those of its jobs: the first failure
-    message of its train, retrain and diagnose jobs, in that order, or its
-    ``_TrialResult``. ``retrained`` is None for a trial with no retrain."""
+def _trial_outcome(trained, retrained, diagnosed):
+    """A trial's outcome from those of its jobs: the first failure message
+    of its train, retrain and diagnose jobs, in that order, or its
+    ``_Trained`` and the last row of its retrain (None for a trial with
+    no retrain)."""
     for outcome in (trained, retrained, diagnosed):
         if isinstance(outcome, str):
             return outcome
-    return _TrialResult(run.jobs[k][1], trained.activation_epoch, trained.warm, trained.rows[-1],
-                        None if retrained is None else retrained[-1])
+    return trained, None if retrained is None else retrained[-1]
 
 
-def _run_trial(run: _Run, k: int):
-    """Trial ``k`` in this process: its train job, then its diagnose job
-    and, for ``selc_plus``, its retrain job."""
-    trained = _outcome(_train_job, run, k)
-    diagnosed = retrained = None
-    if isinstance(trained, _Trained):
-        diagnosed = _outcome(_diagnose_job, run, k, trained)
-        if run.cfg.method.name == "selc_plus":
-            retrained = _outcome(_retrain_job, run, k, trained)
-    return _trial_outcome(run, k, trained, retrained, diagnosed)
+def _run_trial(k: int, run_job, done) -> None:
+    """Trial ``k`` in this process: its train job, then each job that
+    ``done`` queues when a job of the trial returns."""
+    ready = deque([("train", k, ())])
+    while ready:
+        job = ready.popleft()
+        ready.extend(done(job, run_job(job)))
 
 
 def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     """Run the ``(alpha, seed, trial_dir)`` trials; outcomes in job order.
 
-    With ``config.run_workers`` of 2 or more, ``selc_lab.fork_jobs`` runs
-    each job in a child of its own, at most that many at once, in the
-    order of the module docstring. A job whose child dies or does not
-    start fails its trial. Otherwise ``_run_trial`` runs each trial here."""
+    Each trial is a train job and the jobs that ``config.after_train``
+    names, queued by ``done`` as its train job returns. With
+    ``config.run_workers`` of 2 or more, ``selc_lab.fork_jobs`` runs each
+    job in a child of its own, at most that many at once, every train job
+    first; a job whose child dies or does not start fails its trial.
+    Otherwise ``_run_trial`` runs each trial's jobs here, in the same
+    order."""
     if not jobs:
         return []
     workers = run_workers(cfg)
@@ -358,12 +347,13 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
     losses = ([shared(shape, np.float64) for _ in jobs] if workers > 1
               else [shared(shape, np.float64)] * len(jobs))
     run = _Run(cfg, jobs, losses)
-    if workers < 2:
-        return [_run_trial(run, k) for k in range(len(jobs))]
-
     by_name = {"train": _train_job, "retrain": _retrain_job, "diagnose": _diagnose_job}
     outcomes = {name: [None] * len(jobs) for name in by_name}
-    after_train = ("retrain", "diagnose") if cfg.method.name == "selc_plus" else ("diagnose",)
+    follow = after_train(cfg)
+
+    def run_job(job):
+        name, k, args = job
+        return _outcome(by_name[name], run, k, *args)
 
     def done(job, outcome):
         # _outcome turned every OSError of the job itself into its message
@@ -375,12 +365,14 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> list:
         elif isinstance(outcome, Exception):
             raise outcome
         outcomes[name][k] = outcome
-        return [(then, k, (outcome,)) for then in after_train] if isinstance(outcome, _Trained) else []
+        return [(then, k, (outcome,)) for then in follow] if isinstance(outcome, _Trained) else []
 
-    fork_jobs([("train", k, ()) for k in range(len(jobs))], workers,
-              lambda job: _outcome(by_name[job[0]], run, job[1], *job[2]), done)
-    return [_trial_outcome(run, k, *trial)
-            for k, trial in enumerate(zip(*outcomes.values()))]
+    if workers < 2:
+        for k in range(len(jobs)):
+            _run_trial(k, run_job, done)
+    else:
+        fork_jobs([("train", k, ()) for k in range(len(jobs))], workers, run_job, done)
+    return [_trial_outcome(*trial) for trial in zip(*outcomes.values())]
 
 
 def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes) -> dict:
@@ -388,23 +380,27 @@ def _summarize_alpha(cfg: ExperimentConfig, alpha: float, out_dir: str, outcomes
     given in ``cfg.trials`` order."""
     failures = {str(seed): outcome for seed, outcome in zip(cfg.trials, outcomes)
                 if isinstance(outcome, str)}
-    ordered = [outcome for outcome in outcomes if not isinstance(outcome, str)]
+    completed = {seed: outcome for seed, outcome in zip(cfg.trials, outcomes)
+                 if not isinstance(outcome, str)}
+    trained = {str(seed): t for seed, (t, _) in completed.items()}
+    last = {seed: t.rows[-1] for seed, t in trained.items()}
 
     summary = {
-        "empty": len(ordered) == 0,
+        "empty": len(completed) == 0,
         "method": cfg.method.name,
         "alpha": alpha,
         "trials": list(cfg.trials),
-        "completed": [r.seed for r in ordered],
+        "completed": list(completed),
         "failed": failures,
-        "activation_epochs": {str(r.seed): r.activation_epoch for r in ordered},
-        **{key: {str(r.seed): r.warm[key] for r in ordered} for key in WARM_FIELDS},
-        "last_epoch_test_acc": _aggregate(ordered, "test_acc"),
-        "last_epoch_correction_acc": _aggregate(ordered, "correction_acc"),
-        "last_epoch_memorized_frac": _aggregate(ordered, "mislabeled_memorized_frac"),
+        "activation_epochs": {seed: t.activation_epoch for seed, t in trained.items()},
+        **{key: {seed: t.warm[key] for seed, t in trained.items()} for key in WARM_FIELDS},
+        "last_epoch_test_acc": _aggregate(last, "test_acc"),
+        "last_epoch_correction_acc": _aggregate(last, "correction_acc"),
+        "last_epoch_memorized_frac": _aggregate(last, "mislabeled_memorized_frac"),
     }
     if cfg.method.name == "selc_plus":
-        summary["plus_last_epoch_test_acc"] = _aggregate(ordered, "test_acc", plus=True)
+        plus_last = {str(seed): row for seed, (_, row) in completed.items()}
+        summary["plus_last_epoch_test_acc"] = _aggregate(plus_last, "test_acc")
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     return summary
 

@@ -66,7 +66,9 @@ def normalize_losses(losses) -> np.ndarray:
     hi = losses.max()
     if hi == lo:
         return np.zeros_like(losses)
-    return (losses - lo) / (hi - lo)
+    with np.errstate(over="ignore"):  # a span wider than the float range is halved
+        halve = 2.0 if np.isinf(hi - lo) else 1.0
+    return (losses / halve - lo / halve) / (hi / halve - lo / halve)
 
 
 @dataclass

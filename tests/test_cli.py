@@ -118,6 +118,8 @@ def test_run_verb_unrunnable_blobs_are_config_errors(tmp_path, capsys, dataset, 
     ({"noise": {"kind": "asymmetric", "mapping_file": 5}}, "noise.mapping_file"),
     ({"dataset": {"kind": "csv", "train_csv": 5, "test_csv": "test.csv"}}, "dataset.train_csv"),
     ({"out_dir": 5}, "out_dir"),
+    # a test split that cannot fit in memory names its own field
+    ({"dataset": {"n": 100, "test_n": 10**12}}, "dataset.test_n"),
 ])
 def test_run_verb_non_integer_field_is_config_error(monkeypatch, tmp_path, capsys, overrides,
                                                     field):
@@ -602,8 +604,9 @@ def test_run_and_make_blobs_word_a_blob_rule_alike(tmp_path, capsys, fields, mes
     ({"cluster_std": "wide"}, "cluster_std must be a number, got 'wide'"),
     ({"seed": 2**64}, "seed must be in [-2**63, 2**63), got 18446744073709551616"),
     ({"n": 10**11}, "n must be smaller"),
+    ({"n": 100, "test_n": 10**12}, "test_n must be smaller"),
 ], ids=["float_n", "float_seed", "bool_dim", "test_split_too_small", "str_cluster_std",
-        "seed_past_64_bits", "too_large_for_memory"])
+        "seed_past_64_bits", "too_large_for_memory", "test_split_too_large_for_memory"])
 def test_make_blobs_bad_spec_writes_nothing(tmp_path, capsys, fields, message):
     spec = tmp_path / "blobs.yaml"
     spec.write_text(yaml.safe_dump({"n": 40, "dim": 3, "num_classes": 2,

@@ -26,7 +26,6 @@ from selc_lab.errors import TrainingDivergenceError
 from selc_lab.experiment import (
     EPOCH_COLUMNS,
     _aggregate,
-    _TrialResult,
     run_experiment,
 )
 from selc_lab.mlp import one_hot, predict_proba, soft_ce_loss
@@ -291,9 +290,8 @@ def test_empty_trials_marker(tmp_path):
 
 def test_mean_stddev_examples():
     def aggregate(values):
-        results = [_TrialResult(seed, None, {}, {"test_acc": value}, None)
-                   for seed, value in enumerate(values)]
-        return _aggregate(results, "test_acc")
+        last_rows = {str(seed): {"test_acc": value} for seed, value in enumerate(values)}
+        return _aggregate(last_rows, "test_acc")
 
     agg = aggregate([90.0, 91.0, 92.0])
     assert agg["per_trial"] == {"0": 90.0, "1": 91.0, "2": 92.0}
@@ -892,9 +890,9 @@ cfg = config_from_dict(json.loads(sys.argv[1]), base_dir=sys.argv[2])
 real = experiment._run_trial
 pids = []
 
-def recording(run, k):
+def recording(*args):
     pids.append(os.getpid())
-    return real(run, k)
+    return real(*args)
 
 experiment._run_trial = recording
 summary = experiment.run_experiment(cfg)

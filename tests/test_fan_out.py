@@ -197,15 +197,12 @@ def assert_fits_the_written_losses(series):
 
 # --- the fork rules of losses_file_series ---
 
-def test_a_failed_fork_fits_every_row_here(monkeypatch, big_losses):
+def test_a_failed_fork_fits_every_row_here(big_losses, no_fork):
     if not fans_out():
         pytest.skip("this process may not fork")
-
-    def failing_fork():
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    assert_fits_the_written_losses(losses_file_series(big_losses[0]))
+    series = assert_series_as_one_process(big_losses[0])
+    assert len(no_fork) == 1
+    assert_fits_the_written_losses(series)
 
 
 def test_no_fork_beside_another_python_thread(big_losses, no_fork):
@@ -214,10 +211,11 @@ def test_no_fork_beside_another_python_thread(big_losses, no_fork):
     other.start()
     try:
         assert selc_lab.fork_workers(BIG_EPOCHS) == 1
-        series = losses_file_series(big_losses[0])
+        series = assert_series_as_one_process(big_losses[0])
     finally:
         stop.set()
         other.join(timeout=60)
+    assert not other.is_alive()
     assert no_fork == []
     assert_fits_the_written_losses(series)
 
@@ -230,7 +228,7 @@ def fit_in_worker(path):
         raise OSError("fork attempted")
 
     os.fork = refusing_fork  # this worker process only
-    series = losses_file_series(path)
+    series = assert_series_as_one_process(path)
     return selc_lab.fork_workers(BIG_EPOCHS), len(attempts), series
 
 
@@ -390,48 +388,6 @@ def test_no_shared_parse_below_the_cut_off(tmp_path, no_fork):
     assert os.path.getsize(path) < FAN_OUT_MIN_BYTES
     assert assert_series_as_one_process(path).epochs.tolist() == list(range(10))
     assert no_fork == []
-
-
-def test_no_shared_parse_beside_another_python_thread(big_losses, no_fork):
-    path = big_losses[0]
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait, args=(60,))
-    other.start()
-    try:
-        assert_series_as_one_process(path)
-    finally:
-        stop.set()
-        other.join(timeout=60)
-    assert not other.is_alive()
-    assert no_fork == []
-
-
-def test_a_failed_fork_parses_here(big_losses, no_fork):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    assert_series_as_one_process(big_losses[0])
-    assert len(no_fork) == 1
-
-
-def parse_in_worker(path):
-    attempts = []
-
-    def refusing_fork():
-        attempts.append(1)
-        raise OSError("fork attempted")
-
-    os.fork = refusing_fork  # this worker process only
-    series = assert_series_as_one_process(path)
-    return len(attempts), series
-
-
-def test_no_shared_parse_inside_a_pool_worker(big_losses):
-    if not fans_out():
-        pytest.skip("this process may not fork")
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        attempts, series = pool.submit(parse_in_worker, big_losses[0]).result(timeout=120)
-    assert attempts == 0
-    assert_fits_the_written_losses(series)
 
 
 # --- the epoch shares of turning.losses_file_series ---

@@ -46,6 +46,16 @@ def test_normalize_examples():
     assert np.array_equal(out, [0.0])
 
 
+def test_normalize_spans_wider_than_the_float_range():
+    # max - min overflows; the values scale as they would at half size
+    out = normalize_losses([-1e308, 1e308, 0.0, 5e307])
+    assert np.array_equal(out, normalize_losses([-5e307, 5e307, 0.0, 2.5e307]))
+    assert np.array_equal(out, [0.0, 1.0, 0.5, 0.75])
+    series = compute_metric_series([0, 1], np.array([[-1e308, 1e308, 0.0, 0.0],
+                                                     bimodal_losses(1.0, 0.5, 0.05, 2)]))
+    assert np.all(np.isfinite([series.m1, series.m2, series.m3]))
+
+
 def test_normalize_affine_invariance(rng):
     x = rng.standard_normal(50)
     base = normalize_losses(x)
